@@ -33,7 +33,6 @@ from .core import (
 )
 from .evaluation import (
     MatchingMode,
-    Prediction,
     RecordScore,
     ScoreReport,
     expected_random_footprint_fitness,
@@ -43,7 +42,6 @@ from .evaluation import (
     parse_binary_label,
     random_classification_baseline,
     random_footprint,
-    random_footprint_baseline,
     random_footprint_predictions,
     score_dataset,
     score_sdfd,
@@ -91,6 +89,7 @@ from .taskgen import (
     CorpusEntry,
     LABEL_ANOMALOUS,
     LABEL_VALID,
+    Prediction,
     Rejection,
     RejectionReason,
     Split,

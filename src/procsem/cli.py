@@ -19,13 +19,11 @@ from typing import Any
 from .evaluation import (
     MatchingMode,
     ScoreReport,
-    UnknownRecordError,
     random_classification_baseline,
     random_footprint_predictions,
     score_dataset,
 )
 from .fileio import (
-    FileFormatError,
     read_corpus,
     read_dataset,
     read_predictions,
@@ -39,7 +37,6 @@ from .fileio import (
     write_split,
 )
 from .promptgen import (
-    PoolExhaustedError,
     default_shots,
     load_templates,
     render_ft,
@@ -56,6 +53,7 @@ from .taskgen import (
     DEFAULT_SPLIT_RATIOS,
     Split,
     Task,
+    TaskRecord,
     ValidationReport,
     generate_task,
     split_corpus,
@@ -151,6 +149,14 @@ def _validated(corpus_path: str, max_sequences: int) -> tuple[ValidationReport, 
     )
     status = EXIT_PARTIAL if report.rejected else EXIT_OK
     return report, status
+
+
+def _read_task_dataset(path: str) -> tuple[Task, list[TaskRecord]]:
+    """The records of a non-empty dataset file, and the task they all share."""
+    records = read_dataset(path)
+    if not records:
+        raise ValueError(f"{path}: dataset is empty")
+    return records[0].task, records
 
 
 def _rejection_counts(report: ValidationReport) -> dict[str, int]:
@@ -300,10 +306,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 def cmd_prompts(args: argparse.Namespace) -> int:
     config = build_config(args)
-    records = read_dataset(args.dataset)
-    if not records:
-        raise ValueError("dataset is empty")
-    task = records[0].task
+    task, records = _read_task_dataset(args.dataset)
     assignment = read_split(args.split)
     missing = sorted({r.model_id for r in records} - set(assignment))
     if missing:
@@ -351,10 +354,7 @@ def cmd_prompts(args: argparse.Namespace) -> int:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     config = build_config(args)
-    records = read_dataset(args.dataset)
-    if not records:
-        raise ValueError("dataset is empty")
-    task = records[0].task
+    task, records = _read_task_dataset(args.dataset)
     if args.kind == "random_class":
         if task not in (*CLASSIFICATION_TASKS, Task.SNAP):
             raise ValueError(f"random_class does not apply to task {task.value}")
@@ -532,12 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"procsem: error: {exc}", file=sys.stderr)
-        return EXIT_FATAL
-    except (PoolExhaustedError, UnknownRecordError) as exc:
-        print(f"procsem: error: {exc}", file=sys.stderr)
-        return EXIT_FATAL
+    # File-format, unknown-record and shot-pool errors are all ValueErrors.
     except (OSError, ValueError) as exc:
         print(f"procsem: error: {exc}", file=sys.stderr)
         return EXIT_FATAL

@@ -27,20 +27,20 @@ class ArityError(ValueError):
 _WS_RUN = re.compile(r"\s+")
 
 
+def collapse_whitespace(text: str) -> str:
+    """Trim, and collapse every whitespace run to one space; case is kept."""
+    return _WS_RUN.sub(" ", text).strip()
+
+
 def normalize_label(raw: str) -> Activity:
     """Normalize an activity label: trim, collapse whitespace runs to one space.
 
     Case is preserved. Raises EmptyLabelError if nothing is left.
     """
-    label = _WS_RUN.sub(" ", raw).strip()
+    label = collapse_whitespace(raw)
     if not label:
         raise EmptyLabelError(f"empty activity label: {raw!r}")
     return label
-
-
-def casefold_key(label: Activity) -> str:
-    """Case-insensitive comparison key for a (normalized) label."""
-    return label.casefold()
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +119,6 @@ def tree_labels(tree: ProcessTree) -> list[Activity]:
     for child in tree.children:
         out.extend(tree_labels(child))
     return out
-
-
-def tree_size(tree: ProcessTree) -> int:
-    """Total node count (operators, leaves and silent steps)."""
-    if isinstance(tree, Operator):
-        return 1 + sum(tree_size(c) for c in tree.children)
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +214,8 @@ class Relation(str, Enum):
     NONE = "#"
 
 
-_MIRROR = {
+# The relation of (y, x) given the relation of (x, y).
+MIRROR = {
     Relation.FORWARD: Relation.BACKWARD,
     Relation.BACKWARD: Relation.FORWARD,
     Relation.PARALLEL: Relation.PARALLEL,
@@ -243,7 +237,7 @@ class Footprint:
         for (x, y), rel in self.relations.items():
             if x not in self.activities or y not in self.activities:
                 raise ValueError(f"pair ({x!r}, {y!r}) outside activity set")
-            if self.relations[(y, x)] is not _MIRROR[rel]:
+            if self.relations[(y, x)] is not MIRROR[rel]:
                 raise ValueError(f"inconsistent mirror for pair ({x!r}, {y!r})")
         for x in self.activities:
             if self.relations[(x, x)] not in (Relation.PARALLEL, Relation.NONE):

@@ -14,12 +14,12 @@ case-sensitive mode available.
 from __future__ import annotations
 
 import random
-import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import fmean
 
-from .core import Activity, Dfg, Footprint, Relation
+from .core import MIRROR, Activity, Dfg, Footprint, Relation, collapse_whitespace
 from .semantics import (
     DEFAULT_MAX_SEQUENCES,
     LanguageTooLargeError,
@@ -31,6 +31,7 @@ from .taskgen import (
     CLASSIFICATION_TASKS,
     LABEL_ANOMALOUS,
     LABEL_VALID,
+    Prediction,
     Task,
     TaskRecord,
     model_rng,
@@ -53,18 +54,9 @@ class UnknownRecordError(ValueError):
     """Raised when a prediction references no record in the dataset."""
 
 
-@dataclass(frozen=True)
-class Prediction:
-    record_id: str
-    raw_text: str
-
-
-_WS_RUN = re.compile(r"\s+")
-
-
 def fold_label(label: str, mode: MatchingMode) -> str:
-    """Comparison key for a label under the given matching mode."""
-    collapsed = _WS_RUN.sub(" ", label).strip()
+    """Comparison key for a label under the given matching mode; "" if blank."""
+    collapsed = collapse_whitespace(label)
     if mode is MatchingMode.CASE_SENSITIVE:
         return collapsed
     return collapsed.casefold()
@@ -88,22 +80,44 @@ def parse_binary_label(text: str) -> str | None:
 
 
 def per_class_f1(
-    golds: list[str], preds: list[str | None], class_universe: list[str]
+    golds: list[str],
+    preds: list[str | None],
+    class_universe: list[str] | None = None,
 ) -> dict[str, float]:
+    """F1 of each class in the universe, from one pass of tp/fp/fn counts.
+
+    The default universe is the sorted union of gold and (non-None)
+    predicted labels. A None prediction counts against its gold's recall
+    only.
+    """
     if len(golds) != len(preds):
         raise LengthMismatchError(f"{len(golds)} golds vs {len(preds)} predictions")
+    tp: Counter[str] = Counter()
+    fp: Counter[str] = Counter()
+    fn: Counter[str] = Counter()
+    for g, p in zip(golds, preds):
+        if g == p:
+            tp[g] += 1
+            continue
+        fn[g] += 1
+        if p is not None:
+            fp[p] += 1
+    if class_universe is None:
+        # tp and fn hold every gold, tp and fp every non-None prediction.
+        class_universe = sorted({*tp, *fp, *fn})
     scores: dict[str, float] = {}
     for cls in class_universe:
-        tp = sum(1 for g, p in zip(golds, preds) if g == cls and p == cls)
-        fp = sum(1 for g, p in zip(golds, preds) if g != cls and p == cls)
-        fn = sum(1 for g, p in zip(golds, preds) if g == cls and p != cls)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
+        precision = tp[cls] / (tp[cls] + fp[cls]) if tp[cls] + fp[cls] else 0.0
+        recall = tp[cls] / (tp[cls] + fn[cls]) if tp[cls] + fn[cls] else 0.0
         if precision + recall == 0:
             scores[cls] = 0.0
         else:
             scores[cls] = 2 * precision * recall / (precision + recall)
     return scores
+
+
+def _mean_f1(scores: dict[str, float]) -> float:
+    return fmean(scores.values()) if scores else 0.0
 
 
 def macro_f1(
@@ -117,12 +131,7 @@ def macro_f1(
     labels; predictions of classes with no gold occurrence drag the mean
     down with a 0 entry.
     """
-    if class_universe is None:
-        universe = sorted({*golds, *(p for p in preds if p is not None)})
-    else:
-        universe = list(class_universe)
-    scores = per_class_f1(golds, preds, universe)
-    return fmean(scores.values()) if scores else 0.0
+    return _mean_f1(per_class_f1(golds, preds, class_universe))
 
 
 # ---------------------------------------------------------------------------
@@ -161,37 +170,40 @@ class RecordScore:
     skipped_lines: int = 0
 
 
-def _project_edges(
-    raw_edges: tuple[tuple[str, str], ...],
-    gold_activities: tuple[Activity, ...],
+def _footprint_score(
+    record: TaskRecord,
+    pred: Dfg,
     mode: MatchingMode,
-) -> tuple[frozenset[tuple[Activity, Activity]], tuple[Activity, ...]]:
-    """Map predicted labels onto gold activities; drop what cannot map."""
+    include_diagonal: bool,
+    max_sequences: int,
+    skipped_lines: int = 0,
+) -> RecordScore:
+    """Fitness of a predicted DFG against the record's gold behavior.
+
+    Predicted labels are mapped onto gold activities under `mode`; labels
+    that map to none are dropped from the edges and tallied as hallucinated.
+    """
+    gold_activities = frozenset(record.activity_set)
     fold_map: dict[str, Activity] = {}
     for a in sorted(gold_activities):
         fold_map.setdefault(fold_label(a, mode), a)
-    edges: set[tuple[Activity, Activity]] = set()
-    hallucinated: set[str] = set()
-    for x, y in raw_edges:
-        gx = fold_map.get(fold_label(x, mode))
-        gy = fold_map.get(fold_label(y, mode))
-        if gx is None:
-            hallucinated.add(x)
-        if gy is None:
-            hallucinated.add(y)
-        if gx is not None and gy is not None:
-            edges.add((gx, gy))
-    return frozenset(edges), tuple(sorted(hallucinated))
-
-
-def _gold_footprint(record: TaskRecord, max_sequences: int) -> Footprint:
-    activities = frozenset(record.activity_set)
+    gold_of = {a: fold_map.get(fold_label(a, mode)) for a in pred.activities}
+    edges = frozenset(
+        (gold_of[x], gold_of[y])
+        for x, y in pred.edges
+        if gold_of[x] is not None and gold_of[y] is not None
+    )
+    pred_fp = footprint(Dfg(activities=gold_activities, edges=edges))
     if record.task is Task.SDFD:
-        assert record.edges is not None
-        return footprint(Dfg(activities=activities, edges=frozenset(record.edges)))
-    assert record.tree_text is not None
-    model = playout(parse_tree(record.tree_text), max_sequences)
-    return footprint(dfg_of_model(model))
+        gold_dfg = Dfg(activities=gold_activities, edges=frozenset(record.edges))
+    else:
+        gold_dfg = dfg_of_model(playout(parse_tree(record.tree_text), max_sequences))
+    return RecordScore(
+        record_id=record.record_id,
+        fitness=footprint_fitness(footprint(gold_dfg), pred_fp, include_diagonal),
+        hallucinated=tuple(sorted(a for a, g in gold_of.items() if g is None)),
+        skipped_lines=skipped_lines,
+    )
 
 
 def score_sdfd(
@@ -214,18 +226,12 @@ def score_sdfd(
             parse_failure=True,
             skipped_lines=len(parsed.skipped),
         )
-    edges, hallucinated = _project_edges(parsed.edges, record.activity_set, mode)
-    pred_fp = footprint(
-        Dfg(activities=frozenset(record.activity_set), edges=edges)
+    pred = Dfg(
+        activities=frozenset(a for edge in parsed.edges for a in edge),
+        edges=frozenset(parsed.edges),
     )
-    fitness = footprint_fitness(
-        _gold_footprint(record, max_sequences), pred_fp, include_diagonal
-    )
-    return RecordScore(
-        record_id=record.record_id,
-        fitness=fitness,
-        hallucinated=hallucinated,
-        skipped_lines=len(parsed.skipped),
+    return _footprint_score(
+        record, pred, mode, include_diagonal, max_sequences, len(parsed.skipped)
     )
 
 
@@ -248,20 +254,8 @@ def score_sptd(
         return RecordScore(
             record_id=record.record_id, fitness=0.0, parse_failure=True
         )
-    pred_dfg = dfg_of_model(pred_model)
-    edges, _ = _project_edges(tuple(pred_dfg.edges), record.activity_set, mode)
-    gold_keys = {fold_label(a, mode) for a in record.activity_set}
-    hallucinated = tuple(
-        sorted(a for a in pred_dfg.activities if fold_label(a, mode) not in gold_keys)
-    )
-    pred_fp = footprint(Dfg(activities=frozenset(record.activity_set), edges=edges))
-    fitness = footprint_fitness(
-        _gold_footprint(record, max_sequences), pred_fp, include_diagonal
-    )
-    return RecordScore(
-        record_id=record.record_id,
-        fitness=fitness,
-        hallucinated=hallucinated,
+    return _footprint_score(
+        record, dfg_of_model(pred_model), mode, include_diagonal, max_sequences
     )
 
 
@@ -287,39 +281,23 @@ def _classification_golds_preds(
     records: list[TaskRecord],
     by_id: dict[str, Prediction],
     mode: MatchingMode,
-) -> tuple[list[str], list[str | None], int, int]:
+) -> tuple[list[str], list[str | None]]:
+    """Gold and predicted classes; None marks a missing or unparseable answer.
+
+    A missing prediction is read as empty text.
+    """
     golds: list[str] = []
     preds: list[str | None] = []
-    n_parse_failures = 0
-    n_missing = 0
     for record in records:
         prediction = by_id.get(record.record_id)
-        if record.task in CLASSIFICATION_TASKS:
-            golds.append(record.label or "")
-            if prediction is None:
-                n_missing += 1
-                n_parse_failures += 1
-                preds.append(None)
-                continue
-            label = parse_binary_label(prediction.raw_text)
-            if label is None:
-                n_parse_failures += 1
-            preds.append(label)
-        else:
-            assert record.next_activity is not None
+        text = prediction.raw_text if prediction is not None else ""
+        if record.task is Task.SNAP:
             golds.append(fold_label(record.next_activity, mode))
-            if prediction is None:
-                n_missing += 1
-                n_parse_failures += 1
-                preds.append(None)
-                continue
-            text = prediction.raw_text.strip()
-            if not text:
-                n_parse_failures += 1
-                preds.append(None)
-                continue
-            preds.append(fold_label(text, mode))
-    return golds, preds, n_parse_failures, n_missing
+            preds.append(fold_label(text, mode) or None)
+        else:
+            golds.append(record.label or "")
+            preds.append(parse_binary_label(text))
+    return golds, preds
 
 
 def score_dataset(
@@ -347,41 +325,30 @@ def score_dataset(
         if p.record_id not in known:
             raise UnknownRecordError(f"prediction for unknown record {p.record_id!r}")
         by_id[p.record_id] = p
+    n_missing = sum(1 for r in records if r.record_id not in by_id)
 
     if task in CLASSIFICATION_TASKS or task is Task.SNAP:
-        golds, preds, n_parse_failures, n_missing = _classification_golds_preds(
-            records, by_id, mode
-        )
-        if task in CLASSIFICATION_TASKS:
-            universe = list(BINARY_CLASSES)
-        else:
-            universe = sorted({*golds, *(p for p in preds if p is not None)})
+        golds, preds = _classification_golds_preds(records, by_id, mode)
+        universe = list(BINARY_CLASSES) if task in CLASSIFICATION_TASKS else None
         class_scores = per_class_f1(golds, preds, universe)
         return ScoreReport(
             task=task,
             n_records=len(records),
             metric_name="macro_f1",
-            value=fmean(class_scores.values()) if class_scores else 0.0,
+            value=_mean_f1(class_scores),
             matching_mode=mode,
-            n_parse_failures=n_parse_failures,
+            n_parse_failures=preds.count(None),
             n_missing_predictions=n_missing,
             per_class_f1=class_scores,
         )
 
     scorer = score_sdfd if task is Task.SDFD else score_sptd
-    record_scores: list[RecordScore] = []
-    n_missing = 0
-    for record in records:
-        prediction = by_id.get(record.record_id)
-        if prediction is None:
-            n_missing += 1
-            record_scores.append(
-                RecordScore(record_id=record.record_id, fitness=0.0, parse_failure=True)
-            )
-            continue
-        record_scores.append(
-            scorer(record, prediction.raw_text, mode, include_diagonal, max_sequences)
-        )
+    record_scores = [
+        scorer(r, by_id[r.record_id].raw_text, mode, include_diagonal, max_sequences)
+        if r.record_id in by_id
+        else RecordScore(record_id=r.record_id, fitness=0.0, parse_failure=True)
+        for r in records
+    ]
     return ScoreReport(
         task=task,
         n_records=len(records),
@@ -425,13 +392,6 @@ _OFFDIAG_RELATIONS = (
 )
 _DIAG_RELATIONS = (Relation.PARALLEL, Relation.NONE)
 
-_MIRROR = {
-    Relation.FORWARD: Relation.BACKWARD,
-    Relation.BACKWARD: Relation.FORWARD,
-    Relation.PARALLEL: Relation.PARALLEL,
-    Relation.NONE: Relation.NONE,
-}
-
 
 def random_footprint(activity_set: frozenset[Activity] | tuple[Activity, ...], rng: random.Random) -> Footprint:
     """Uniform relation per unordered pair (mirrored), uniform diagonal."""
@@ -442,14 +402,8 @@ def random_footprint(activity_set: frozenset[Activity] | tuple[Activity, ...], r
         for y in activities[i + 1 :]:
             rel = rng.choice(_OFFDIAG_RELATIONS)
             relations[(x, y)] = rel
-            relations[(y, x)] = _MIRROR[rel]
+            relations[(y, x)] = MIRROR[rel]
     return Footprint(activities=frozenset(activities), relations=relations)
-
-
-def random_footprint_baseline(
-    activity_set: frozenset[Activity] | tuple[Activity, ...], seed: int
-) -> Footprint:
-    return random_footprint(activity_set, random.Random(seed))
 
 
 def footprint_to_dfg(fp: Footprint) -> Dfg:

@@ -12,7 +12,10 @@ from typing import Any, Iterable, Iterator
 
 from .promptgen import FtExample, PromptBundle
 from .taskgen import (
+    LABEL_ANOMALOUS,
+    LABEL_VALID,
     CorpusEntry,
+    Prediction,
     Rejection,
     RejectionReason,
     Split,
@@ -20,7 +23,6 @@ from .taskgen import (
     Task,
     TaskRecord,
 )
-from .evaluation import Prediction
 from .tree_dsl import TreeSyntaxError, parse_tree, render_tree
 
 
@@ -129,30 +131,75 @@ def record_to_obj(record: TaskRecord) -> dict[str, Any]:
     return obj
 
 
+def _is_strings(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_string_pair(value: Any) -> bool:
+    return _is_strings(value) and len(value) == 2
+
+
+# Keys each task's rows must carry, besides the ones every row carries.
+_PAYLOAD_KEYS = {
+    Task.TSAD: ("trace", "label"),
+    Task.ASAD: ("pair", "label"),
+    Task.SNAP: ("prefix", "next_activity"),
+    Task.SDFD: ("edges",),
+    Task.SPTD: ("tree_text",),
+}
+
+# Shape of each row field wherever it appears. Only presence and type are
+# checked, because every pipeline pass reads its datasets several times.
+_FIELD_SHAPES = {
+    "activity_set": (_is_strings, "a list of strings"),
+    "trace": (_is_strings, "a list of strings"),
+    "pair": (_is_string_pair, "a list of two strings"),
+    "prefix": (_is_strings, "a list of strings"),
+    "label": (lambda v: v in (LABEL_VALID, LABEL_ANOMALOUS), "Valid or Anomalous"),
+    "next_activity": (lambda v: isinstance(v, str), "a string"),
+    "edges": (
+        lambda v: isinstance(v, list) and all(_is_string_pair(e) for e in v),
+        "a list of string pairs",
+    ),
+    "tree_text": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def obj_to_record(obj: dict[str, Any], path: str | Path, line_number: int) -> TaskRecord:
     try:
         task = Task(str(_require(obj, "task", path, line_number)))
     except ValueError:
         raise FileFormatError(path, line_number, f"unknown task {obj.get('task')!r}") from None
-    pair = obj.get("pair")
-    edges = obj.get("edges")
+    for key in ("activity_set", *_PAYLOAD_KEYS[task]):
+        _require(obj, key, path, line_number)
+    for key, (is_valid, shape) in _FIELD_SHAPES.items():
+        if key in obj and not is_valid(obj[key]):
+            raise FileFormatError(path, line_number, f"{key!r} must be {shape}")
     return TaskRecord(
         record_id=str(_require(obj, "record_id", path, line_number)),
         task=task,
         model_id=str(_require(obj, "model_id", path, line_number)),
-        activity_set=tuple(_require(obj, "activity_set", path, line_number)),
+        activity_set=tuple(obj["activity_set"]),
         trace=tuple(obj["trace"]) if "trace" in obj else None,
-        pair=(pair[0], pair[1]) if pair is not None else None,
+        pair=tuple(obj["pair"]) if "pair" in obj else None,
         prefix=tuple(obj["prefix"]) if "prefix" in obj else None,
         label=obj.get("label"),
         next_activity=obj.get("next_activity"),
-        edges=tuple((e[0], e[1]) for e in edges) if edges is not None else None,
+        edges=tuple(tuple(e) for e in obj["edges"]) if "edges" in obj else None,
         tree_text=obj.get("tree_text"),
     )
 
 
 def read_dataset(path: str | Path) -> list[TaskRecord]:
-    return [obj_to_record(obj, path, n) for n, obj in _read_objects(path)]
+    """The records of a dataset file; all of its rows belong to one task."""
+    records: list[TaskRecord] = []
+    for n, obj in _read_objects(path):
+        record = obj_to_record(obj, path, n)
+        if records and record.task is not records[0].task:
+            reason = f"{record.task.value} row in a {records[0].task.value} dataset"
+            raise FileFormatError(path, n, reason)
+        records.append(record)
+    return records
 
 
 def write_dataset(path: str | Path, records: Iterable[TaskRecord]) -> None:

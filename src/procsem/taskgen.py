@@ -83,6 +83,14 @@ class TaskRecord:
     tree_text: str | None = None
 
 
+@dataclass(frozen=True)
+class Prediction:
+    """A model's raw answer to the record with the same id."""
+
+    record_id: str
+    raw_text: str
+
+
 def model_rng(seed: int, *parts: str) -> random.Random:
     """Deterministic per-model random stream, independent of batch order."""
     key = ":".join([str(seed), *parts])

@@ -95,6 +95,24 @@ def oracle_ef_pairs(sequences) -> set[tuple[str, str]]:
     return pairs
 
 
+def oracle_per_class_f1(golds, preds, class_universe=None) -> dict[str, float]:
+    """Reference per-class F1: three counting passes over all pairs per class."""
+    if class_universe is None:
+        class_universe = sorted({*golds, *(p for p in preds if p is not None)})
+    scores = {}
+    for cls in class_universe:
+        tp = sum(1 for g, p in zip(golds, preds) if g == cls and p == cls)
+        fp = sum(1 for g, p in zip(golds, preds) if g != cls and p == cls)
+        fn = sum(1 for g, p in zip(golds, preds) if g == cls and p != cls)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        if precision + recall == 0:
+            scores[cls] = 0.0
+        else:
+            scores[cls] = 2 * precision * recall / (precision + recall)
+    return scores
+
+
 # ---------------------------------------------------------------------------
 # Random tree strategies and generators
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -316,3 +317,61 @@ class TestFailureModes:
         )
         assert code == EXIT_FATAL
         assert "missing from split" in err
+
+    @pytest.mark.parametrize(
+        "task,key,value",
+        [
+            ("snap", "next_activity", None),  # None drops the key
+            ("asad", "pair", 5),
+            ("asad", "pair", ["a"]),
+            ("tsad", "trace", None),
+            ("tsad", "label", "maybe"),
+            ("sdfd", "edges", [["a", 1]]),
+            ("sptd", "tree_text", ["->('a', 'b')"]),
+            ("sptd", "activity_set", "ab"),
+        ],
+    )
+    def test_malformed_dataset_row_is_fatal(self, ws, tmp_path, task, key, value):
+        lines = Path(f"{ws['data']}/{task}.jsonl").read_text("utf-8").splitlines()
+        row = json.loads(lines[1])
+        if value is None:
+            del row[key]
+        else:
+            row[key] = value
+        lines[1] = json.dumps(row)
+        dataset = tmp_path / f"{task}.jsonl"
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("", encoding="utf-8")
+        code, _, err = run(
+            ["score", "--dataset", str(dataset), "--predictions", str(preds)]
+        )
+        assert code == EXIT_FATAL
+        assert err.startswith(f"procsem: error: {dataset}:2: ")
+        assert repr(key) in err
+        assert err.count("\n") == 1
+
+    def test_mixed_task_dataset_is_fatal(self, ws, tmp_path):
+        tsad = Path(f"{ws['data']}/tsad.jsonl").read_text("utf-8")
+        sdfd = Path(f"{ws['data']}/sdfd.jsonl").read_text("utf-8")
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text(tsad + "\n" + sdfd, encoding="utf-8")
+        first_sdfd_line = tsad.count("\n") + 2  # after the blank line
+        out = tmp_path / "ft.jsonl"
+        code, _, err = run(
+            ["prompts", "--dataset", str(mixed), "--split", ws["split"],
+             "--mode", "ft", "--query-split", "train", "--out", str(out)]
+        )
+        assert code == EXIT_FATAL
+        assert f"{mixed}:{first_sdfd_line}: sdfd row in a tsad dataset" in err
+        assert not out.exists()
+
+    def test_empty_dataset_is_fatal(self, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        code, _, err = run(
+            ["baseline", "--dataset", str(empty), "--kind", "random_class",
+             "--out", str(tmp_path / "p.jsonl")]
+        )
+        assert code == EXIT_FATAL
+        assert "dataset is empty" in err

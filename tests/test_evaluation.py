@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procsem import (
     Dfg,
@@ -43,7 +44,7 @@ from procsem.evaluation import (
     per_class_f1,
 )
 
-from conftest import tree_strategy
+from conftest import oracle_per_class_f1, tree_strategy
 
 V, A = LABEL_VALID, LABEL_ANOMALOUS
 
@@ -128,6 +129,23 @@ class TestMacroF1:
         mapping = {"p": "yes", "q": "no"}
         assert macro_f1(golds, preds) == pytest.approx(
             macro_f1([mapping[g] for g in golds], [mapping[p] for p in preds])
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.sampled_from("abcd"), st.none() | st.sampled_from("abcde"))
+        ),
+        universe=st.none() | st.lists(st.sampled_from("abcdef"), unique=True),
+    )
+    def test_one_pass_counts_match_three_count_oracle(self, pairs, universe):
+        # Explicit universes may name classes absent from both sides ("f")
+        # and leave out predicted ones ("e").
+        golds = [g for g, _ in pairs]
+        preds = [p for _, p in pairs]
+        got = per_class_f1(golds, preds, universe)
+        assert list(got.items()) == list(
+            oracle_per_class_f1(golds, preds, universe).items()
         )
 
 
