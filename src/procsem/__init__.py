@@ -66,6 +66,7 @@ from .promptgen import (
     PoolExhaustedError,
     PromptBundle,
     PromptTemplates,
+    ShotPool,
     answer_text,
     default_shots,
     load_templates,

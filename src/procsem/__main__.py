@@ -1,0 +1,6 @@
+"""`python -m procsem`: the procsem command line."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

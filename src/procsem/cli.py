@@ -37,6 +37,7 @@ from .fileio import (
     write_split,
 )
 from .promptgen import (
+    ShotPool,
     default_shots,
     load_templates,
     render_ft,
@@ -332,7 +333,7 @@ def cmd_prompts(args: argparse.Namespace) -> int:
             }
         )
         return EXIT_OK
-    pool = [r for r in records if assignment[r.model_id] is Split.TRAIN]
+    pool = ShotPool(r for r in records if assignment[r.model_id] is Split.TRAIN)
     queries = [r for r in records if assignment[r.model_id] is query_split]
     bundles = [
         render_icl(task, q, pool, shots, config.seed, templates) for q in queries

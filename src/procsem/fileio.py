@@ -63,6 +63,21 @@ def _require(obj: dict[str, Any], key: str, path: str | Path, line_number: int) 
     return obj[key]
 
 
+def _require_str(obj: dict[str, Any], key: str, path: str | Path, line_number: int) -> str:
+    value = _require(obj, key, path, line_number)
+    if not isinstance(value, str):
+        raise FileFormatError(path, line_number, f"{key!r} must be a string")
+    return value
+
+
+def _check_new_id(seen: dict[str, int], record_id: str, path: str | Path, line_number: int) -> None:
+    """Note where `record_id` first appears; a second row with it is an error."""
+    first = seen.setdefault(record_id, line_number)
+    if first != line_number:
+        reason = f"duplicate record_id {record_id!r} (first on line {first})"
+        raise FileFormatError(path, line_number, reason)
+
+
 # ---------------------------------------------------------------------------
 # Corpus files: {"model_id", "name"?, "tree"}
 
@@ -191,13 +206,16 @@ def obj_to_record(obj: dict[str, Any], path: str | Path, line_number: int) -> Ta
 
 
 def read_dataset(path: str | Path) -> list[TaskRecord]:
-    """The records of a dataset file; all of its rows belong to one task."""
+    """The records of a dataset file; all of its rows belong to one task,
+    and no two share a `record_id`."""
     records: list[TaskRecord] = []
+    seen: dict[str, int] = {}
     for n, obj in _read_objects(path):
         record = obj_to_record(obj, path, n)
         if records and record.task is not records[0].task:
             reason = f"{record.task.value} row in a {records[0].task.value} dataset"
             raise FileFormatError(path, n, reason)
+        _check_new_id(seen, record.record_id, path, n)
         records.append(record)
     return records
 
@@ -233,8 +251,8 @@ def write_sequences(path: str | Path, models: Iterable[Any]) -> None:
 def read_split(path: str | Path) -> dict[str, Split]:
     assignment: dict[str, Split] = {}
     for line_number, obj in _read_objects(path):
-        model_id = str(_require(obj, "model_id", path, line_number))
-        raw = str(_require(obj, "split", path, line_number))
+        model_id = _require_str(obj, "model_id", path, line_number)
+        raw = _require_str(obj, "split", path, line_number)
         try:
             assignment[model_id] = Split(raw)
         except ValueError:
@@ -296,12 +314,16 @@ def write_ft_examples(path: str | Path, examples: Iterable[FtExample]) -> None:
 
 
 def read_predictions(path: str | Path) -> list[Prediction]:
+    """The predictions of a file; no two share a `record_id`."""
     predictions: list[Prediction] = []
+    seen: dict[str, int] = {}
     for line_number, obj in _read_objects(path):
+        record_id = _require_str(obj, "record_id", path, line_number)
+        _check_new_id(seen, record_id, path, line_number)
         predictions.append(
             Prediction(
-                record_id=str(_require(obj, "record_id", path, line_number)),
-                raw_text=str(_require(obj, "prediction", path, line_number)),
+                record_id=record_id,
+                raw_text=_require_str(obj, "prediction", path, line_number),
             )
         )
     return predictions

@@ -9,9 +9,12 @@ so every emitted gold answer round-trips through evaluation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Any
 
 from .core import Activity, Trace
 from .taskgen import (
@@ -90,17 +93,22 @@ def trace_text(trace: Trace) -> str:
     return "[" + ", ".join(trace) + "]"
 
 
+def _field(record: TaskRecord, name: str) -> Any:
+    """The record's task field `name`; a record without it is an error."""
+    value = getattr(record, name)
+    if value is None:
+        raise ValueError(f"record {record.record_id!r} has no {name!r}")
+    return value
+
+
 def instance_text(record: TaskRecord) -> str:
     if record.task is Task.TSAD:
-        assert record.trace is not None
-        return trace_text(record.trace)
+        return trace_text(_field(record, "trace"))
     if record.task is Task.ASAD:
-        assert record.pair is not None
-        first, second = record.pair
+        first, second = _field(record, "pair")
         return f"1. Activity: {first}\n2. Activity: {second}"
     if record.task is Task.SNAP:
-        assert record.prefix is not None
-        return trace_text(record.prefix)
+        return trace_text(_field(record, "prefix"))
     return ""
 
 
@@ -109,13 +117,10 @@ def answer_text(record: TaskRecord) -> str:
     if record.task in (Task.TSAD, Task.ASAD):
         return "true" if record.label == LABEL_ANOMALOUS else "false"
     if record.task is Task.SNAP:
-        assert record.next_activity is not None
-        return record.next_activity
+        return _field(record, "next_activity")
     if record.task is Task.SDFD:
-        assert record.edges is not None
-        return render_dfg_edges(record.edges)
-    assert record.tree_text is not None
-    return record.tree_text
+        return render_dfg_edges(_field(record, "edges"))
+    return _field(record, "tree_text")
 
 
 def _fill(block: str, record: TaskRecord, answer: str | None) -> str:
@@ -133,11 +138,86 @@ def _fill(block: str, record: TaskRecord, answer: str | None) -> str:
     return text.replace("{answer_key}", answer_line)
 
 
+class _Without(Sequence):
+    """`items` with the entry at index `skip` left out, without a copy.
+
+    `random.sample` and `random.choice` only take the length of a population
+    and index it, so they draw from this view exactly what they would draw
+    from the copied list.
+    """
+
+    __slots__ = ("_items", "_skip")
+
+    def __init__(self, items: Sequence, skip: int) -> None:
+        self._items = items
+        self._skip = skip
+
+    def __len__(self) -> int:
+        return len(self._items) - 1
+
+    def __getitem__(self, index: int) -> Any:
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        return self._items[index + (index >= self._skip)]
+
+
+class ShotPool:
+    """The training records that ICL shots are drawn from, indexed once.
+
+    Records are sorted by `record_id` and grouped by label (for the binary
+    tasks) and by model (for the others). Every accessor leaves out the
+    record whose id is the query's, so a query from the training split is
+    never its own shot.
+    """
+
+    def __init__(self, records: Iterable[TaskRecord]) -> None:
+        self._valid: list[TaskRecord] = []
+        self._anomalous: list[TaskRecord] = []
+        self._by_model: dict[str, list[TaskRecord]] = {}
+        # record_id -> (record, index in its label list, index in its model list)
+        self._slots: dict[str, tuple[TaskRecord, int, int]] = {}
+        for r in sorted(records, key=lambda r: r.record_id):
+            if r.record_id in self._slots:
+                raise ValueError(f"duplicate record_id {r.record_id!r} in the shot pool")
+            side = self._anomalous if r.label == LABEL_ANOMALOUS else self._valid
+            group = self._by_model.setdefault(r.model_id, [])
+            self._slots[r.record_id] = (r, len(side), len(group))
+            side.append(r)
+            group.append(r)
+        self._models = sorted(self._by_model)
+
+    def by_label(self, query_id: str) -> tuple[Sequence[TaskRecord], Sequence[TaskRecord]]:
+        """The valid and the anomalous records, without the query."""
+        valid, anomalous = self._valid, self._anomalous
+        slot = self._slots.get(query_id)
+        if slot is not None:
+            record, index, _ = slot
+            if record.label == LABEL_ANOMALOUS:
+                anomalous = _Without(anomalous, index)
+            else:
+                valid = _Without(valid, index)
+        return valid, anomalous
+
+    def models(self, query_id: str) -> Sequence[str]:
+        """Sorted ids of the models that have a record besides the query."""
+        slot = self._slots.get(query_id)
+        if slot is not None and len(self._by_model[slot[0].model_id]) == 1:
+            return _Without(self._models, bisect_left(self._models, slot[0].model_id))
+        return self._models
+
+    def records(self, model_id: str, query_id: str) -> Sequence[TaskRecord]:
+        """The records of one model, without the query."""
+        group = self._by_model[model_id]
+        slot = self._slots.get(query_id)
+        if slot is not None and slot[0].model_id == model_id:
+            return _Without(group, slot[2])
+        return group
+
+
 def _sample_binary_shots(
-    query: TaskRecord, pool: list[TaskRecord], shots: int, rng
+    query: TaskRecord, pool: ShotPool, shots: int, rng
 ) -> list[TaskRecord]:
-    valid = [r for r in pool if r.label != LABEL_ANOMALOUS and r.record_id != query.record_id]
-    anomalous = [r for r in pool if r.label == LABEL_ANOMALOUS and r.record_id != query.record_id]
+    valid, anomalous = pool.by_label(query.record_id)
     need_valid = (shots + 1) // 2
     need_anomalous = shots // 2
     if len(valid) < need_valid or len(anomalous) < need_anomalous:
@@ -155,24 +235,21 @@ def _sample_binary_shots(
 
 
 def _sample_model_shots(
-    query: TaskRecord, pool: list[TaskRecord], shots: int, rng
+    query: TaskRecord, pool: ShotPool, shots: int, rng
 ) -> list[TaskRecord]:
-    by_model: dict[str, list[TaskRecord]] = {}
-    for r in pool:
-        if r.record_id != query.record_id:
-            by_model.setdefault(r.model_id, []).append(r)
-    if len(by_model) < shots:
+    models = pool.models(query.record_id)
+    if len(models) < shots:
         raise PoolExhaustedError(
-            f"need records from {shots} distinct models, pool has {len(by_model)}"
+            f"need records from {shots} distinct models, pool has {len(models)}"
         )
-    chosen_models = rng.sample(sorted(by_model), shots)
-    return [rng.choice(by_model[m]) for m in chosen_models]
+    chosen_models = rng.sample(models, shots)
+    return [rng.choice(pool.records(m, query.record_id)) for m in chosen_models]
 
 
 def render_icl(
     task: Task,
     query: TaskRecord,
-    train_pool: list[TaskRecord],
+    pool: ShotPool,
     shots: int,
     seed: int,
     templates: PromptTemplates | None = None,
@@ -187,7 +264,6 @@ def render_icl(
         raise ValueError("shots must be >= 1")
     tpl = templates if templates is not None else load_templates(task)
     rng = model_rng(seed, "icl", task.value, query.record_id)
-    pool = sorted(train_pool, key=lambda r: r.record_id)
     if task in (Task.TSAD, Task.ASAD):
         shot_records = _sample_binary_shots(query, pool, shots, rng)
     else:

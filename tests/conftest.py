@@ -13,16 +13,25 @@ import pytest
 from hypothesis import strategies as st
 
 from procsem import (
+    LABEL_ANOMALOUS,
     EmptyLabelError,
     Leaf,
     OpKind,
     Operator,
+    PoolExhaustedError,
     ProcessTree,
+    PromptBundle,
     Silent,
+    Task,
+    TaskRecord,
+    answer_text,
+    load_templates,
     normalize_label,
     parse_tree,
     playout,
 )
+from procsem.promptgen import _fill
+from procsem.taskgen import model_rng
 
 M1_TREE_TEXT = (
     "->('receive order', X(->('accept order', 'deliver package'), 'reject order'))"
@@ -111,6 +120,52 @@ def oracle_per_class_f1(golds, preds, class_universe=None) -> dict[str, float]:
         else:
             scores[cls] = 2 * precision * recall / (precision + recall)
     return scores
+
+
+def _oracle_binary_shots(query, pool, shots, rng) -> list[TaskRecord]:
+    valid = [r for r in pool if r.label != LABEL_ANOMALOUS and r.record_id != query.record_id]
+    anomalous = [r for r in pool if r.label == LABEL_ANOMALOUS and r.record_id != query.record_id]
+    need_valid = (shots + 1) // 2
+    need_anomalous = shots // 2
+    if len(valid) < need_valid or len(anomalous) < need_anomalous:
+        raise PoolExhaustedError("oracle: pool too small")
+    picked_valid = rng.sample(valid, need_valid)
+    picked_anomalous = rng.sample(anomalous, need_anomalous)
+    return [
+        (picked_valid if i % 2 == 0 else picked_anomalous)[i // 2] for i in range(shots)
+    ]
+
+
+def _oracle_model_shots(query, pool, shots, rng) -> list[TaskRecord]:
+    by_model: dict[str, list[TaskRecord]] = {}
+    for r in pool:
+        if r.record_id != query.record_id:
+            by_model.setdefault(r.model_id, []).append(r)
+    if len(by_model) < shots:
+        raise PoolExhaustedError("oracle: pool too small")
+    chosen_models = rng.sample(sorted(by_model), shots)
+    return [rng.choice(by_model[m]) for m in chosen_models]
+
+
+def oracle_render_icl(
+    task: Task, query: TaskRecord, train_pool: list[TaskRecord], shots: int, seed: int
+) -> PromptBundle:
+    """Reference ICL prompt: the pool is sorted and filtered again per query."""
+    tpl = load_templates(task)
+    rng = model_rng(seed, "icl", task.value, query.record_id)
+    pool = sorted(train_pool, key=lambda r: r.record_id)
+    if task in (Task.TSAD, Task.ASAD):
+        shot_records = _oracle_binary_shots(query, pool, shots, rng)
+    else:
+        shot_records = _oracle_model_shots(query, pool, shots, rng)
+    blocks = [_fill(tpl.block, r, answer_text(r)) for r in shot_records]
+    blocks.append(_fill(tpl.block, query, None))
+    return PromptBundle(
+        record_id=query.record_id,
+        task=task,
+        prompt_text="\n\n".join([tpl.description, *blocks]),
+        shot_record_ids=tuple(r.record_id for r in shot_records),
+    )
 
 
 # ---------------------------------------------------------------------------

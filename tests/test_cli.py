@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import procsem
 from procsem import (
     Prediction,
     answer_text,
@@ -375,3 +379,70 @@ class TestFailureModes:
         )
         assert code == EXIT_FATAL
         assert "dataset is empty" in err
+
+    def test_repeated_dataset_record_is_fatal(self, ws, tmp_path):
+        lines = Path(f"{ws['data']}/asad.jsonl").read_text("utf-8").splitlines()
+        dataset = tmp_path / "asad.jsonl"
+        dataset.write_text("\n".join([*lines[:3], lines[1]]) + "\n", encoding="utf-8")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("", encoding="utf-8")
+        code, _, err = run(
+            ["score", "--dataset", str(dataset), "--predictions", str(preds)]
+        )
+        record_id = json.loads(lines[1])["record_id"]
+        assert code == EXIT_FATAL
+        assert err == (
+            f"procsem: error: {dataset}:4: duplicate record_id "
+            f"{record_id!r} (first on line 2)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ({"record_id": 7, "prediction": "Valid"}, "'record_id' must be a string"),
+            ({"record_id": "ID1", "prediction": None}, "'prediction' must be a string"),
+            ({"record_id": "ID1", "prediction": ["Valid"]}, "'prediction' must be a string"),
+            ({"record_id": "ID0", "prediction": "Valid"}, "duplicate record_id"),
+        ],
+    )
+    def test_bad_prediction_row_is_fatal(self, ws, tmp_path, row):
+        row, reason = row
+        dataset = f"{ws['data']}/tsad.jsonl"
+        ids = [r.record_id for r in read_dataset(dataset)[:2]]
+        placeholders = {"ID0": ids[0], "ID1": ids[1]}
+        row = {**row, "record_id": placeholders.get(row["record_id"], row["record_id"])}
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            json.dumps({"record_id": ids[0], "prediction": "Valid"}) + "\n"
+            + json.dumps(row) + "\n",
+            encoding="utf-8",
+        )
+        code, _, err = run(["score", "--dataset", dataset, "--predictions", str(preds)])
+        assert code == EXIT_FATAL
+        assert err.startswith(f"procsem: error: {preds}:2: {reason}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key,value", [("model_id", 3), ("split", None)])
+    def test_mistyped_split_row_is_fatal(self, ws, tmp_path, key, value):
+        lines = Path(ws["split"]).read_text("utf-8").splitlines()
+        row = json.loads(lines[0])
+        row[key] = value
+        split = tmp_path / "split.jsonl"
+        split.write_text("\n".join([json.dumps(row), *lines[1:]]) + "\n", encoding="utf-8")
+        code, _, err = run(
+            ["prompts", "--dataset", f"{ws['data']}/sdfd.jsonl", "--split", str(split),
+             "--mode", "ft", "--out", str(tmp_path / "ft.jsonl")]
+        )
+        assert code == EXIT_FATAL
+        assert err == f"procsem: error: {split}:1: {key!r} must be a string\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(procsem.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "procsem", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "prompts" in proc.stdout

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import oracle_render_icl
 from procsem import (
     CorpusEntry,
     LABEL_ANOMALOUS,
     LABEL_VALID,
     PoolExhaustedError,
     PromptTemplates,
+    ShotPool,
     Task,
     TaskRecord,
     gen_asad,
@@ -26,6 +32,38 @@ from procsem import (
 )
 from procsem.evaluation import MatchingMode, fold_label
 from procsem.promptgen import ANSWER_KEYS, answer_text, default_shots
+
+
+def _record(task: Task, model_id: str, index: int, anomalous: bool) -> TaskRecord:
+    a, b = f"a{index}", f"b{index}"
+    label = LABEL_ANOMALOUS if anomalous else LABEL_VALID
+    payload = {
+        Task.TSAD: {"trace": (a, b), "label": label},
+        Task.ASAD: {"pair": (a, b), "label": label},
+        Task.SNAP: {"prefix": (a,), "next_activity": b},
+        Task.SDFD: {"edges": ((a, b),)},
+        Task.SPTD: {"tree_text": f"->('{a}', '{b}')"},
+    }[task]
+    return TaskRecord(
+        record_id=f"{model_id}:{task.value}:{index:05d}",
+        task=task,
+        model_id=model_id,
+        activity_set=(a, b),
+        **payload,
+    )
+
+
+@st.composite
+def icl_cases(draw):
+    """A task, a shuffled train pool whose model m0 has one record, shots, seed."""
+    task = draw(st.sampled_from(list(Task)))
+    sizes = [1, *draw(st.lists(st.integers(1, 4), max_size=7))]
+    pool = [
+        _record(task, f"m{m}", i, draw(st.booleans()))
+        for m, size in enumerate(sizes)
+        for i in range(size)
+    ]
+    return task, draw(st.permutations(pool)), draw(st.integers(1, 7)), draw(st.integers(0, 3))
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +110,7 @@ class TestRenderIcl:
     def test_binary_shots_balanced_and_interleaved(self, corpus_records):
         pool = corpus_records[Task.TSAD]
         query = pool[-1]
-        bundle = render_icl(Task.TSAD, query, pool, shots=6, seed=1)
+        bundle = render_icl(Task.TSAD, query, ShotPool(pool), shots=6, seed=1)
         by_id = {r.record_id: r for r in pool}
         labels = [by_id[rid].label for rid in bundle.shot_record_ids]
         assert labels == [
@@ -83,7 +121,7 @@ class TestRenderIcl:
     def test_odd_shot_count_favors_valid(self, corpus_records):
         pool = corpus_records[Task.ASAD]
         query = pool[0]
-        bundle = render_icl(Task.ASAD, query, pool, shots=5, seed=1)
+        bundle = render_icl(Task.ASAD, query, ShotPool(pool), shots=5, seed=1)
         by_id = {r.record_id: r for r in pool}
         labels = [by_id[rid].label for rid in bundle.shot_record_ids]
         assert labels.count(LABEL_VALID) == 3
@@ -93,13 +131,13 @@ class TestRenderIcl:
         pool = corpus_records[Task.TSAD]
         query = pool[0]
         for seed in range(5):
-            bundle = render_icl(Task.TSAD, query, pool, shots=6, seed=seed)
+            bundle = render_icl(Task.TSAD, query, ShotPool(pool), shots=6, seed=seed)
             assert query.record_id not in bundle.shot_record_ids
 
     def test_snap_shots_come_from_distinct_models(self, corpus_records):
         pool = corpus_records[Task.SNAP]
         query = pool[0]
-        bundle = render_icl(Task.SNAP, query, pool, shots=6, seed=2)
+        bundle = render_icl(Task.SNAP, query, ShotPool(pool), shots=6, seed=2)
         by_id = {r.record_id: r for r in pool}
         models = [by_id[rid].model_id for rid in bundle.shot_record_ids]
         assert len(set(models)) == 6
@@ -107,7 +145,7 @@ class TestRenderIcl:
     def test_generation_shots_come_from_distinct_models(self, corpus_records):
         pool = corpus_records[Task.SPTD]
         query = pool[0]
-        bundle = render_icl(Task.SPTD, query, pool, shots=5, seed=2)
+        bundle = render_icl(Task.SPTD, query, ShotPool(pool), shots=5, seed=2)
         by_id = {r.record_id: r for r in pool}
         models = [by_id[rid].model_id for rid in bundle.shot_record_ids]
         assert len(set(models)) == 5
@@ -116,7 +154,7 @@ class TestRenderIcl:
         pool = corpus_records[Task.TSAD]
         query = pool[3]
         templates = load_templates(Task.TSAD)
-        bundle = render_icl(Task.TSAD, query, pool, shots=2, seed=0)
+        bundle = render_icl(Task.TSAD, query, ShotPool(pool), shots=2, seed=0)
         assert bundle.prompt_text.startswith(templates.description)
         blocks = bundle.prompt_text.split("\n\n")
         assert len(blocks) == 1 + 2 + 1  # description, two shots, query
@@ -129,14 +167,14 @@ class TestRenderIcl:
     def test_query_block_mentions_its_instance(self, corpus_records):
         pool = corpus_records[Task.SNAP]
         query = pool[5]
-        bundle = render_icl(Task.SNAP, query, pool, shots=3, seed=0)
+        bundle = render_icl(Task.SNAP, query, ShotPool(pool), shots=3, seed=0)
         tail = bundle.prompt_text.split("\n\n")[-1]
         assert "Prefix: [" + ", ".join(query.prefix) + "]" in tail
 
     def test_sdfd_shot_answers_are_edge_lines(self, corpus_records):
         pool = corpus_records[Task.SDFD]
         query = pool[0]
-        bundle = render_icl(Task.SDFD, query, pool, shots=3, seed=0)
+        bundle = render_icl(Task.SDFD, query, ShotPool(pool), shots=3, seed=0)
         by_id = {r.record_id: r for r in pool}
         for rid in bundle.shot_record_ids:
             shot = by_id[rid]
@@ -149,22 +187,42 @@ class TestRenderIcl:
     def test_byte_identical_determinism(self, corpus_records):
         pool = corpus_records[Task.ASAD]
         query = pool[7]
-        first = render_icl(Task.ASAD, query, pool, shots=6, seed=5)
-        second = render_icl(Task.ASAD, query, pool, shots=6, seed=5)
+        first = render_icl(Task.ASAD, query, ShotPool(pool), shots=6, seed=5)
+        second = render_icl(Task.ASAD, query, ShotPool(pool), shots=6, seed=5)
         assert first == second
         shuffled_pool = list(reversed(pool))
-        third = render_icl(Task.ASAD, query, shuffled_pool, shots=6, seed=5)
+        third = render_icl(Task.ASAD, query, ShotPool(shuffled_pool), shots=6, seed=5)
         assert third.prompt_text == first.prompt_text
 
     def test_pool_exhausted(self, corpus_records):
         record = corpus_records[Task.TSAD][0]
         with pytest.raises(PoolExhaustedError):
-            render_icl(Task.TSAD, record, [record], shots=1, seed=0)
+            render_icl(Task.TSAD, record, ShotPool([record]), shots=1, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(icl_cases())
+    def test_shot_pool_matches_list_oracle(self, case):
+        task, records, shots, seed = case
+        pool = ShotPool(records)
+        outside = [_record(task, "m0", 99, True), _record(task, "new", 0, False)]
+        for query in [*records, *outside]:
+            try:
+                expected = oracle_render_icl(task, query, records, shots, seed)
+            except PoolExhaustedError:
+                with pytest.raises(PoolExhaustedError):
+                    render_icl(task, query, pool, shots, seed)
+                continue
+            assert render_icl(task, query, pool, shots, seed) == expected
+
+    def test_shot_pool_rejects_repeated_ids(self, corpus_records):
+        record = corpus_records[Task.SNAP][0]
+        with pytest.raises(ValueError, match="duplicate record_id"):
+            ShotPool([record, record])
 
     def test_shots_must_be_positive(self, corpus_records):
         pool = corpus_records[Task.TSAD]
         with pytest.raises(ValueError):
-            render_icl(Task.TSAD, pool[0], pool, shots=0, seed=0)
+            render_icl(Task.TSAD, pool[0], ShotPool(pool), shots=0, seed=0)
 
 
 class TestRenderFt:
@@ -267,6 +325,24 @@ class TestRenderFt:
         )
         example = render_ft(Task.TSAD, record, templates)
         assert example.input_text == "go {a} | [a] | Anomalous:"
+
+
+class TestMissingFields:
+    @pytest.mark.parametrize(
+        "task,field",
+        [
+            (Task.TSAD, "trace"),
+            (Task.ASAD, "pair"),
+            (Task.SNAP, "prefix"),
+            (Task.SNAP, "next_activity"),
+            (Task.SDFD, "edges"),
+            (Task.SPTD, "tree_text"),
+        ],
+    )
+    def test_missing_field_names_record_and_field(self, task, field):
+        record = replace(_record(task, "m", 0, False), **{field: None})
+        with pytest.raises(ValueError, match=f"'m:{task.value}:00000' has no '{field}'"):
+            render_ft(task, record)
 
 
 class TestAnswersRoundTripThroughScoring:
