@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import fmean, median
-from typing import Any
+from typing import Any, Callable
 
 from .evaluation import (
     MatchingMode,
@@ -100,16 +100,36 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     return (float(parts[0]), float(parts[1]), float(parts[2]))
 
 
-_CONFIG_KEYS = {
-    "seed": int,
-    "min_log_size": int,
-    "noise_prob": float,
-    "max_retries": int,
-    "split_ratios": lambda v: tuple(float(x) for x in v),
-    "shots": int,
-    "max_sequences": int,
-    "matching_mode": MatchingMode,
-    "include_diagonal": bool,
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_INT_KEY = (_is_int, "an integer", int)
+_MATCHING_MODES = [m.value for m in MatchingMode]
+
+# Config-file key -> (JSON type check, what the check wants, conversion).
+_CONFIG_KEYS: dict[str, tuple[Callable[[Any], bool], str, Callable[[Any], Any]]] = {
+    "seed": _INT_KEY,
+    "min_log_size": _INT_KEY,
+    "noise_prob": (_is_number, "a number", float),
+    "max_retries": _INT_KEY,
+    "split_ratios": (
+        lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
+        "a list of three numbers",
+        lambda v: tuple(float(x) for x in v),
+    ),
+    "shots": _INT_KEY,
+    "max_sequences": _INT_KEY,
+    "matching_mode": (
+        lambda v: v in _MATCHING_MODES,
+        f"one of {', '.join(map(repr, _MATCHING_MODES))}",
+        MatchingMode,
+    ),
+    "include_diagonal": (lambda v: isinstance(v, bool), "true or false", bool),
 }
 
 
@@ -118,13 +138,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     path = getattr(args, "config", None)
     if path:
-        data = json.loads(Path(path).read_text("utf-8"))
+        try:
+            data = json.loads(Path(path).read_text("utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: bad JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: config must be a JSON object")
         for key, value in data.items():
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}: unknown config key {key!r}")
-            config = replace(config, **{key: _CONFIG_KEYS[key](value)})
+            is_valid, wanted, convert = _CONFIG_KEYS[key]
+            if not is_valid(value):
+                raise ValueError(f"{path}: {key!r} must be {wanted}")
+            config = replace(config, **{key: convert(value)})
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:

@@ -2,11 +2,15 @@
 
 One JSON object per line throughout; writers emit keys in a fixed order and
 rows in a canonical sort so identical inputs produce identical bytes.
+Dataset and sequence rows, the bulk of the output, are encoded straight from
+their records into the bytes `json.dumps(row, ensure_ascii=False)` gives.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring as _quote
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -51,10 +55,26 @@ def _read_objects(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
             yield line_number, obj
 
 
-def _write_lines(path: str | Path, objects: Iterable[dict[str, Any]]) -> None:
+# `json.dumps` with a non-default `ensure_ascii` builds a new encoder per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+def _write_text(path: str | Path, lines: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for obj in objects:
-            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        handle.writelines(lines)
+
+
+def _write_lines(path: str | Path, objects: Iterable[dict[str, Any]]) -> None:
+    _write_text(path, (_ENCODER.encode(obj) + "\n" for obj in objects))
+
+
+def _strings(values: Iterable[str]) -> str:
+    """A JSON array of strings, spelled as `_ENCODER` spells it."""
+    return "[" + ", ".join(map(_quote, values)) + "]"
+
+
+def _string_lists(lists: Iterable[Iterable[str]]) -> str:
+    return "[" + ", ".join(map(_strings, lists)) + "]"
 
 
 def _require(obj: dict[str, Any], key: str, path: str | Path, line_number: int) -> Any:
@@ -87,9 +107,11 @@ def read_corpus(path: str | Path) -> tuple[list[CorpusEntry], list[Rejection]]:
     entries: list[CorpusEntry] = []
     rejections: list[Rejection] = []
     for line_number, obj in _read_objects(path):
-        model_id = str(_require(obj, "model_id", path, line_number))
-        tree_text = str(_require(obj, "tree", path, line_number))
+        model_id = _require_str(obj, "model_id", path, line_number)
+        tree_text = _require_str(obj, "tree", path, line_number)
         name = obj.get("name")
+        if name is not None and not isinstance(name, str):
+            raise FileFormatError(path, line_number, "'name' must be a string")
         try:
             tree = parse_tree(tree_text)
         except TreeSyntaxError as exc:
@@ -97,13 +119,7 @@ def read_corpus(path: str | Path) -> tuple[list[CorpusEntry], list[Rejection]]:
                 Rejection(model_id, RejectionReason.PARSE_ERROR, str(exc))
             )
             continue
-        entries.append(
-            CorpusEntry(
-                model_id=model_id,
-                tree=tree,
-                name=str(name) if name is not None else None,
-            )
-        )
+        entries.append(CorpusEntry(model_id=model_id, tree=tree, name=name))
     return entries, rejections
 
 
@@ -120,30 +136,6 @@ def write_corpus(path: str | Path, entries: Iterable[CorpusEntry]) -> None:
 
 # ---------------------------------------------------------------------------
 # Dataset files: TaskRecord rows
-
-
-def record_to_obj(record: TaskRecord) -> dict[str, Any]:
-    obj: dict[str, Any] = {
-        "record_id": record.record_id,
-        "task": record.task.value,
-        "model_id": record.model_id,
-        "activity_set": list(record.activity_set),
-    }
-    if record.trace is not None:
-        obj["trace"] = list(record.trace)
-    if record.pair is not None:
-        obj["pair"] = list(record.pair)
-    if record.prefix is not None:
-        obj["prefix"] = list(record.prefix)
-    if record.label is not None:
-        obj["label"] = record.label
-    if record.next_activity is not None:
-        obj["next_activity"] = record.next_activity
-    if record.edges is not None:
-        obj["edges"] = [list(edge) for edge in record.edges]
-    if record.tree_text is not None:
-        obj["tree_text"] = record.tree_text
-    return obj
 
 
 def _is_strings(value: Any) -> bool:
@@ -191,9 +183,9 @@ def obj_to_record(obj: dict[str, Any], path: str | Path, line_number: int) -> Ta
         if key in obj and not is_valid(obj[key]):
             raise FileFormatError(path, line_number, f"{key!r} must be {shape}")
     return TaskRecord(
-        record_id=str(_require(obj, "record_id", path, line_number)),
+        record_id=_require_str(obj, "record_id", path, line_number),
         task=task,
-        model_id=str(_require(obj, "model_id", path, line_number)),
+        model_id=_require_str(obj, "model_id", path, line_number),
         activity_set=tuple(obj["activity_set"]),
         trace=tuple(obj["trace"]) if "trace" in obj else None,
         pair=tuple(obj["pair"]) if "pair" in obj else None,
@@ -220,9 +212,42 @@ def read_dataset(path: str | Path) -> list[TaskRecord]:
     return records
 
 
+def _record_lines(records: Iterable[TaskRecord]) -> Iterator[str]:
+    """Dataset rows, each the bytes `_ENCODER` gives for the record's object:
+    `record_id`, `task`, `model_id`, `activity_set`, then the fields that are
+    not None. The task, model and activity-set part is encoded once per
+    distinct (task, model_id, activity_set)."""
+    heads: dict[tuple[Task, str, tuple[str, ...]], str] = {}
+    for record in records:
+        key = (record.task, record.model_id, record.activity_set)
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = (
+                f', "task": {_quote(record.task.value)}'
+                f', "model_id": {_quote(record.model_id)}'
+                f', "activity_set": {_strings(record.activity_set)}'
+            )
+        parts = ['{"record_id": ', _quote(record.record_id), head]
+        if record.trace is not None:
+            parts += (', "trace": ', _strings(record.trace))
+        if record.pair is not None:
+            parts += (', "pair": ', _strings(record.pair))
+        if record.prefix is not None:
+            parts += (', "prefix": ', _strings(record.prefix))
+        if record.label is not None:
+            parts += (', "label": ', _quote(record.label))
+        if record.next_activity is not None:
+            parts += (', "next_activity": ', _quote(record.next_activity))
+        if record.edges is not None:
+            parts += (', "edges": ', _string_lists(record.edges))
+        if record.tree_text is not None:
+            parts += (', "tree_text": ', _quote(record.tree_text))
+        parts.append("}\n")
+        yield "".join(parts)
+
+
 def write_dataset(path: str | Path, records: Iterable[TaskRecord]) -> None:
-    ordered = sorted(records, key=lambda r: r.record_id)
-    _write_lines(path, (record_to_obj(r) for r in ordered))
+    _write_text(path, _record_lines(sorted(records, key=attrgetter("record_id"))))
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +257,11 @@ def write_dataset(path: str | Path, records: Iterable[TaskRecord]) -> None:
 def write_sequences(path: str | Path, models: Iterable[Any]) -> None:
     """One row per model with its full played-out language, sorted."""
     ordered = sorted(models, key=lambda m: m.model_id)
-    _write_lines(
+    _write_text(
         path,
         (
-            {
-                "model_id": m.model_id,
-                "sequences": [list(s) for s in sorted(m.sequences)],
-            }
+            f'{{"model_id": {_quote(m.model_id)}, '
+            f'"sequences": {_string_lists(sorted(m.sequences))}}}\n'
             for m in ordered
         ),
     )

@@ -227,10 +227,6 @@ def _sorted_activities(model: ProcessModel) -> tuple[Activity, ...]:
     return tuple(sorted(model.activity_set))
 
 
-def _record_id(model_id: str, task: Task, index: int) -> str:
-    return f"{model_id}:{task.value}:{index:05d}"
-
-
 def gen_tsad(
     model: ProcessModel,
     seed: int,
@@ -253,6 +249,7 @@ def gen_tsad(
     while len(log) < min_log_size:
         log.append(rng.choice(base))
     activities = _sorted_activities(model)
+    id_prefix = f"{model.model_id}:{Task.TSAD.value}:"
     records: list[TaskRecord] = []
     for i, trace in enumerate(log):
         noised: Trace | None = None
@@ -267,7 +264,7 @@ def gen_tsad(
                     break
         records.append(
             TaskRecord(
-                record_id=_record_id(model.model_id, Task.TSAD, i),
+                record_id=f"{id_prefix}{i:05d}",
                 task=Task.TSAD,
                 model_id=model.model_id,
                 activity_set=activities,
@@ -294,13 +291,14 @@ def gen_asad(model: ProcessModel, seed: int) -> list[TaskRecord]:
     ]
     negatives = sorted(rng.sample(complement, min(len(positives), len(complement))))
     activities = _sorted_activities(model)
+    id_prefix = f"{model.model_id}:{Task.ASAD.value}:"
     records: list[TaskRecord] = []
     for pair, label in [(p, LABEL_VALID) for p in positives] + [
         (n, LABEL_ANOMALOUS) for n in negatives
     ]:
         records.append(
             TaskRecord(
-                record_id=_record_id(model.model_id, Task.ASAD, len(records)),
+                record_id=f"{id_prefix}{len(records):05d}",
                 task=Task.ASAD,
                 model_id=model.model_id,
                 activity_set=activities,
@@ -318,6 +316,7 @@ def gen_snap(model: ProcessModel) -> list[TaskRecord]:
     occurrence.
     """
     activities = _sorted_activities(model)
+    id_prefix = f"{model.model_id}:{Task.SNAP.value}:"
     seen: set[tuple[Trace, Activity]] = set()
     records: list[TaskRecord] = []
     for sequence in model.nonempty_sequences:
@@ -328,7 +327,7 @@ def gen_snap(model: ProcessModel) -> list[TaskRecord]:
             seen.add(item)
             records.append(
                 TaskRecord(
-                    record_id=_record_id(model.model_id, Task.SNAP, len(records)),
+                    record_id=f"{id_prefix}{len(records):05d}",
                     task=Task.SNAP,
                     model_id=model.model_id,
                     activity_set=activities,
@@ -343,7 +342,7 @@ def gen_sdfd(model: ProcessModel) -> TaskRecord:
     """One record per model: gold is the model's directly-follows edges."""
     dfg = dfg_of_model(model)
     return TaskRecord(
-        record_id=_record_id(model.model_id, Task.SDFD, 0),
+        record_id=f"{model.model_id}:{Task.SDFD.value}:00000",
         task=Task.SDFD,
         model_id=model.model_id,
         activity_set=_sorted_activities(model),
@@ -354,7 +353,7 @@ def gen_sdfd(model: ProcessModel) -> TaskRecord:
 def gen_sptd(model: ProcessModel, tree: ProcessTree) -> TaskRecord:
     """One record per model: gold is the model's canonical tree text."""
     return TaskRecord(
-        record_id=_record_id(model.model_id, Task.SPTD, 0),
+        record_id=f"{model.model_id}:{Task.SPTD.value}:00000",
         task=Task.SPTD,
         model_id=model.model_id,
         activity_set=_sorted_activities(model),

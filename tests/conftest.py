@@ -7,6 +7,7 @@ expectations in the tests do not depend on the code under test.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -166,6 +167,40 @@ def oracle_render_icl(
         prompt_text="\n\n".join([tpl.description, *blocks]),
         shot_record_ids=tuple(r.record_id for r in shot_records),
     )
+
+
+def oracle_record_line(record: TaskRecord) -> str:
+    """Reference dataset row: the record as a dict, through `json.dumps`."""
+    obj = {
+        "record_id": record.record_id,
+        "task": record.task.value,
+        "model_id": record.model_id,
+        "activity_set": list(record.activity_set),
+    }
+    if record.trace is not None:
+        obj["trace"] = list(record.trace)
+    if record.pair is not None:
+        obj["pair"] = list(record.pair)
+    if record.prefix is not None:
+        obj["prefix"] = list(record.prefix)
+    if record.label is not None:
+        obj["label"] = record.label
+    if record.next_activity is not None:
+        obj["next_activity"] = record.next_activity
+    if record.edges is not None:
+        obj["edges"] = [list(edge) for edge in record.edges]
+    if record.tree_text is not None:
+        obj["tree_text"] = record.tree_text
+    return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+def oracle_sequences_line(model) -> str:
+    """Reference sequence-file row, through `json.dumps`."""
+    obj = {
+        "model_id": model.model_id,
+        "sequences": [list(s) for s in sorted(model.sequences)],
+    }
+    return json.dumps(obj, ensure_ascii=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -12,12 +13,21 @@ import pytest
 
 import procsem
 from procsem import (
+    MatchingMode,
     Prediction,
     answer_text,
     read_dataset,
     write_predictions,
 )
-from procsem.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, main
+from procsem.cli import (
+    EXIT_FATAL,
+    EXIT_OK,
+    EXIT_PARTIAL,
+    RunConfig,
+    build_config,
+    build_parser,
+    main,
+)
 
 
 def run(argv):
@@ -200,6 +210,39 @@ class TestDeterminism:
         assert (other / "tsad.jsonl").read_bytes() != original
 
 
+# sha256 of each output for `synth --n-models 60 --seed 3` and default
+# settings. A speed-up must leave every output byte as it is; a change that
+# alters output on purpose says so and updates these digests.
+GOLDEN_DIGESTS = {
+    "corpus.jsonl": "2d7fcd9e208a044790e51c019db448e6896a559814017af2c7d4043ddcff1b06",
+    "data/tsad.jsonl": "dc9e31070d6e32bdd7ba3355d9248b443552f6bbf7418cd2a406e27b61f738bb",
+    "data/asad.jsonl": "0e2b4bda78a6a36b3e27ac09feec8f847d9d87d0559739c3a81f7563312751d4",
+    "data/snap.jsonl": "be886e657772006c24ed0466ef5b3431f549c8ee13c1f7ee11c1792ad7972003",
+    "data/sdfd.jsonl": "8ef414851f669af21648143e4da09a0b0b49966edce40e0a31eec340ae34b468",
+    "data/sptd.jsonl": "fdb19414b0bae929290f2c04a77b4fc4c6eb2ee92cd3f58ddf56c8e6306b2d11",
+    "sequences.jsonl": "a69595681e975f38187912e43d0f3c8ae029d586f11b9cb483f838effafa93d6",
+    "split.jsonl": "e65d810078308321bcfbee89286d921cfa909c13ec2d901215d05ad1542a8aaf",
+}
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    corpus = str(tmp_path / "corpus.jsonl")
+    steps = [
+        ["synth", "--n-models", "60", "--seed", "3", "--out", corpus],
+        ["gen", corpus, "--out-dir", str(tmp_path / "data")],
+        ["playout", corpus, "--out", str(tmp_path / "sequences.jsonl")],
+        ["split", corpus, "--out", str(tmp_path / "split.jsonl")],
+    ]
+    for argv in steps:
+        code, _, err = run(argv)
+        assert code == EXIT_OK, f"{argv}: {err}"
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_DIGESTS
+    }
+    assert digests == GOLDEN_DIGESTS
+
+
 class TestConfigHandling:
     def test_config_file_equals_flags(self, ws, tmp_path):
         config = tmp_path / "config.json"
@@ -245,6 +288,50 @@ class TestConfigHandling:
         assert code == EXIT_FATAL
         assert "noise_prob" in err
 
+    @pytest.mark.parametrize(
+        "key,value,wanted",
+        [
+            ("include_diagonal", "false", "true or false"),
+            ("seed", "x", "an integer"),
+            ("max_sequences", True, "an integer"),
+            ("noise_prob", "0.5", "a number"),
+            ("split_ratios", [0.7, 0.3], "a list of three numbers"),
+            ("matching_mode", "exact", "one of 'case_sensitive', 'case_insensitive'"),
+        ],
+    )
+    def test_mistyped_config_value_is_fatal(self, ws, tmp_path, key, value, wanted):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code, _, err = run(
+            ["split", ws["corpus"], "--out", str(tmp_path / "s.jsonl"),
+             "--config", str(config)]
+        )
+        assert code == EXIT_FATAL
+        assert err == f"procsem: error: {config}: {key!r} must be {wanted}\n"
+
+    def test_config_of_every_value_kind_is_read(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "seed": 3, "noise_prob": 1, "split_ratios": [0.5, 0.25, 0.25],
+            "matching_mode": "case_sensitive", "include_diagonal": False,
+        }))
+        args = build_parser().parse_args(["split", "c.jsonl", "--out", "s.jsonl",
+                                          "--config", str(config)])
+        assert build_config(args) == RunConfig(
+            seed=3, noise_prob=1.0, split_ratios=(0.5, 0.25, 0.25),
+            matching_mode=MatchingMode.CASE_SENSITIVE, include_diagonal=False,
+        )
+
+    def test_bad_json_config_names_the_file(self, ws, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("{seed: 3}")
+        code, _, err = run(
+            ["split", ws["corpus"], "--out", str(tmp_path / "s.jsonl"),
+             "--config", str(config)]
+        )
+        assert code == EXIT_FATAL
+        assert err.startswith(f"procsem: error: {config}: bad JSON: ")
+
 
 class TestFailureModes:
     def test_validate_flags_bad_rows_with_partial_exit(self, tmp_path):
@@ -270,6 +357,23 @@ class TestFailureModes:
         )
         assert code == EXIT_OK
         assert summary["rejected"] == 0
+
+    @pytest.mark.parametrize(
+        "key,value", [("model_id", 5), ("tree", ["->('a', 'b')"]), ("name", 7)]
+    )
+    def test_mistyped_corpus_row_is_fatal(self, tmp_path, key, value):
+        # A numeric id must not pass for its string twin on the next row.
+        rows = [
+            {"model_id": "5", "name": "n", "tree": "->('a', 'b')", key: value},
+            {"model_id": "5", "tree": "->('c', 'd')"},
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        out = tmp_path / "admitted.jsonl"
+        code, _, err = run(["validate", str(corpus), "--out", str(out)])
+        assert code == EXIT_FATAL
+        assert err == f"procsem: error: {corpus}:1: {key!r} must be a string\n"
+        assert not out.exists()
 
     def test_missing_file_is_fatal(self, tmp_path):
         code, _, err = run(
@@ -333,6 +437,8 @@ class TestFailureModes:
             ("sdfd", "edges", [["a", 1]]),
             ("sptd", "tree_text", ["->('a', 'b')"]),
             ("sptd", "activity_set", "ab"),
+            ("tsad", "record_id", 7),
+            ("asad", "model_id", 3),
         ],
     )
     def test_malformed_dataset_row_is_fatal(self, ws, tmp_path, task, key, value):

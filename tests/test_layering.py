@@ -35,3 +35,34 @@ def test_fileio_imports_neither_scoring_nor_cli():
 
 def test_core_imports_no_other_procsem_module():
     assert procsem_imports("core") == set()
+
+
+
+def json_names(module: str) -> set[str]:
+    """Dotted names that `module` imports from, or reads off, the `json`
+    package and its C accelerator `_json`."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text("utf-8"))
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            found.add(ast.unparse(node))
+    return {name for name in found if name.split(".")[0] in ("json", "_json")}
+
+
+def test_reader_sees_the_json_names():
+    assert "json.encoder.encode_basestring" in json_names("fileio")
+
+
+def test_fileio_uses_only_public_json_names():
+    # `_json`, underscored names and the `c_*` accelerator hooks may change
+    # between Python releases; the row encoder rests on public names only.
+    private = {
+        name
+        for name in json_names("fileio")
+        if any(part.startswith(("_", "c_")) for part in name.split("."))
+    }
+    assert private == set()
