@@ -56,6 +56,7 @@ from .taskgen import (
     Task,
     TaskRecord,
     ValidationReport,
+    check_split_ratios,
     generate_task,
     split_corpus,
     validate_corpus,
@@ -81,8 +82,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.noise_prob <= 1.0:
             raise ValueError("noise_prob must lie in [0, 1]")
-        if abs(sum(self.split_ratios) - 1.0) > 1e-9:
-            raise ValueError("split ratios must sum to 1")
+        check_split_ratios(self.split_ratios)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,7 +150,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             is_valid, wanted, convert = _CONFIG_KEYS[key]
             if not is_valid(value):
                 raise ValueError(f"{path}: {key!r} must be {wanted}")
-            config = replace(config, **{key: convert(value)})
+            try:
+                config = replace(config, **{key: convert(value)})
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:

@@ -7,7 +7,6 @@ footprints) is an immutable value that is safe to share across threads.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Union
@@ -24,12 +23,13 @@ class ArityError(ValueError):
     """Raised when a tree operator node has too few children."""
 
 
-_WS_RUN = re.compile(r"\s+")
-
-
 def collapse_whitespace(text: str) -> str:
-    """Trim, and collapse every whitespace run to one space; case is kept."""
-    return _WS_RUN.sub(" ", text).strip()
+    """Trim, and collapse every whitespace run to one space; case is kept.
+
+    `str.split` without a separator breaks on exactly the characters that
+    `\\s` matches in a `str` pattern.
+    """
+    return " ".join(text.split())
 
 
 def normalize_label(raw: str) -> Activity:
@@ -126,10 +126,7 @@ def tree_labels(tree: ProcessTree) -> list[Activity]:
 
 
 def _union_of(sequences: Iterable[Trace]) -> frozenset[Activity]:
-    out: set[Activity] = set()
-    for s in sequences:
-        out.update(s)
-    return frozenset(out)
+    return frozenset().union(*sequences)
 
 
 @dataclass(frozen=True)

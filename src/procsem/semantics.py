@@ -54,6 +54,9 @@ def _check(language: set[Trace], limit: int) -> set[Trace]:
 
 
 def _concat_pair(left: set[Trace], right: set[Trace], limit: int) -> set[Trace]:
+    if len(left) * len(right) <= limit:
+        # The product has at most `limit` members, so the cap cannot trip.
+        return {u + v for u in left for v in right}
     out: set[Trace] = set()
     for u in left:
         for v in right:
@@ -68,7 +71,18 @@ def _shuffle_pair(u: Trace, v: Trace, limit: int) -> set[Trace]:
 
     table[i][j] holds every interleaving of u[i:] and v[j:]; rows are filled
     bottom-up so only two rows live at a time and no recursion is involved.
+    When one side holds at most one activity, that activity is inserted at
+    every position of the other side instead: the result holds at most one
+    sequence more than the other side, and the caller checks the cap.
     """
+    if not u:
+        return {v}
+    if not v:
+        return {u}
+    if len(v) == 1:
+        u, v = v, u
+    if len(u) == 1:
+        return {v[:j] + u + v[j:] for j in range(len(v) + 1)}
     nu, nv = len(u), len(v)
     below: list[set[Trace]] = [{v[j:]} for j in range(nv + 1)]
     for i in range(nu - 1, -1, -1):
@@ -151,8 +165,7 @@ def playout(
 def _edges_of(sequences: frozenset[Trace] | tuple[Trace, ...]) -> frozenset[tuple[str, str]]:
     edges: set[tuple[str, str]] = set()
     for s in sequences:
-        for i in range(len(s) - 1):
-            edges.add((s[i], s[i + 1]))
+        edges.update(zip(s, s[1:]))
     return frozenset(edges)
 
 
@@ -197,11 +210,20 @@ def footprint_of_model(model: ProcessModel) -> Footprint:
 def eventually_follows(model: ProcessModel) -> EventuallyFollowsSet:
     """Pairs (x, y) where y occurs after x (any gap) in some sequence.
 
-    Repeats of one activity produce self-pairs.
+    Repeats of one activity produce self-pairs. One backward pass per
+    sequence ORs the bitmask of the activities seen so far, that is, those
+    occurring later, into each activity's after-set.
     """
-    pairs: set[tuple[str, str]] = set()
+    activities = sorted(model.activity_set)
+    bits = {a: 1 << i for i, a in enumerate(activities)}
+    after = dict.fromkeys(activities, 0)
     for s in model.sequences:
-        for i in range(len(s)):
-            for j in range(i + 1, len(s)):
-                pairs.add((s[i], s[j]))
-    return EventuallyFollowsSet(pairs=frozenset(pairs))
+        later = 0
+        for a in reversed(s):
+            after[a] |= later
+            later |= bits[a]
+    return EventuallyFollowsSet(
+        pairs=frozenset(
+            (x, y) for x, mask in after.items() for y in activities if mask & bits[y]
+        )
+    )

@@ -439,6 +439,14 @@ def _bin_index(activity_count: int) -> int:
     return 0
 
 
+def check_split_ratios(ratios: tuple[float, float, float]) -> None:
+    """Raise ValueError unless the ratios lie in [0, 1] and sum to 1."""
+    if not all(0.0 <= r <= 1.0 for r in ratios):
+        raise ValueError("split ratios must lie in [0, 1]")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError("split ratios must sum to 1")
+
+
 def split_corpus(
     models: list[ProcessModel],
     ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
@@ -453,8 +461,7 @@ def split_corpus(
     split furthest below its target share, tie-breaking toward the larger
     ratio.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("split ratios must sum to 1")
+    check_split_ratios(ratios)
     ordered = sorted(models, key=lambda m: m.model_id)
     uf = _UnionFind(len(ordered))
     first_owner: dict[Trace, int] = {}

@@ -48,6 +48,17 @@ _OP_TOKENS = {
 _TAU_SPELLINGS = {"tau", "\u03c4"}  # τ
 
 
+_UNESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _unescape(raw: str) -> str:
+    """Drop the backslash of every escape in a quoted label's body; a
+    backslash escapes any character, newline included."""
+    if "\\" not in raw:
+        return raw
+    return _UNESCAPE_RE.sub(r"\1", raw)
+
+
 class TreeSyntaxError(ValueError):
     """Raised for any malformed tree text; carries the offending position."""
 
@@ -57,11 +68,22 @@ class TreeSyntaxError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "op", "lparen", "rparen", "comma", "label", "tau"
-    value: str
-    position: int
+# A token is (kind, value, position); kind is one of "op", "lparen",
+# "rparen", "comma", "label", "tau".
+_Token = tuple[str, str, int]
+
+_SINGLE_CHAR_TOKENS = {
+    **{ch: ("op", op) for ch, op in _UNICODE_OPS.items()},
+    **{op: ("op", op) for op in "X+*"},
+    "(": ("lparen", "("),
+    ")": ("rparen", ")"),
+    ",": ("comma", ","),
+}
+
+# A quoted label up to, not including, its closing quote. Where the match
+# stops short of a quote, the label is unterminated or ends in a dangling
+# escape.
+_LABEL_BODY_RE = re.compile(r"'([^'\\]*(?:\\.[^'\\]*)*)", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -70,54 +92,27 @@ def _tokenize(text: str) -> list[_Token]:
     n = len(text)
     while i < n:
         ch = text[i]
+        if ch == "'":
+            match = _LABEL_BODY_RE.match(text, i)
+            j = match.end()
+            if j >= n:
+                raise TreeSyntaxError(i, "unterminated label")
+            if text[j] == "\\":
+                raise TreeSyntaxError(j, "dangling escape in label")
+            tokens.append(("label", _unescape(match.group(1)), i))
+            i = j + 1
+            continue
+        single = _SINGLE_CHAR_TOKENS.get(ch)
+        if single is not None:
+            tokens.append((*single, i))
+            i += 1
+            continue
         if ch.isspace():
             i += 1
             continue
-        if ch in _UNICODE_OPS:
-            tokens.append(_Token("op", _UNICODE_OPS[ch], i))
-            i += 1
-            continue
         if text.startswith("->", i):
-            tokens.append(_Token("op", "->", i))
+            tokens.append(("op", "->", i))
             i += 2
-            continue
-        if ch in "X+*":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(_Token("comma", ch, i))
-            i += 1
-            continue
-        if ch == "'":
-            j = i + 1
-            parts: list[str] = []
-            while j < n:
-                c = text[j]
-                if c == "\\":
-                    if j + 1 >= n:
-                        raise TreeSyntaxError(j, "dangling escape in label")
-                    parts.append(text[j + 1])
-                    j += 2
-                    continue
-                if c == "'":
-                    break
-                parts.append(c)
-                j += 1
-            else:
-                raise TreeSyntaxError(i, "unterminated label")
-            if j >= n:
-                raise TreeSyntaxError(i, "unterminated label")
-            tokens.append(_Token("label", "".join(parts), i))
-            i = j + 1
             continue
         if ch.isalpha():
             j = i
@@ -125,7 +120,7 @@ def _tokenize(text: str) -> list[_Token]:
                 j += 1
             word = text[i:j]
             if word in _TAU_SPELLINGS:
-                tokens.append(_Token("tau", word, i))
+                tokens.append(("tau", word, i))
                 i = j
                 continue
             raise TreeSyntaxError(i, f"unexpected word {word!r}")
@@ -148,47 +143,47 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise TreeSyntaxError(self.end, f"expected {kind}, found end of input")
-        if tok.kind != kind:
-            raise TreeSyntaxError(tok.position, f"expected {kind}, found {tok.kind}")
+        if tok[0] != kind:
+            raise TreeSyntaxError(tok[2], f"expected {kind}, found {tok[0]}")
         self.pos += 1
         return tok
 
     def parse_tree(self, depth: int) -> ProcessTree:
         if depth > MAX_DEPTH:
             tok = self.peek()
-            position = tok.position if tok else self.end
+            position = tok[2] if tok else self.end
             raise TreeSyntaxError(position, f"nesting deeper than {MAX_DEPTH}")
         tok = self.peek()
         if tok is None:
             raise TreeSyntaxError(self.end, "expected a tree, found end of input")
-        if tok.kind == "label":
+        kind, value, position = tok
+        if kind == "label":
             self.pos += 1
             try:
-                label = normalize_label(tok.value)
+                label = normalize_label(value)
             except ValueError:
-                raise TreeSyntaxError(tok.position, "empty activity label") from None
+                raise TreeSyntaxError(position, "empty activity label") from None
             return Leaf(label)
-        if tok.kind == "tau":
+        if kind == "tau":
             self.pos += 1
             return Silent()
-        if tok.kind == "op":
+        if kind == "op":
             self.pos += 1
-            kind = _OP_TOKENS[tok.value]
             self.take("lparen")
             children = [self.parse_tree(depth + 1)]
             while True:
                 nxt = self.peek()
-                if nxt is not None and nxt.kind == "comma":
+                if nxt is not None and nxt[0] == "comma":
                     self.pos += 1
                     children.append(self.parse_tree(depth + 1))
                     continue
                 break
             self.take("rparen")
             try:
-                return Operator(kind, tuple(children))
+                return Operator(_OP_TOKENS[value], tuple(children))
             except ArityError as exc:
-                raise TreeSyntaxError(tok.position, str(exc)) from None
-        raise TreeSyntaxError(tok.position, f"unexpected {tok.kind}")
+                raise TreeSyntaxError(position, str(exc)) from None
+        raise TreeSyntaxError(position, f"unexpected {kind}")
 
 
 def parse_tree(text: str) -> ProcessTree:
@@ -198,7 +193,7 @@ def parse_tree(text: str) -> ProcessTree:
     tree = parser.parse_tree(0)
     trailing = parser.peek()
     if trailing is not None:
-        raise TreeSyntaxError(trailing.position, "trailing input after tree")
+        raise TreeSyntaxError(trailing[2], "trailing input after tree")
     return tree
 
 
@@ -240,13 +235,6 @@ class EdgeParse:
 
     edges: tuple[tuple[str, str], ...]
     skipped: tuple[str, ...]
-
-
-_UNESCAPE_RE = re.compile(r"\\(.)")
-
-
-def _unescape(raw: str) -> str:
-    return _UNESCAPE_RE.sub(r"\1", raw)
 
 
 def parse_dfg_edges(text: str, strict: bool = False) -> EdgeParse:

@@ -2,13 +2,16 @@
 
 The oracles re-derive semantics with deliberately different algorithms
 (plain recursion instead of the package's iterative tables) so that frozen
-expectations in the tests do not depend on the code under test.
+expectations in the tests do not depend on the code under test. The
+capped play-out, the character-loop tokenizer and the `\\s+` whitespace
+rule are step-by-step references for the package's faster kernels.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from procsem import (
     LABEL_ANOMALOUS,
     EmptyLabelError,
+    LanguageTooLargeError,
     Leaf,
     OpKind,
     Operator,
@@ -25,14 +29,18 @@ from procsem import (
     Silent,
     Task,
     TaskRecord,
+    TreeSyntaxError,
     answer_text,
     load_templates,
     normalize_label,
     parse_tree,
     playout,
 )
+from procsem.core import tree_labels
 from procsem.promptgen import _fill
+from procsem.semantics import MAX_PLAYOUT_LEAVES
 from procsem.taskgen import model_rng
+from procsem.tree_dsl import _TAU_SPELLINGS, _UNICODE_OPS, _Parser
 
 M1_TREE_TEXT = (
     "->('receive order', X(->('accept order', 'deliver package'), 'reject order'))"
@@ -89,6 +97,174 @@ def oracle_language(tree: ProcessTree) -> set[tuple]:
     for redo in langs[1:]:
         out |= {u + v + w for u in body for v in redo for w in body}
     return out
+
+
+def _capped(language: set[tuple], limit: int) -> set[tuple]:
+    if len(language) > limit:
+        raise LanguageTooLargeError(limit)
+    return language
+
+
+def _oracle_concat_pair(left: set[tuple], right: set[tuple], limit: int) -> set[tuple]:
+    out: set[tuple] = set()
+    for u in left:
+        for v in right:
+            out.add(u + v)
+            if len(out) > limit:
+                raise LanguageTooLargeError(limit)
+    return out
+
+
+def _oracle_shuffle_pair(u: tuple, v: tuple, limit: int) -> set[tuple]:
+    """Suffix table: row i, cell j holds every interleaving of u[i:] and v[j:],
+    and every filled cell is checked against the cap."""
+    nu, nv = len(u), len(v)
+    below: list[set[tuple]] = [{v[j:]} for j in range(nv + 1)]
+    for i in range(nu - 1, -1, -1):
+        row: list[set[tuple]] = [set() for _ in range(nv + 1)]
+        row[nv] = {u[i:]}
+        for j in range(nv - 1, -1, -1):
+            cell = {(u[i],) + s for s in below[j]}
+            cell.update((v[j],) + s for s in row[j + 1])
+            row[j] = _capped(cell, limit)
+        below = row
+    return below[0]
+
+
+def _oracle_shuffle_languages(left: set[tuple], right: set[tuple], limit: int) -> set[tuple]:
+    out: set[tuple] = set()
+    for u in left:
+        for v in right:
+            out.update(_oracle_shuffle_pair(u, v, limit))
+            if len(out) > limit:
+                raise LanguageTooLargeError(limit)
+    return out
+
+
+def oracle_capped_language(tree: ProcessTree, limit: int) -> set[tuple]:
+    """Reference capped play-out: every operator grows its language one
+    sequence at a time and checks the cap after each addition."""
+    if len(tree_labels(tree)) > MAX_PLAYOUT_LEAVES:
+        raise LanguageTooLargeError(limit)
+    return _oracle_capped(tree, limit)
+
+
+def _oracle_capped(tree: ProcessTree, limit: int) -> set[tuple]:
+    if isinstance(tree, Leaf):
+        return {(tree.label,)}
+    if isinstance(tree, Silent):
+        return {()}
+    if tree.kind is OpKind.SEQ:
+        out: set[tuple] = {()}
+        for child in tree.children:
+            out = _oracle_concat_pair(out, _oracle_capped(child, limit), limit)
+        return out
+    if tree.kind is OpKind.XOR:
+        out = set()
+        for child in tree.children:
+            out |= _oracle_capped(child, limit)
+        return _capped(out, limit)
+    if tree.kind is OpKind.AND:
+        out = {()}
+        for child in tree.children:
+            out = _oracle_shuffle_languages(out, _oracle_capped(child, limit), limit)
+        return out
+    body = _oracle_capped(tree.children[0], limit)
+    out = set(body)
+    for redo_child in tree.children[1:]:
+        redo = _oracle_capped(redo_child, limit)
+        for u in body:
+            for v in redo:
+                for w in body:
+                    out.add(u + v + w)
+                    if len(out) > limit:
+                        raise LanguageTooLargeError(limit)
+    return out
+
+
+def oracle_collapse_whitespace(text: str) -> str:
+    """Reference label whitespace rule: every `\\s+` run becomes one space."""
+    return re.sub(r"\s+", " ", text).strip()
+
+
+def oracle_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Reference tree tokenizer: one character per step, labels included."""
+    tokens: list[tuple[str, str, int]] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _UNICODE_OPS:
+            tokens.append(("op", _UNICODE_OPS[ch], i))
+            i += 1
+            continue
+        if text.startswith("->", i):
+            tokens.append(("op", "->", i))
+            i += 2
+            continue
+        if ch in "X+*":
+            tokens.append(("op", ch, i))
+            i += 1
+            continue
+        if ch == "(":
+            tokens.append(("lparen", ch, i))
+            i += 1
+            continue
+        if ch == ")":
+            tokens.append(("rparen", ch, i))
+            i += 1
+            continue
+        if ch == ",":
+            tokens.append(("comma", ch, i))
+            i += 1
+            continue
+        if ch == "'":
+            j = i + 1
+            parts: list[str] = []
+            while j < n:
+                c = text[j]
+                if c == "\\":
+                    if j + 1 >= n:
+                        raise TreeSyntaxError(j, "dangling escape in label")
+                    parts.append(text[j + 1])
+                    j += 2
+                    continue
+                if c == "'":
+                    break
+                parts.append(c)
+                j += 1
+            else:
+                raise TreeSyntaxError(i, "unterminated label")
+            if j >= n:
+                raise TreeSyntaxError(i, "unterminated label")
+            tokens.append(("label", "".join(parts), i))
+            i = j + 1
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and text[j].isalpha():
+                j += 1
+            word = text[i:j]
+            if word in _TAU_SPELLINGS:
+                tokens.append(("tau", word, i))
+                i = j
+                continue
+            raise TreeSyntaxError(i, f"unexpected word {word!r}")
+        raise TreeSyntaxError(i, f"unexpected character {ch!r}")
+    return tokens
+
+
+def oracle_parse_tree(text: str) -> ProcessTree:
+    """`parse_tree` with the reference tokenizer in front of the package's parser."""
+    parser = _Parser(oracle_tokenize(text), len(text))
+    tree = parser.parse_tree(0)
+    trailing = parser.peek()
+    if trailing is not None:
+        raise TreeSyntaxError(trailing[2], "trailing input after tree")
+    return tree
 
 
 def oracle_dfg_edges(sequences) -> set[tuple[str, str]]:
@@ -221,9 +397,15 @@ label_strategy = (
 )
 
 
-def tree_strategy(max_leaves: int = 12) -> st.SearchStrategy[ProcessTree]:
+# Few labels, so one activity often sits on several leaves.
+repeating_label_strategy = st.sampled_from("abc")
+
+
+def tree_strategy(
+    max_leaves: int = 12, labels: st.SearchStrategy[str] = label_strategy
+) -> st.SearchStrategy[ProcessTree]:
     leaves = st.one_of(
-        label_strategy.map(Leaf),
+        labels.map(Leaf),
         st.just(Silent()),
     )
     return st.recursive(

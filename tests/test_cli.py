@@ -243,6 +243,72 @@ def test_outputs_match_golden_digests(tmp_path):
     assert digests == GOLDEN_DIGESTS
 
 
+# sha256 of each output for a corpus shaped like the `wide` benchmark
+# (10-16 activities, cap 2048) plus one malformed and one over-cap tree row.
+# The `*.stdout` entries are the JSON summaries; the validate summary carries
+# the tree-error position of the malformed row.
+WIDE_GOLDEN_DIGESTS = {
+    "validate.stdout": "89b6c6a31ba1c1da915e205c9d8cb58860623840d8a546e9a76048ca5361b1b8",
+    "sequences.jsonl": "39e41a4a7628dd8d64da4e6caa3315e0ea38e7f3ca6fe2bb3f3918477262ddf5",
+    "data/asad.jsonl": "1dd5270c6b026877d34cf6478a9651b4fb45491693aab620edc50104a38bbd17",
+    "data/sdfd.jsonl": "c66cb6426622b205e308516a3314d69c519cb5bf25ec4d1e33efbb6941d7eef1",
+    "data/sptd.jsonl": "6526d87ce1c43ce03400fd43985d4c8a9b82ba11973b9ec6aea43c7b044834ac",
+    "split.jsonl": "f83d033a5b9fa4d5fd98a2d7f1205eb86f4bd88f7e6eb9fe2275c68adf9ecd9a",
+    "score_sdfd.stdout": "7a3a6eab30b895b5276989bc6efe3a31117eae8f535e52eebcab6e08a45e0cbc",
+    "score_sptd.stdout": "6f99d76a87d3f47d4dd814b57a8d5d081456f349c0f627a46d97c7a833cdcee7",
+}
+
+WIDE_EXTRA_ROWS = [
+    {"model_id": "zz-malformed", "tree": "→('alpha', ×('be\\'ta', 'gam ma' 'delta'))"},
+    {"model_id": "zz-over-cap", "tree": "+('a', 'b', 'c', 'd', 'e', 'f', 'g')"},
+]
+
+
+def test_wide_outputs_match_golden_digests(tmp_path, monkeypatch):
+    # Relative paths keep the summaries, which echo them, the same everywhere.
+    monkeypatch.chdir(tmp_path)
+    cap = ["--max-sequences", "2048"]
+    code, _, err = run(
+        ["synth", "--n-models", "24", "--min-activities", "10",
+         "--max-activities", "16", "--seed", "2", "--out", "corpus.jsonl", *cap]
+    )
+    assert code == EXIT_OK, err
+    with open("corpus.jsonl", "a", encoding="utf-8") as handle:
+        for row in WIDE_EXTRA_ROWS:
+            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+    def step(name, argv, expected=EXIT_OK):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, *cap])
+        assert code == expected, f"{argv}: {err.getvalue()}"
+        if name:
+            Path(name).write_text(out.getvalue(), encoding="utf-8")
+
+    step("validate.stdout", ["validate", "corpus.jsonl", "--out", "admitted.jsonl"],
+         EXIT_PARTIAL)
+    step(None, ["playout", "corpus.jsonl", "--out", "sequences.jsonl"], EXIT_PARTIAL)
+    for task in ("asad", "sdfd", "sptd"):
+        step(None, ["gen", "corpus.jsonl", "--task", task, "--out-dir", "data"],
+             EXIT_PARTIAL)
+    step(None, ["split", "corpus.jsonl", "--out", "split.jsonl"], EXIT_PARTIAL)
+    step(None, ["baseline", "--dataset", "data/sdfd.jsonl", "--kind",
+                "random_footprint", "--out", "pred_sdfd.jsonl"])
+    step("score_sdfd.stdout", ["score", "--dataset", "data/sdfd.jsonl",
+                               "--predictions", "pred_sdfd.jsonl"])
+    write_predictions(
+        "pred_sptd.jsonl",
+        [Prediction(r.record_id, r.tree_text) for r in read_dataset("data/sptd.jsonl")],
+    )
+    step("score_sptd.stdout", ["score", "--dataset", "data/sptd.jsonl",
+                               "--predictions", "pred_sptd.jsonl"])
+    digests = {
+        name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+        for name in WIDE_GOLDEN_DIGESTS
+    }
+    assert digests == WIDE_GOLDEN_DIGESTS
+
+
 class TestConfigHandling:
     def test_config_file_equals_flags(self, ws, tmp_path):
         config = tmp_path / "config.json"
@@ -287,6 +353,35 @@ class TestConfigHandling:
         )
         assert code == EXIT_FATAL
         assert "noise_prob" in err
+
+    def test_out_of_range_ratio_flag_is_fatal(self, ws, tmp_path):
+        out = tmp_path / "s.jsonl"
+        code, _, err = run(
+            ["split", ws["corpus"], "--out", str(out), "--ratios", "1.2,-0.1,-0.1"]
+        )
+        assert code == EXIT_FATAL
+        assert err == "procsem: error: split ratios must lie in [0, 1]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value,reason",
+        [
+            ("noise_prob", 1.5, "noise_prob must lie in [0, 1]"),
+            ("split_ratios", [1.2, -0.1, -0.1], "split ratios must lie in [0, 1]"),
+            ("split_ratios", [0.5, 0.2, 0.1], "split ratios must sum to 1"),
+        ],
+    )
+    def test_out_of_range_config_value_names_the_file(
+        self, ws, tmp_path, key, value, reason
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code, _, err = run(
+            ["split", ws["corpus"], "--out", str(tmp_path / "s.jsonl"),
+             "--config", str(config)]
+        )
+        assert code == EXIT_FATAL
+        assert err == f"procsem: error: {config}: {reason}\n"
 
     @pytest.mark.parametrize(
         "key,value,wanted",

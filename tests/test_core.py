@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import re
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procsem import (
     ArityError,
@@ -22,6 +27,9 @@ from procsem import (
     tau,
     xor,
 )
+from procsem.core import collapse_whitespace
+
+from conftest import oracle_collapse_whitespace
 
 
 class TestNormalizeLabel:
@@ -37,6 +45,27 @@ class TestNormalizeLabel:
 
     def test_newlines_collapse(self):
         assert normalize_label("a\nb") == "a b"
+
+    def test_whitespace_rule_matches_regex_on_every_code_point(self):
+        # Every character that either rule counts as whitespace, at the
+        # ends, alone and in runs, next to ordinary text.
+        ws = re.compile(r"\s")
+        spaces = [
+            ch
+            for ch in map(chr, range(sys.maxunicode + 1))
+            if ch.isspace() or ws.match(ch)
+        ]
+        assert len(spaces) > 20
+        for ch in spaces:
+            for text in (ch, f"{ch}a{ch}{ch}b{ch}", f"a{ch} {ch}b", f"\x00{ch}\x00"):
+                assert collapse_whitespace(text) == oracle_collapse_whitespace(text), (
+                    hex(ord(ch))
+                )
+
+    @given(st.text(alphabet=st.sampled_from(" a\t\n\x1c\x85\xa0\u2028\u3000\u200b²")))
+    @settings(max_examples=200, deadline=None)
+    def test_whitespace_rule_matches_regex_on_mixed_text(self, text):
+        assert collapse_whitespace(text) == oracle_collapse_whitespace(text)
 
 
 class TestTreeNodes:

@@ -3,7 +3,8 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from procsem import (
     EventLog,
@@ -27,11 +28,27 @@ from procsem import (
 from procsem.semantics import MAX_PLAYOUT_LEAVES
 
 from conftest import (
+    oracle_capped_language,
     oracle_dfg_edges,
     oracle_ef_pairs,
     oracle_language,
+    repeating_label_strategy,
     tree_strategy,
 )
+
+# Random labels (rarely repeated) or three labels (repeated across leaves).
+any_tree = st.one_of(
+    tree_strategy(max_leaves=8),
+    tree_strategy(max_leaves=8, labels=repeating_label_strategy),
+)
+
+# Loops whose body and redo child share activities, so one activity occurs
+# several times in a sequence, directly and with gaps.
+LOOPS_WITH_REPEATS = [
+    loop(seq(leaf("a"), leaf("b"), leaf("a")), leaf("a")),
+    loop(par(leaf("a"), leaf("b")), seq(leaf("b"), leaf("c"))),
+    seq(leaf("c"), loop(xor(leaf("a"), tau()), leaf("a")), leaf("c")),
+]
 
 
 class TestLanguage:
@@ -84,6 +101,29 @@ class TestLanguage:
     def test_matches_reference_recursion(self, tree):
         assert language(tree) == oracle_language(tree)
 
+    @given(any_tree, st.integers(min_value=1, max_value=8))
+    @settings(max_examples=400, deadline=None)
+    # product exactly at the cap, and one over it
+    @example(seq(xor(leaf("a"), leaf("b")), xor(leaf("c"), leaf("d"))), 4)
+    @example(seq(xor(leaf("a"), leaf("b")), xor(leaf("c"), leaf("d"))), 3)
+    # a product over the cap whose distinct sequences fit
+    @example(seq(xor(leaf("a"), tau()), xor(leaf("a"), tau())), 3)
+    # single-activity shuffles, distinct and repeated
+    @example(par(leaf("a"), seq(leaf("b"), leaf("c"))), 2)
+    @example(par(leaf("a"), seq(leaf("b"), leaf("c"))), 3)
+    @example(par(seq(leaf("b"), leaf("c")), leaf("a")), 2)
+    @example(par(leaf("a"), seq(leaf("a"), leaf("a"))), 1)
+    @example(loop(xor(leaf("a"), leaf("b")), leaf("c")), 5)
+    @example(loop(xor(leaf("a"), leaf("b")), leaf("c")), 6)
+    def test_cap_matches_capped_oracle(self, tree, cap):
+        try:
+            expected = oracle_capped_language(tree, cap)
+        except LanguageTooLargeError:
+            with pytest.raises(LanguageTooLargeError):
+                language(tree, max_sequences=cap)
+        else:
+            assert language(tree, max_sequences=cap) == expected
+
 
 class TestPlayout:
     def test_worked_example_sequences(self, m1_model):
@@ -133,8 +173,11 @@ class TestDfg:
         twice = EventLog.from_traces([("a", "b"), ("a", "b"), ("b", "c")])
         assert dfg_of_log(once) == dfg_of_log(twice)
 
-    @given(tree_strategy(max_leaves=8))
+    @given(any_tree)
     @settings(max_examples=100, deadline=None)
+    @example(LOOPS_WITH_REPEATS[0])
+    @example(LOOPS_WITH_REPEATS[1])
+    @example(LOOPS_WITH_REPEATS[2])
     def test_edges_match_oracle(self, tree):
         model = playout(tree, model_id="t")
         assert dfg_of_model(model).edges == oracle_dfg_edges(model.sequences)
@@ -197,8 +240,11 @@ class TestEventuallyFollows:
             ("a", "a"),
         }
 
-    @given(tree_strategy(max_leaves=8))
+    @given(any_tree)
     @settings(max_examples=100, deadline=None)
+    @example(LOOPS_WITH_REPEATS[0])
+    @example(LOOPS_WITH_REPEATS[1])
+    @example(LOOPS_WITH_REPEATS[2])
     def test_matches_oracle_and_contains_dfg(self, tree):
         model = playout(tree, model_id="t")
         ef = eventually_follows(model)

@@ -333,6 +333,13 @@ class TestSplitCorpus:
         with pytest.raises(ValueError):
             split_corpus(self._disjoint_models(3), ratios=(0.5, 0.2, 0.1), seed=0)
 
+    @pytest.mark.parametrize(
+        "ratios", [(1.2, -0.1, -0.1), (0.5, 0.5, float("nan")), (-0.0001, 0.5, 0.5001)]
+    )
+    def test_ratios_must_lie_in_unit_interval(self, ratios):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            split_corpus(self._disjoint_models(3), ratios=ratios, seed=0)
+
     def test_stratum_deviation_at_most_one_component(self):
         # 30 small models (bin 2-3) and 15 larger ones (bin 4-5)
         models = self._disjoint_models(30)

@@ -3,7 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from procsem import (
     Leaf,
@@ -23,7 +24,7 @@ from procsem import (
 )
 from procsem.tree_dsl import MAX_DEPTH
 
-from conftest import M1_TREE_TEXT, random_tree, tree_strategy
+from conftest import M1_TREE_TEXT, oracle_parse_tree, random_tree, tree_strategy
 
 
 class TestParseTree:
@@ -91,6 +92,44 @@ class TestParseTree:
             text = f"X({text}, 'z')"
         with pytest.raises(TreeSyntaxError):
             parse_tree(text)
+
+
+# Pieces of tree text: operators in both spellings, quotes, a backslash
+# before anything (newline included), Unicode whitespace, and characters
+# such as `²` that `\w` matches but `str.isalpha` does not.
+_TEXT_PIECES = [
+    "->", "-", ">", "X", "+", "*", "\u2192", "\u00d7", "\u2227", "\u21ba",
+    "(", ")", ",", "'", "\\", "\\'", "\\\\", "\\\n", "tau", "\u03c4", "ta",
+    "a", "b c", "Xa", " ", "\n", "\t", "\u00a0", "\u2003", "\u3000", "\x1c",
+    "\x85", "\u2028", "\u00b2", "_", "1", "?", "'a'", "'b'", "''", "' '",
+]
+
+
+def _outcome(parse, text):
+    try:
+        return ("tree", parse(text))
+    except TreeSyntaxError as exc:
+        return ("error", str(exc), exc.position)
+
+
+class TestTokenizerOracle:
+    @given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=24).map("".join))
+    @settings(max_examples=1500, deadline=None)
+    @example("'a\\")
+    @example("'a\\\nb'")
+    @example("X('a\\\\', 'b\\'c')")
+    @example("\u00b2")
+    @example("tau\u00b2")
+    @example("\u2192('a',\u2003\u03c4)")
+    def test_parse_matches_char_loop_tokenizer(self, text):
+        assert _outcome(parse_tree, text) == _outcome(oracle_parse_tree, text)
+
+    @given(tree_strategy())
+    @settings(max_examples=200, deadline=None)
+    def test_rendered_trees_match_char_loop_tokenizer(self, tree):
+        text = render_tree(tree)
+        for cut in (text, text[:-1], text[: len(text) // 2]):
+            assert _outcome(parse_tree, cut) == _outcome(oracle_parse_tree, cut)
 
 
 class TestRenderTree:
