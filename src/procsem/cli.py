@@ -419,7 +419,6 @@ def cmd_score(args: argparse.Namespace) -> int:
         predictions,
         mode=config.matching_mode,
         include_diagonal=config.include_diagonal,
-        max_sequences=config.max_sequences,
     )
     summary = _report_summary(report, include_per_record=args.per_record)
     _emit(summary)

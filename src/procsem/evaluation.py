@@ -4,7 +4,9 @@ Classification tasks are scored with macro F1 (the unweighted mean of
 per-class F1 values). Generation tasks are scored with footprint-based
 fitness: both the gold and the predicted behavior are reduced to footprints
 over the gold activity set and the score is the fraction of ordered activity
-pairs on which the two footprints agree.
+pairs on which the two footprints agree. The footprints are compared through
+their directly-follows edge sets, and tree relations are read off the trees,
+so scoring never plays out a tree.
 
 Unparseable predictions score 0 and are counted; they are never excluded.
 Matching is case-insensitive with whitespace folding by default, with a
@@ -19,14 +21,17 @@ from dataclasses import dataclass, field
 from enum import Enum
 from statistics import fmean
 
-from .core import MIRROR, Activity, Dfg, Footprint, Relation, collapse_whitespace
-from .semantics import (
-    DEFAULT_MAX_SEQUENCES,
-    LanguageTooLargeError,
-    dfg_of_model,
-    footprint,
-    playout,
+from .core import (
+    MIRROR,
+    Activity,
+    Dfg,
+    Footprint,
+    Pair,
+    Relation,
+    collapse_whitespace,
+    tree_labels,
 )
+from .semantics import dfg_of_model, footprint, tree_relations
 from .taskgen import (
     CLASSIFICATION_TASKS,
     LABEL_ANOMALOUS,
@@ -138,27 +143,44 @@ def macro_f1(
 # Footprint fitness
 
 
+def edge_fitness(
+    activities: frozenset[Activity],
+    gold_edges: frozenset[Pair],
+    pred_edges: frozenset[Pair],
+    include_diagonal: bool = True,
+) -> float:
+    """Fraction of ordered pairs over `activities` whose footprint relations
+    under the two edge sets agree.
+
+    A pair's relation depends on the pair and its mirror, so it disagrees
+    exactly when it or its mirror lies in D, the symmetric difference of
+    the edge sets; the score is (total - |D ∪ Dᵀ|) / total. Edges outside
+    the activities are ignored.
+    """
+    n = len(activities)
+    total = n * n if include_diagonal else n * (n - 1)
+    if not total:
+        return 1.0
+    diff = {
+        (x, y)
+        for x, y in gold_edges ^ pred_edges
+        if x in activities and y in activities and (include_diagonal or x != y)
+    }
+    wrong = len(diff | {(y, x) for x, y in diff})
+    return (total - wrong) / total
+
+
 def footprint_fitness(
     gold_fp: Footprint, pred_fp: Footprint, include_diagonal: bool = True
 ) -> float:
     """Fraction of ordered gold-activity pairs with equal relations.
 
     Pairs absent from the predicted footprint count as NONE; predicted
-    activities outside the gold set are expected to be projected away by
-    the caller.
+    activities outside the gold set are ignored.
     """
-    activities = sorted(gold_fp.activities)
-    matches = 0
-    total = 0
-    for x in activities:
-        for y in activities:
-            if x == y and not include_diagonal:
-                continue
-            total += 1
-            pred_rel = pred_fp.relations.get((x, y), Relation.NONE)
-            if gold_fp.relations[(x, y)] is pred_rel:
-                matches += 1
-    return matches / total if total else 1.0
+    return edge_fitness(
+        gold_fp.activities, gold_fp.follow_edges, pred_fp.follow_edges, include_diagonal
+    )
 
 
 @dataclass(frozen=True)
@@ -170,34 +192,32 @@ class RecordScore:
     skipped_lines: int = 0
 
 
+def _gold_map(
+    record: TaskRecord, labels: set[Activity], mode: MatchingMode
+) -> dict[Activity, Activity | None]:
+    """The gold activity each predicted label matches under `mode`, or None."""
+    fold_map: dict[str, Activity] = {}
+    for a in sorted(record.activity_set):
+        fold_map.setdefault(fold_label(a, mode), a)
+    return {a: fold_map.get(fold_label(a, mode)) for a in labels}
+
+
 def _footprint_score(
     record: TaskRecord,
-    pred: Dfg,
-    mode: MatchingMode,
+    pred_edges: frozenset[Pair],
+    gold_of: dict[Activity, Activity | None],
     include_diagonal: bool,
-    max_sequences: int,
     skipped_lines: int = 0,
 ) -> RecordScore:
-    """Fitness of a predicted DFG against the record's gold behavior.
-
-    Predicted labels are mapped onto gold activities under `mode`; labels
-    that map to none are dropped from the edges and tallied as hallucinated.
-    """
+    """Fitness of predicted edges, already mapped onto gold activities,
+    against the record's gold behavior; labels with no gold match are
+    tallied as hallucinated."""
     gold_activities = frozenset(record.activity_set)
-    fold_map: dict[str, Activity] = {}
-    for a in sorted(gold_activities):
-        fold_map.setdefault(fold_label(a, mode), a)
-    gold_of = {a: fold_map.get(fold_label(a, mode)) for a in pred.activities}
-    edges = frozenset(
-        (gold_of[x], gold_of[y])
-        for x, y in pred.edges
-        if gold_of[x] is not None and gold_of[y] is not None
-    )
-    pred_fp = footprint(Dfg(activities=gold_activities, edges=edges))
     if record.task is Task.SDFD:
         gold_dfg = Dfg(activities=gold_activities, edges=frozenset(record.edges))
     else:
-        gold_dfg = dfg_of_model(playout(parse_tree(record.tree_text), max_sequences))
+        gold_dfg = dfg_of_model(parse_tree(record.tree_text))
+    pred_fp = footprint(Dfg(activities=gold_activities, edges=pred_edges))
     return RecordScore(
         record_id=record.record_id,
         fitness=footprint_fitness(footprint(gold_dfg), pred_fp, include_diagonal),
@@ -211,12 +231,12 @@ def score_sdfd(
     pred_text: str,
     mode: MatchingMode = MatchingMode.CASE_INSENSITIVE,
     include_diagonal: bool = True,
-    max_sequences: int = DEFAULT_MAX_SEQUENCES,
 ) -> RecordScore:
     """Footprint fitness of predicted edge lines against a gold DFG record.
 
     Non-empty text yielding no edges at all is a parse failure and scores 0;
     empty text is an empty (edge-free) prediction and is scored normally.
+    Edges with an endpoint that matches no gold activity are dropped.
     """
     parsed = parse_dfg_edges(pred_text, strict=False)
     if not parsed.edges and pred_text.strip():
@@ -226,13 +246,13 @@ def score_sdfd(
             parse_failure=True,
             skipped_lines=len(parsed.skipped),
         )
-    pred = Dfg(
-        activities=frozenset(a for edge in parsed.edges for a in edge),
-        edges=frozenset(parsed.edges),
+    gold_of = _gold_map(record, {a for edge in parsed.edges for a in edge}, mode)
+    edges = frozenset(
+        (gold_of[x], gold_of[y])
+        for x, y in parsed.edges
+        if gold_of[x] is not None and gold_of[y] is not None
     )
-    return _footprint_score(
-        record, pred, mode, include_diagonal, max_sequences, len(parsed.skipped)
-    )
+    return _footprint_score(record, edges, gold_of, include_diagonal, len(parsed.skipped))
 
 
 def score_sptd(
@@ -240,22 +260,24 @@ def score_sptd(
     pred_text: str,
     mode: MatchingMode = MatchingMode.CASE_INSENSITIVE,
     include_diagonal: bool = True,
-    max_sequences: int = DEFAULT_MAX_SEQUENCES,
 ) -> RecordScore:
     """Footprint fitness of a predicted tree against a gold tree record.
 
-    The prediction is parsed and played out; its directly-follows behavior
-    is compared footprint-to-footprint with the gold tree's. Any parse or
-    play-out failure scores 0.
+    Both trees' directly-follows edges are read off the trees, with no
+    play-out, so a valid tree of any language size gets its fitness. The
+    predicted leaves are mapped onto gold activities first; a leaf with no
+    match stays a step that joins no edge. Only a tree that does not parse
+    is a parse failure, and it scores 0.
     """
     try:
-        pred_model = playout(parse_tree(pred_text), max_sequences)
-    except (TreeSyntaxError, LanguageTooLargeError):
+        pred_tree = parse_tree(pred_text)
+    except TreeSyntaxError:
         return RecordScore(
             record_id=record.record_id, fitness=0.0, parse_failure=True
         )
+    gold_of = _gold_map(record, set(tree_labels(pred_tree)), mode)
     return _footprint_score(
-        record, dfg_of_model(pred_model), mode, include_diagonal, max_sequences
+        record, tree_relations(pred_tree, gold_of).df, gold_of, include_diagonal
     )
 
 
@@ -305,7 +327,6 @@ def score_dataset(
     predictions: list[Prediction],
     mode: MatchingMode = MatchingMode.CASE_INSENSITIVE,
     include_diagonal: bool = True,
-    max_sequences: int = DEFAULT_MAX_SEQUENCES,
 ) -> ScoreReport:
     """Score one task's records against a prediction list.
 
@@ -344,7 +365,7 @@ def score_dataset(
 
     scorer = score_sdfd if task is Task.SDFD else score_sptd
     record_scores = [
-        scorer(r, by_id[r.record_id].raw_text, mode, include_diagonal, max_sequences)
+        scorer(r, by_id[r.record_id].raw_text, mode, include_diagonal)
         if r.record_id in by_id
         else RecordScore(record_id=r.record_id, fitness=0.0, parse_failure=True)
         for r in records
@@ -408,12 +429,7 @@ def random_footprint(activity_set: frozenset[Activity] | tuple[Activity, ...], r
 
 def footprint_to_dfg(fp: Footprint) -> Dfg:
     """Edge set whose footprint is exactly `fp` (footprint∘this = identity)."""
-    edges = {
-        (x, y)
-        for (x, y), rel in fp.relations.items()
-        if rel is Relation.FORWARD or rel is Relation.PARALLEL
-    }
-    return Dfg(activities=fp.activities, edges=frozenset(edges))
+    return Dfg(activities=fp.activities, edges=fp.follow_edges)
 
 
 def random_footprint_predictions(

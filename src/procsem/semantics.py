@@ -12,24 +12,34 @@ Play-out unfolds a tree into the set of execution sequences it allows:
 
 Every intermediate language is size-capped so adversarial inputs fail fast
 with LanguageTooLargeError instead of exhausting memory.
+
+The directly-follows and eventually-follows relations need no play-out:
+`tree_relations` reads them off the tree bottom-up (van der Aalst, *Process
+Mining*, 2016, footprints; Leemans, Fahland and van der Aalst, Petri Nets
+2013, block-structured trees), so they have no size cap. `dfg_of_model` and
+`eventually_follows` take a tree that way, or a played-out model from its
+sequences.
 """
 
 from __future__ import annotations
 
+from typing import Mapping, NamedTuple
+
 from .core import (
+    Activity,
     Dfg,
     EventLog,
     EventuallyFollowsSet,
+    FollowRelations,
     Footprint,
     Leaf,
     Operator,
     OpKind,
+    Pair,
     ProcessModel,
     ProcessTree,
-    Relation,
     Silent,
     Trace,
-    tree_labels,
 )
 
 DEFAULT_MAX_SEQUENCES = 32_768
@@ -106,9 +116,24 @@ def _shuffle_languages(left: set[Trace], right: set[Trace], limit: int) -> set[T
     return out
 
 
+def _more_leaves_than(tree: ProcessTree, limit: int) -> bool:
+    """Whether the tree has over `limit` leaves; stops counting past it."""
+    count = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Operator):
+            stack.extend(node.children)
+        elif isinstance(node, Leaf):
+            count += 1
+            if count > limit:
+                return True
+    return False
+
+
 def language(tree: ProcessTree, max_sequences: int = DEFAULT_MAX_SEQUENCES) -> set[Trace]:
     """The finite language of a tree under bounded loop unrolling."""
-    if len(tree_labels(tree)) > MAX_PLAYOUT_LEAVES:
+    if _more_leaves_than(tree, MAX_PLAYOUT_LEAVES):
         raise LanguageTooLargeError(max_sequences)
     return _language(tree, max_sequences)
 
@@ -159,6 +184,112 @@ def playout(
 
 
 # ---------------------------------------------------------------------------
+# Relations read off the tree
+
+
+class TreeRelations(NamedTuple):
+    """What a tree's language shows of its activities, without the language.
+
+    `first` and `last` hold the activities that open and close some
+    non-empty sequence; `df` and `ef` are the directly- and
+    eventually-follows pairs over all sequences.
+    """
+
+    nullable: bool
+    alphabet: frozenset[Activity]
+    first: frozenset[Activity]
+    last: frozenset[Activity]
+    df: frozenset[Pair]
+    ef: frozenset[Pair]
+
+
+_NONE: frozenset = frozenset()
+_SILENT = TreeRelations(True, _NONE, _NONE, _NONE, _NONE, _NONE)
+# A step that happens but carries no activity of interest: it is never
+# skipped, and it separates its neighbours.
+_BLANK = TreeRelations(False, _NONE, _NONE, _NONE, _NONE, _NONE)
+
+
+def _pairs(left: frozenset[Activity], right: frozenset[Activity]) -> set[Pair]:
+    return {(x, y) for x in left for y in right}
+
+
+def _seq_relations(parts: list[TreeRelations]) -> TreeRelations:
+    """Concatenation: the last activities of the prefix directly precede the
+    first ones of the next part; first and last reach through nullable parts."""
+    nullable, alphabet, first, last = True, _NONE, _NONE, _NONE
+    df: set[Pair] = set()
+    ef: set[Pair] = set()
+    for p in parts:
+        df |= p.df
+        df |= _pairs(last, p.first)
+        ef |= p.ef
+        ef |= _pairs(alphabet, p.alphabet)
+        if nullable:
+            first |= p.first
+        last = last | p.last if p.nullable else p.last
+        alphabet |= p.alphabet
+        nullable = nullable and p.nullable
+    return TreeRelations(nullable, alphabet, first, last, frozenset(df), frozenset(ef))
+
+
+def _xor_relations(parts: list[TreeRelations]) -> TreeRelations:
+    return TreeRelations(
+        any(p.nullable for p in parts),
+        _NONE.union(*(p.alphabet for p in parts)),
+        _NONE.union(*(p.first for p in parts)),
+        _NONE.union(*(p.last for p in parts)),
+        _NONE.union(*(p.df for p in parts)),
+        _NONE.union(*(p.ef for p in parts)),
+    )
+
+
+def _and_relations(parts: list[TreeRelations]) -> TreeRelations:
+    """Shuffle: any activity of one part can sit directly before or after
+    any activity of another."""
+    seen = _NONE
+    cross: set[Pair] = set()
+    for p in parts:
+        cross |= _pairs(seen, p.alphabet)
+        seen |= p.alphabet
+    cross |= {(y, x) for x, y in cross}
+    union = _xor_relations(parts)
+    return union._replace(
+        nullable=all(p.nullable for p in parts), df=union.df | cross, ef=union.ef | cross
+    )
+
+
+def tree_relations(
+    tree: ProcessTree, rename: Mapping[Activity, Activity | None] | None = None
+) -> TreeRelations:
+    """The relations of a tree's language, read bottom-up with no play-out.
+
+    With `rename`, each leaf label is replaced by its image first; a leaf
+    whose image is None stays a step of the sequence that shows no
+    activity, so no pair involves it and it still separates its
+    neighbours. The bounded loop `*(B, R1, …, Rk)` is the choice of B and
+    every B·Ri·B.
+    """
+    if isinstance(tree, Leaf):
+        label = tree.label if rename is None else rename[tree.label]
+        if label is None:
+            return _BLANK
+        one = frozenset((label,))
+        return TreeRelations(False, one, one, one, _NONE, _NONE)
+    if isinstance(tree, Silent):
+        return _SILENT
+    parts = [tree_relations(child, rename) for child in tree.children]
+    if tree.kind is OpKind.SEQ:
+        return _seq_relations(parts)
+    if tree.kind is OpKind.XOR:
+        return _xor_relations(parts)
+    if tree.kind is OpKind.AND:
+        return _and_relations(parts)
+    body = parts[0]
+    return _xor_relations([body, *(_seq_relations([body, redo, body]) for redo in parts[1:])])
+
+
+# ---------------------------------------------------------------------------
 # Directly-follows, footprints, eventually-follows
 
 
@@ -169,9 +300,16 @@ def _edges_of(sequences: frozenset[Trace] | tuple[Trace, ...]) -> frozenset[tupl
     return frozenset(edges)
 
 
-def dfg_of_model(model: ProcessModel) -> Dfg:
-    """Directly-follows graph over every sequence the model allows."""
-    return Dfg(activities=model.activity_set, edges=_edges_of(model.sequences))
+def dfg_of_model(model: ProcessModel | ProcessTree) -> Dfg:
+    """Directly-follows graph over every sequence the model allows.
+
+    A tree is read with `tree_relations`; a played-out model from its
+    sequences.
+    """
+    if isinstance(model, ProcessModel):
+        return Dfg(activities=model.activity_set, edges=_edges_of(model.sequences))
+    relations = tree_relations(model)
+    return Dfg(activities=relations.alphabet, edges=relations.df)
 
 
 def dfg_of_log(log: EventLog) -> Dfg:
@@ -184,36 +322,28 @@ def footprint(dfg: Dfg) -> Footprint:
 
     (x, y) is FORWARD when x is directly followed by y but never the
     reverse, BACKWARD in the mirrored case, PARALLEL when both directions
-    occur, and NONE when neither does.
+    occur, and NONE when neither does. Relations are read from the edges
+    on lookup.
     """
-    relations: dict[tuple[str, str], Relation] = {}
-    for x in dfg.activities:
-        for y in dfg.activities:
-            fwd = (x, y) in dfg.edges
-            bwd = (y, x) in dfg.edges
-            if fwd and bwd:
-                rel = Relation.PARALLEL
-            elif fwd:
-                rel = Relation.FORWARD
-            elif bwd:
-                rel = Relation.BACKWARD
-            else:
-                rel = Relation.NONE
-            relations[(x, y)] = rel
-    return Footprint(activities=dfg.activities, relations=relations)
+    return Footprint(
+        activities=dfg.activities, relations=FollowRelations(dfg.activities, dfg.edges)
+    )
 
 
 def footprint_of_model(model: ProcessModel) -> Footprint:
     return footprint(dfg_of_model(model))
 
 
-def eventually_follows(model: ProcessModel) -> EventuallyFollowsSet:
+def eventually_follows(model: ProcessModel | ProcessTree) -> EventuallyFollowsSet:
     """Pairs (x, y) where y occurs after x (any gap) in some sequence.
 
-    Repeats of one activity produce self-pairs. One backward pass per
+    Repeats of one activity produce self-pairs. A tree is read with
+    `tree_relations`. For a played-out model, one backward pass per
     sequence ORs the bitmask of the activities seen so far, that is, those
     occurring later, into each activity's after-set.
     """
+    if not isinstance(model, ProcessModel):
+        return EventuallyFollowsSet(pairs=tree_relations(model).ef)
     activities = sorted(model.activity_set)
     bits = {a: 1 << i for i, a in enumerate(activities)}
     after = dict.fromkeys(activities, 0)

@@ -275,15 +275,16 @@ def gen_tsad(
     return records
 
 
-def gen_asad(model: ProcessModel, seed: int) -> list[TaskRecord]:
+def gen_asad(model: ProcessModel, tree: ProcessTree, seed: int) -> list[TaskRecord]:
     """Activity-pair records: eventually-follows pairs vs sampled non-pairs.
 
     Negatives are drawn without replacement from the ordered-pair complement
     (self-pairs included). When the complement is smaller than the positive
     side, the whole complement is taken and the dataset is left imbalanced.
+    The pairs are read off the model's tree, with no pass over its sequences.
     """
     rng = model_rng(seed, Task.ASAD.value, model.model_id)
-    ef = eventually_follows(model)
+    ef = eventually_follows(tree)
     positives = sorted(ef.pairs)
     ordered = sorted(model.activity_set)
     complement = [
@@ -338,9 +339,10 @@ def gen_snap(model: ProcessModel) -> list[TaskRecord]:
     return records
 
 
-def gen_sdfd(model: ProcessModel) -> TaskRecord:
-    """One record per model: gold is the model's directly-follows edges."""
-    dfg = dfg_of_model(model)
+def gen_sdfd(model: ProcessModel, tree: ProcessTree) -> TaskRecord:
+    """One record per model: gold is the model's directly-follows edges,
+    read off its tree."""
+    dfg = dfg_of_model(tree)
     return TaskRecord(
         record_id=f"{model.model_id}:{Task.SDFD.value}:00000",
         task=Task.SDFD,
@@ -374,11 +376,11 @@ def generate_task(
     if task is Task.TSAD:
         return gen_tsad(model, seed, min_log_size, noise_prob, max_retries)
     if task is Task.ASAD:
-        return gen_asad(model, seed)
+        return gen_asad(model, admitted.tree, seed)
     if task is Task.SNAP:
         return gen_snap(model)
     if task is Task.SDFD:
-        return [gen_sdfd(model)]
+        return [gen_sdfd(model, admitted.tree)]
     return [gen_sptd(model, admitted.tree)]
 
 

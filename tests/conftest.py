@@ -4,7 +4,9 @@ The oracles re-derive semantics with deliberately different algorithms
 (plain recursion instead of the package's iterative tables) so that frozen
 expectations in the tests do not depend on the code under test. The
 capped play-out, the character-loop tokenizer and the `\\s+` whitespace
-rule are step-by-step references for the package's faster kernels.
+rule are step-by-step references for the package's faster kernels, and the
+play-out-and-footprint record score is the reference for scoring from
+edge sets and tree relations.
 """
 
 from __future__ import annotations
@@ -17,15 +19,19 @@ import pytest
 from hypothesis import strategies as st
 
 from procsem import (
+    DEFAULT_MAX_SEQUENCES,
     LABEL_ANOMALOUS,
     EmptyLabelError,
     LanguageTooLargeError,
     Leaf,
+    MatchingMode,
     OpKind,
     Operator,
     PoolExhaustedError,
     ProcessTree,
     PromptBundle,
+    RecordScore,
+    Relation,
     Silent,
     Task,
     TaskRecord,
@@ -33,10 +39,12 @@ from procsem import (
     answer_text,
     load_templates,
     normalize_label,
+    parse_dfg_edges,
     parse_tree,
     playout,
 )
 from procsem.core import tree_labels
+from procsem.evaluation import fold_label
 from procsem.promptgen import _fill
 from procsem.semantics import MAX_PLAYOUT_LEAVES
 from procsem.taskgen import model_rng
@@ -279,6 +287,102 @@ def oracle_ef_pairs(sequences) -> set[tuple[str, str]]:
         for i in range(len(s)):
             pairs.update((s[i], s[j]) for j in range(i + 1, len(s)))
     return pairs
+
+
+def oracle_relabelled_dfg_edges(sequences, gold_of) -> set[tuple[str, str]]:
+    """Directly-follows edges of played-out sequences, mapped label by label
+    through `gold_of`; an edge with an unmapped endpoint is dropped."""
+    return {
+        (gold_of[x], gold_of[y])
+        for x, y in oracle_dfg_edges(sequences)
+        if gold_of[x] is not None and gold_of[y] is not None
+    }
+
+
+def oracle_footprint(activities, edges) -> dict[tuple[str, str], Relation]:
+    """Reference footprint: the full map over every ordered pair."""
+    relations = {}
+    for x in activities:
+        for y in activities:
+            fwd = (x, y) in edges
+            bwd = (y, x) in edges
+            if fwd and bwd:
+                relations[(x, y)] = Relation.PARALLEL
+            elif fwd:
+                relations[(x, y)] = Relation.FORWARD
+            elif bwd:
+                relations[(x, y)] = Relation.BACKWARD
+            else:
+                relations[(x, y)] = Relation.NONE
+    return relations
+
+
+def oracle_footprint_fitness(gold_relations, pred_relations, activities, include_diagonal=True):
+    """Reference fitness: count the agreeing pairs of two footprint maps."""
+    matches = 0
+    total = 0
+    for x in sorted(activities):
+        for y in sorted(activities):
+            if x == y and not include_diagonal:
+                continue
+            total += 1
+            if gold_relations[(x, y)] is pred_relations.get((x, y), Relation.NONE):
+                matches += 1
+    return matches / total if total else 1.0
+
+
+def oracle_footprint_score(
+    record: TaskRecord,
+    pred_text: str,
+    mode: MatchingMode = MatchingMode.CASE_INSENSITIVE,
+    include_diagonal: bool = True,
+    max_sequences: int = DEFAULT_MAX_SEQUENCES,
+) -> RecordScore:
+    """Reference record score: play out the gold and predicted trees, map
+    the predicted labels onto gold activities, drop unmapped edges and
+    compare two full footprint maps. A prediction over the play-out cap
+    scores 0 as a parse failure here."""
+    if record.task is Task.SDFD:
+        parsed = parse_dfg_edges(pred_text, strict=False)
+        skipped = len(parsed.skipped)
+        if not parsed.edges and pred_text.strip():
+            return RecordScore(record.record_id, 0.0, True, skipped_lines=skipped)
+        pred_edges = set(parsed.edges)
+        pred_activities = {a for edge in pred_edges for a in edge}
+        gold_edges = set(record.edges)
+        gold_activities = set(record.activity_set)
+    else:
+        skipped = 0
+        try:
+            pred_model = playout(parse_tree(pred_text), max_sequences)
+        except (TreeSyntaxError, LanguageTooLargeError):
+            return RecordScore(record.record_id, 0.0, True)
+        pred_edges = oracle_dfg_edges(pred_model.sequences)
+        pred_activities = pred_model.activity_set
+        gold_model = playout(parse_tree(record.tree_text), max_sequences)
+        gold_edges = oracle_dfg_edges(gold_model.sequences)
+        gold_activities = set(gold_model.activity_set)
+    fold_map = {}
+    for a in sorted(record.activity_set):
+        fold_map.setdefault(fold_label(a, mode), a)
+    gold_of = {a: fold_map.get(fold_label(a, mode)) for a in pred_activities}
+    mapped = {
+        (gold_of[x], gold_of[y])
+        for x, y in pred_edges
+        if gold_of[x] is not None and gold_of[y] is not None
+    }
+    fitness = oracle_footprint_fitness(
+        oracle_footprint(gold_activities, gold_edges),
+        oracle_footprint(set(record.activity_set), mapped),
+        gold_activities,
+        include_diagonal,
+    )
+    return RecordScore(
+        record.record_id,
+        fitness,
+        hallucinated=tuple(sorted(a for a, g in gold_of.items() if g is None)),
+        skipped_lines=skipped,
+    )
 
 
 def oracle_per_class_f1(golds, preds, class_universe=None) -> dict[str, float]:

@@ -150,17 +150,15 @@ def test_c03_random_footprint_baseline_matches_expectation():
     se = statistics.stdev(draws) / len(draws) ** 0.5
     assert abs(mean - expected) <= 3 * se, (mean, expected, se)
 
-    models = [
-        admitted.model
-        for admitted in validate_corpus(synth_corpus(n_models=200, seed=5)).admitted
-    ]
+    admitted = validate_corpus(synth_corpus(n_models=200, seed=5)).admitted
+    models = [a.model for a in admitted]
     med = statistics.median(len(m.activity_set) for m in models)
     assert 4 <= med <= 5
     analytic_mean = statistics.fmean(
         expected_random_footprint_fitness(footprint_of_model(m)) for m in models
     )
     assert 0.28 <= analytic_mean <= 0.36
-    records = [gen_sdfd(m) for m in models]
+    records = [gen_sdfd(a.model, a.tree) for a in admitted]
     report = score_dataset(records, random_footprint_predictions(records, seed=5))
     assert 0.28 <= report.value <= 0.36, report.value
     assert time.monotonic() - started < 30.0
@@ -206,7 +204,7 @@ def test_c05_pair_anomaly_exactness():
     saw_saturated = False
     for adm in admitted:
         model = adm.model
-        records = gen_asad(model, seed=1)
+        records = gen_asad(model, adm.tree, seed=1)
         positives = {r.pair for r in records if r.label == V}
         negatives = {r.pair for r in records if r.label == A}
         ef = oracle_ef_pairs(oracle_language(adm.tree))
@@ -305,7 +303,7 @@ def test_c08_fitness_identities():
     partial-credit cases reproduce exactly, and scoring a predicted tree
     equals scoring its played-out edges on 500 random tree pairs."""
     for adm in validate_corpus(synth_corpus(n_models=80, seed=29)).admitted:
-        dfg_record = gen_sdfd(adm.model)
+        dfg_record = gen_sdfd(adm.model, adm.tree)
         assert score_sdfd(dfg_record, render_dfg_edges(dfg_record.edges)).fitness == 1.0
         tree_record = gen_sptd(adm.model, adm.tree)
         assert score_sptd(tree_record, tree_record.tree_text).fitness == 1.0

@@ -10,6 +10,7 @@ from procsem import (
     Dfg,
     LABEL_ANOMALOUS,
     LABEL_VALID,
+    LanguageTooLargeError,
     MatchingMode,
     Prediction,
     Relation,
@@ -23,8 +24,10 @@ from procsem import (
     gen_sdfd,
     gen_snap,
     gen_sptd,
+    language,
     macro_f1,
     parse_binary_label,
+    parse_tree,
     playout,
     random_classification_baseline,
     random_footprint,
@@ -40,11 +43,18 @@ from procsem import (
 from procsem.evaluation import (
     LengthMismatchError,
     UnknownRecordError,
+    edge_fitness,
     fold_label,
     per_class_f1,
 )
 
-from conftest import oracle_per_class_f1, tree_strategy
+from conftest import (
+    oracle_footprint,
+    oracle_footprint_fitness,
+    oracle_footprint_score,
+    oracle_per_class_f1,
+    tree_strategy,
+)
 
 V, A = LABEL_VALID, LABEL_ANOMALOUS
 
@@ -186,6 +196,47 @@ class TestFootprintFitness:
         assert footprint_fitness(gold, pred, include_diagonal=False) == 1.0
 
 
+edge_sets = st.sets(st.tuples(st.sampled_from("abcdz"), st.sampled_from("abcdz")))
+
+
+class TestEdgeFitness:
+    @given(
+        st.sets(st.sampled_from("abcd")),
+        edge_sets,
+        edge_sets,
+        st.booleans(),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_footprint_count(self, activities, gold, pred, include_diagonal):
+        # "z" is outside every activity set: its edges never count.
+        activities = frozenset(activities)
+        pred_activities = frozenset(a for edge in pred for a in edge)
+        inside = {(x, y) for x, y in gold if x in activities and y in activities}
+        expected = oracle_footprint_fitness(
+            oracle_footprint(activities, inside),
+            oracle_footprint(pred_activities, pred),
+            activities,
+            include_diagonal,
+        )
+        got = edge_fitness(activities, frozenset(gold), frozenset(pred), include_diagonal)
+        assert got == expected
+        gold_fp = footprint(Dfg(activities=activities, edges=frozenset(inside)))
+        pred_fp = footprint(Dfg(activities=pred_activities, edges=frozenset(pred)))
+        assert footprint_fitness(gold_fp, pred_fp, include_diagonal) == expected
+
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(0, 6), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_explicit_footprints_match_footprint_count(self, seed, n, include_diagonal):
+        rng = random.Random(seed)
+        activities = frozenset("abcdef"[:n])
+        gold = random_footprint(activities, rng)
+        pred = random_footprint(frozenset("bcdefg"[:n]), rng)
+        expected = oracle_footprint_fitness(
+            gold.relations, pred.relations, activities, include_diagonal
+        )
+        assert footprint_fitness(gold, pred, include_diagonal) == expected
+
+
 class TestScoreSdfd:
     def test_self_prediction_scores_one(self):
         record = sdfd_record({("a", "b"), ("b", "c")}, "abc")
@@ -250,12 +301,47 @@ class TestScoreSptd:
         assert result.fitness == 0.0
         assert result.parse_failure
 
-    def test_oversized_prediction_is_parse_failure(self):
+    def test_oversized_prediction_gets_its_fitness(self):
+        # 12! sequences, far over any play-out cap; every label is unknown,
+        # so the prediction has no gold edge: (a,b) and (b,a) disagree.
         record = sptd_record("->('a', 'b')", "ab")
         huge = "+(" + ", ".join(f"'x{i}'" for i in range(12)) + ")"
-        result = score_sptd(record, huge, max_sequences=1000)
-        assert result.fitness == 0.0
-        assert result.parse_failure
+        with pytest.raises(LanguageTooLargeError):
+            language(parse_tree(huge))
+        result = score_sptd(record, huge)
+        assert result.fitness == 0.5
+        assert len(result.hallucinated) == 12
+        assert not result.parse_failure
+
+    def test_parallel_over_the_cap_on_gold_labels(self):
+        # 9! = 362,880 sequences, which play-out refuses. The prediction
+        # relates every pair of distinct activities PARALLEL; the gold chain
+        # relates 8 pairs FORWARD, 8 BACKWARD and 56 NONE. Only the 9
+        # diagonal pairs (NONE on both sides) agree.
+        labels = "abcdefghi"
+        record = sptd_record("->(" + ", ".join(f"'{a}'" for a in labels) + ")", labels)
+        pred = "+(" + ", ".join(f"'{a.upper()}'" for a in labels) + ")"
+        with pytest.raises(LanguageTooLargeError):
+            language(parse_tree(pred))
+        result = score_sptd(record, pred)
+        assert result.fitness == 9 / 81
+        assert result.hallucinated == ()
+        assert not result.parse_failure
+        assert score_sptd(record, pred, include_diagonal=False).fitness == 0.0
+
+    def test_oversized_prediction_is_no_parse_failure_in_the_report(self):
+        records = [
+            sptd_record("->('a', 'b')", "ab", record_id="m:sptd:00000"),
+            sptd_record("->('a', 'b')", "ab", record_id="n:sptd:00000"),
+        ]
+        huge = "+(" + ", ".join(f"'x{i}'" for i in range(12)) + ")"
+        report = score_dataset(
+            records,
+            [Prediction("m:sptd:00000", huge), Prediction("n:sptd:00000", "->('a',")],
+        )
+        assert report.n_parse_failures == 1
+        assert report.per_record_fitness == {"m:sptd:00000": 0.5, "n:sptd:00000": 0.0}
+        assert report.n_hallucinated_activities == 12
 
     def test_behaviorally_equal_trees_score_one(self):
         record = sptd_record("->('a', 'b')", "ab")
@@ -279,6 +365,45 @@ class TestScoreSptd:
         assert not via_tree.parse_failure
         assert not via_edges.parse_failure
         assert via_tree.fitness == via_edges.fitness
+
+
+# Labels that collide under case folding and whitespace collapsing, and
+# ones that match no gold activity.
+gold_labels = st.sampled_from(["A", "a", "b", "c d"])
+pred_labels = st.sampled_from(["a", "A", "B", "b", "C  D", "c d", "e"])
+
+
+class TestScoreAgainstPlayoutOracle:
+    @given(
+        tree_strategy(max_leaves=6, labels=gold_labels),
+        tree_strategy(max_leaves=6, labels=pred_labels),
+        st.sampled_from(list(MatchingMode)),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sptd(self, gold_tree, pred_tree, mode, include_diagonal):
+        gold_model = playout(gold_tree, model_id="g")
+        record = sptd_record(render_tree(gold_tree), gold_model.activity_set)
+        pred_text = render_tree(pred_tree)
+        assert score_sptd(record, pred_text, mode, include_diagonal) == (
+            oracle_footprint_score(record, pred_text, mode, include_diagonal)
+        )
+
+    @given(
+        st.sets(gold_labels, min_size=1),
+        st.sets(st.tuples(gold_labels, gold_labels)),
+        st.lists(st.tuples(pred_labels, pred_labels)),
+        st.sampled_from(list(MatchingMode)),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sdfd(self, activities, gold_edges, pred_edges, mode, include_diagonal):
+        gold_edges = {(x, y) for x, y in gold_edges if x in activities and y in activities}
+        record = sdfd_record(gold_edges, activities)
+        pred_text = render_dfg_edges(pred_edges)
+        assert score_sdfd(record, pred_text, mode, include_diagonal) == (
+            oracle_footprint_score(record, pred_text, mode, include_diagonal)
+        )
 
 
 @pytest.fixture(scope="module")

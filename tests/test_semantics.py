@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from procsem import (
@@ -25,13 +25,14 @@ from procsem import (
     tau,
     xor,
 )
-from procsem.semantics import MAX_PLAYOUT_LEAVES
+from procsem.semantics import MAX_PLAYOUT_LEAVES, tree_relations
 
 from conftest import (
     oracle_capped_language,
     oracle_dfg_edges,
     oracle_ef_pairs,
     oracle_language,
+    oracle_relabelled_dfg_edges,
     repeating_label_strategy,
     tree_strategy,
 )
@@ -95,6 +96,13 @@ class TestLanguage:
         huge = xor(*[leaf(f"a{i}") for i in range(MAX_PLAYOUT_LEAVES + 1)])
         with pytest.raises(LanguageTooLargeError):
             language(huge)
+
+    def test_leaf_count_guard_boundary(self):
+        labels = [f"a{i}" for i in range(MAX_PLAYOUT_LEAVES + 1)]
+        at_cap = seq(*map(leaf, labels[:MAX_PLAYOUT_LEAVES]))
+        assert language(at_cap) == {tuple(labels[:MAX_PLAYOUT_LEAVES])}
+        with pytest.raises(LanguageTooLargeError):
+            language(seq(*map(leaf, labels)))
 
     @given(tree_strategy(max_leaves=8))
     @settings(max_examples=150, deadline=None)
@@ -250,6 +258,81 @@ class TestEventuallyFollows:
         ef = eventually_follows(model)
         assert ef.pairs == oracle_ef_pairs(model.sequences)
         assert dfg_of_model(model).edges <= ef.pairs
+
+
+# Three labels over deeper trees: repeats, tau and loops inside loops.
+three_label_tree = tree_strategy(max_leaves=10, labels=repeating_label_strategy)
+
+NESTED_LOOPS = [
+    loop(loop(leaf("a"), leaf("b")), seq(leaf("b"), loop(tau(), leaf("c")))),
+    seq(loop(xor(leaf("a"), tau()), par(leaf("b"), tau())), leaf("a")),
+    par(loop(leaf("a"), tau()), loop(tau(), seq(leaf("b"), leaf("a")))),
+]
+
+
+def _played_out(tree):
+    try:
+        return playout(tree, model_id="t")
+    except LanguageTooLargeError:
+        reject()
+
+
+class TestTreeRelations:
+    def test_loop_without_body_activity_has_no_self_edge(self):
+        relations = tree_relations(loop(tau(), leaf("b")))
+        assert relations.df == set()
+        assert relations.nullable
+
+    def test_loop_redo_children_never_follow_each_other(self):
+        relations = tree_relations(loop(leaf("a"), leaf("b"), leaf("c")))
+        assert relations.ef == {("a", "a"), ("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")}
+
+    def test_parallel_over_the_cap(self):
+        # 9! sequences: play-out refuses, the tree still has its relations
+        labels = "abcdefghi"
+        tree = par(*map(leaf, labels))
+        with pytest.raises(LanguageTooLargeError):
+            language(tree)
+        distinct = {(x, y) for x in labels for y in labels if x != y}
+        assert dfg_of_model(tree).edges == distinct
+        assert eventually_follows(tree).pairs == distinct
+
+    @given(st.one_of(any_tree, three_label_tree))
+    @settings(max_examples=400, deadline=None)
+    @example(LOOPS_WITH_REPEATS[0])
+    @example(LOOPS_WITH_REPEATS[1])
+    @example(LOOPS_WITH_REPEATS[2])
+    @example(NESTED_LOOPS[0])
+    @example(NESTED_LOOPS[1])
+    @example(NESTED_LOOPS[2])
+    def test_match_playout(self, tree):
+        model = _played_out(tree)
+        relations = tree_relations(tree)
+        assert dfg_of_model(tree) == dfg_of_model(model)
+        assert eventually_follows(tree) == eventually_follows(model)
+        assert relations.df == oracle_dfg_edges(model.sequences)
+        assert relations.ef == oracle_ef_pairs(model.sequences)
+        assert relations.nullable == (() in model.sequences)
+        assert relations.first == {s[0] for s in model.sequences if s}
+        assert relations.last == {s[-1] for s in model.sequences if s}
+
+    @given(
+        three_label_tree,
+        st.fixed_dictionaries({a: st.sampled_from(["x", "y", None]) for a in "abc"}),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(seq(leaf("a"), leaf("b"), leaf("c")), {"a": "x", "b": None, "c": "y"})
+    @example(seq(leaf("a"), xor(leaf("b"), tau()), leaf("c")), {"a": "x", "b": None, "c": "x"})
+    @example(par(leaf("a"), leaf("b")), {"a": "x", "b": "x", "c": None})
+    def test_renamed_match_relabelled_playout(self, tree, gold_of):
+        # Several labels may share an image, and a label mapped to None is a
+        # step whose edges are dropped, never skipped.
+        model = _played_out(tree)
+        relations = tree_relations(tree, gold_of)
+        assert relations.df == oracle_relabelled_dfg_edges(model.sequences, gold_of)
+        assert relations.alphabet == {
+            gold_of[a] for a in model.activity_set if gold_of[a] is not None
+        }
 
 
 class TestTreeTextIntegration:

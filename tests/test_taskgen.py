@@ -167,14 +167,14 @@ class TestGenTsad:
 
 
 class TestGenAsad:
-    def test_m1_positives_are_the_ef_set(self, m1_model):
-        records = gen_asad(m1_model, seed=5)
+    def test_m1_positives_are_the_ef_set(self, m1_model, m1_tree):
+        records = gen_asad(m1_model, m1_tree, seed=5)
         positives = {r.pair for r in records if r.label == LABEL_VALID}
         assert positives == eventually_follows(m1_model).pairs
         assert len(positives) == 4
 
-    def test_m1_balance_and_no_overlap(self, m1_model):
-        records = gen_asad(m1_model, seed=5)
+    def test_m1_balance_and_no_overlap(self, m1_model, m1_tree):
+        records = gen_asad(m1_model, m1_tree, seed=5)
         positives = {r.pair for r in records if r.label == LABEL_VALID}
         negatives = {r.pair for r in records if r.label == LABEL_ANOMALOUS}
         assert len(negatives) == 4
@@ -186,7 +186,7 @@ class TestGenAsad:
 
     def test_single_sequence_model(self):
         admitted = admit_one(seq(leaf("a"), leaf("b")), "m")
-        records = gen_asad(admitted.model, seed=5)
+        records = gen_asad(admitted.model, admitted.tree, seed=5)
         positives = [r for r in records if r.label == LABEL_VALID]
         negatives = [r for r in records if r.label == LABEL_ANOMALOUS]
         assert [r.pair for r in positives] == [("a", "b")]
@@ -199,12 +199,12 @@ class TestGenAsad:
         assert eventually_follows(admitted.model).pairs == {
             ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"),
         }
-        records = gen_asad(admitted.model, seed=5)
+        records = gen_asad(admitted.model, admitted.tree, seed=5)
         assert all(r.label == LABEL_VALID for r in records)
         assert len(records) == 4
 
-    def test_deterministic(self, m1_model):
-        assert gen_asad(m1_model, seed=3) == gen_asad(m1_model, seed=3)
+    def test_deterministic(self, m1_model, m1_tree):
+        assert gen_asad(m1_model, m1_tree, seed=3) == gen_asad(m1_model, m1_tree, seed=3)
 
 
 class TestGenSnap:
@@ -251,8 +251,8 @@ class TestGenSnap:
 
 
 class TestGenSdfdSptd:
-    def test_sdfd_m1_edges(self, m1_model):
-        record = gen_sdfd(m1_model)
+    def test_sdfd_m1_edges(self, m1_model, m1_tree):
+        record = gen_sdfd(m1_model, m1_tree)
         assert record.edges == (
             ("accept order", "deliver package"),
             ("receive order", "accept order"),
@@ -261,7 +261,7 @@ class TestGenSdfdSptd:
 
     def test_sdfd_parallel_pair(self):
         admitted = admit_one(par(leaf("a"), leaf("b")), "m")
-        assert gen_sdfd(admitted.model).edges == (("a", "b"), ("b", "a"))
+        assert gen_sdfd(admitted.model, admitted.tree).edges == (("a", "b"), ("b", "a"))
 
     def test_sptd_round_trips(self, m1_tree):
         admitted = admit_one(m1_tree, "m1")
