@@ -340,7 +340,7 @@ def cmd_prompts(args: argparse.Namespace) -> int:
     assignment = read_split(args.split)
     missing = sorted({r.model_id for r in records} - set(assignment))
     if missing:
-        raise ValueError(f"models missing from split file: {missing[:5]}")
+        raise ValueError(f"{args.split}: models missing from split file: {missing[:5]}")
     templates = load_templates(task, args.templates_dir)
     shots = config.shots if config.shots is not None else default_shots(task)
     query_split = Split(args.query_split)
@@ -412,7 +412,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     config = build_config(args)
-    records = read_dataset(args.dataset)
+    _, records = _read_task_dataset(args.dataset)
     predictions = read_predictions(args.predictions)
     report = score_dataset(
         records,

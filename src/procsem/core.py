@@ -221,34 +221,6 @@ MIRROR = {
 }
 
 
-class FollowRelations(Mapping[Pair, Relation]):
-    """The relation of every ordered pair over an activity set, read on
-    demand from directly-follows edges, so no n² map is built.
-
-    (x, y) is FORWARD when only the edge x→y exists, BACKWARD when only
-    y→x does, PARALLEL when both do and NONE when neither does. The map is
-    mirror-consistent, with a PARALLEL or NONE diagonal, by construction.
-    """
-
-    def __init__(self, activities: frozenset[Activity], edges: frozenset[Pair]) -> None:
-        self.activities = activities
-        self.edges = edges
-
-    def __getitem__(self, pair: Pair) -> Relation:
-        x, y = pair
-        if x not in self.activities or y not in self.activities:
-            raise KeyError(pair)
-        if pair in self.edges:
-            return Relation.PARALLEL if (y, x) in self.edges else Relation.FORWARD
-        return Relation.BACKWARD if (y, x) in self.edges else Relation.NONE
-
-    def __iter__(self) -> Iterator[Pair]:
-        return ((x, y) for x in self.activities for y in self.activities)
-
-    def __len__(self) -> int:
-        return len(self.activities) ** 2
-
-
 @dataclass(frozen=True)
 class Footprint:
     """Total map over ordered activity pairs to their behavioral relation."""
@@ -257,11 +229,6 @@ class Footprint:
     relations: Mapping[tuple[Activity, Activity], Relation] = field(hash=False)
 
     def __post_init__(self) -> None:
-        if (
-            isinstance(self.relations, FollowRelations)
-            and self.relations.activities == self.activities
-        ):
-            return  # total and mirror-consistent by construction
         n = len(self.activities)
         if len(self.relations) != n * n:
             raise ValueError(f"footprint must cover all {n * n} ordered pairs")
@@ -281,8 +248,6 @@ class Footprint:
     def follow_edges(self) -> frozenset[Pair]:
         """The pairs related FORWARD or PARALLEL: the directly-follows edges
         whose footprint this is."""
-        if isinstance(self.relations, FollowRelations):
-            return self.relations.edges
         return frozenset(
             pair
             for pair, rel in self.relations.items()

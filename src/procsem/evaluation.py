@@ -2,11 +2,10 @@
 
 Classification tasks are scored with macro F1 (the unweighted mean of
 per-class F1 values). Generation tasks are scored with footprint-based
-fitness: both the gold and the predicted behavior are reduced to footprints
-over the gold activity set and the score is the fraction of ordered activity
-pairs on which the two footprints agree. The footprints are compared through
-their directly-follows edge sets, and tree relations are read off the trees,
-so scoring never plays out a tree.
+fitness: the fraction of ordered gold-activity pairs on which the gold and
+the predicted footprints agree. It is computed from the two directly-follows
+edge sets, read off the trees for tree tasks, so scoring builds no footprint
+and never plays out a tree.
 
 Unparseable predictions score 0 and are counted; they are never excluded.
 Matching is case-insensitive with whitespace folding by default, with a
@@ -22,12 +21,10 @@ from enum import Enum
 from statistics import fmean
 
 from .core import (
-    MIRROR,
     Activity,
     Dfg,
     Footprint,
     Pair,
-    Relation,
     collapse_whitespace,
     tree_labels,
 )
@@ -210,17 +207,17 @@ def _footprint_score(
     skipped_lines: int = 0,
 ) -> RecordScore:
     """Fitness of predicted edges, already mapped onto gold activities,
-    against the record's gold behavior; labels with no gold match are
+    against the record's gold edges; labels with no gold match are
     tallied as hallucinated."""
-    gold_activities = frozenset(record.activity_set)
     if record.task is Task.SDFD:
-        gold_dfg = Dfg(activities=gold_activities, edges=frozenset(record.edges))
+        gold_edges = frozenset(record.edges)
     else:
-        gold_dfg = dfg_of_model(parse_tree(record.tree_text))
-    pred_fp = footprint(Dfg(activities=gold_activities, edges=pred_edges))
+        gold_edges = dfg_of_model(parse_tree(record.tree_text)).edges
     return RecordScore(
         record_id=record.record_id,
-        fitness=footprint_fitness(footprint(gold_dfg), pred_fp, include_diagonal),
+        fitness=edge_fitness(
+            frozenset(record.activity_set), gold_edges, pred_edges, include_diagonal
+        ),
         hallucinated=tuple(sorted(a for a, g in gold_of.items() if g is None)),
         skipped_lines=skipped_lines,
     )
@@ -405,26 +402,16 @@ def random_classification_baseline(
     return predictions
 
 
-_OFFDIAG_RELATIONS = (
-    Relation.FORWARD,
-    Relation.BACKWARD,
-    Relation.PARALLEL,
-    Relation.NONE,
-)
-_DIAG_RELATIONS = (Relation.PARALLEL, Relation.NONE)
-
-
 def random_footprint(activity_set: frozenset[Activity] | tuple[Activity, ...], rng: random.Random) -> Footprint:
-    """Uniform relation per unordered pair (mirrored), uniform diagonal."""
+    """Uniform relation per unordered pair (mirrored), uniform diagonal,
+    drawn as the pair's edges: x→y, y→x, both or neither; x→x or not."""
     activities = sorted(activity_set)
-    relations: dict[tuple[Activity, Activity], Relation] = {}
+    edges: list[Pair] = []
     for i, x in enumerate(activities):
-        relations[(x, x)] = rng.choice(_DIAG_RELATIONS)
+        edges.extend(rng.choice((((x, x),), ())))
         for y in activities[i + 1 :]:
-            rel = rng.choice(_OFFDIAG_RELATIONS)
-            relations[(x, y)] = rel
-            relations[(y, x)] = MIRROR[rel]
-    return Footprint(activities=frozenset(activities), relations=relations)
+            edges.extend(rng.choice((((x, y),), ((y, x),), ((x, y), (y, x)), ())))
+    return footprint(Dfg(activities=frozenset(activities), edges=frozenset(edges)))
 
 
 def footprint_to_dfg(fp: Footprint) -> Dfg:
@@ -463,7 +450,7 @@ def expected_random_footprint_fitness(
 
     Each off-diagonal ordered pair matches with probability 1/4, each
     diagonal pair with probability 1/2 (gold diagonals are PARALLEL or
-    NONE by construction).
+    NONE by construction). With no pair to score the fitness is 1.0.
     """
     n = len(gold_fp.activities)
     if include_diagonal:
@@ -471,4 +458,4 @@ def expected_random_footprint_fitness(
             return 1.0
         offdiag = n * (n - 1)
         return (0.25 * offdiag + 0.5 * n) / (n * n)
-    return 0.25
+    return 0.25 if n > 1 else 1.0

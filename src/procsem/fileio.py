@@ -155,10 +155,15 @@ _PAYLOAD_KEYS = {
     Task.SPTD: ("tree_text",),
 }
 
-# Shape of each row field wherever it appears. Only presence and type are
-# checked, because every pipeline pass reads its datasets several times.
+# Shape of each row field wherever it appears. Besides presence and type,
+# rows are checked only for a distinct `activity_set` that holds every
+# `edges` endpoint, because every pipeline pass reads its datasets several
+# times.
 _FIELD_SHAPES = {
-    "activity_set": (_is_strings, "a list of strings"),
+    "activity_set": (
+        lambda v: _is_strings(v) and len(set(v)) == len(v),
+        "a list of distinct strings",
+    ),
     "trace": (_is_strings, "a list of strings"),
     "pair": (_is_string_pair, "a list of two strings"),
     "prefix": (_is_strings, "a list of strings"),
@@ -182,6 +187,8 @@ def obj_to_record(obj: dict[str, Any], path: str | Path, line_number: int) -> Ta
     for key, (is_valid, shape) in _FIELD_SHAPES.items():
         if key in obj and not is_valid(obj[key]):
             raise FileFormatError(path, line_number, f"{key!r} must be {shape}")
+    if "edges" in obj and not {a for e in obj["edges"] for a in e} <= set(obj["activity_set"]):
+        raise FileFormatError(path, line_number, "'edges' must join members of 'activity_set'")
     return TaskRecord(
         record_id=_require_str(obj, "record_id", path, line_number),
         task=task,

@@ -30,7 +30,6 @@ from .core import (
     Dfg,
     EventLog,
     EventuallyFollowsSet,
-    FollowRelations,
     Footprint,
     Leaf,
     Operator,
@@ -38,6 +37,7 @@ from .core import (
     Pair,
     ProcessModel,
     ProcessTree,
+    Relation,
     Silent,
     Trace,
 )
@@ -322,12 +322,18 @@ def footprint(dfg: Dfg) -> Footprint:
 
     (x, y) is FORWARD when x is directly followed by y but never the
     reverse, BACKWARD in the mirrored case, PARALLEL when both directions
-    occur, and NONE when neither does. Relations are read from the edges
-    on lookup.
+    occur, and NONE when neither does.
     """
-    return Footprint(
-        activities=dfg.activities, relations=FollowRelations(dfg.activities, dfg.edges)
-    )
+    edges = dfg.edges
+    relations: dict[Pair, Relation] = {}
+    for x in dfg.activities:
+        for y in dfg.activities:
+            if (x, y) in edges:
+                rel = Relation.PARALLEL if (y, x) in edges else Relation.FORWARD
+            else:
+                rel = Relation.BACKWARD if (y, x) in edges else Relation.NONE
+            relations[(x, y)] = rel
+    return Footprint(activities=dfg.activities, relations=relations)
 
 
 def footprint_of_model(model: ProcessModel) -> Footprint:

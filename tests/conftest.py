@@ -4,9 +4,10 @@ The oracles re-derive semantics with deliberately different algorithms
 (plain recursion instead of the package's iterative tables) so that frozen
 expectations in the tests do not depend on the code under test. The
 capped play-out, the character-loop tokenizer and the `\\s+` whitespace
-rule are step-by-step references for the package's faster kernels, and the
+rule are step-by-step references for the package's faster kernels, the
 play-out-and-footprint record score is the reference for scoring from
-edge sets and tree relations.
+edge sets and tree relations, and the relation-drawing random footprint
+is the reference for drawing edges.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from procsem import (
     DEFAULT_MAX_SEQUENCES,
     LABEL_ANOMALOUS,
     EmptyLabelError,
+    Footprint,
     LanguageTooLargeError,
     Leaf,
     MatchingMode,
@@ -43,7 +45,7 @@ from procsem import (
     parse_tree,
     playout,
 )
-from procsem.core import tree_labels
+from procsem.core import MIRROR, tree_labels
 from procsem.evaluation import fold_label
 from procsem.promptgen import _fill
 from procsem.semantics import MAX_PLAYOUT_LEAVES
@@ -315,6 +317,22 @@ def oracle_footprint(activities, edges) -> dict[tuple[str, str], Relation]:
             else:
                 relations[(x, y)] = Relation.NONE
     return relations
+
+
+def oracle_random_footprint(activity_set, rng: random.Random) -> Footprint:
+    """Reference random footprint: draw each unordered pair's relation and
+    mirror it, and draw each diagonal entry."""
+    offdiag = (Relation.FORWARD, Relation.BACKWARD, Relation.PARALLEL, Relation.NONE)
+    diag = (Relation.PARALLEL, Relation.NONE)
+    activities = sorted(activity_set)
+    relations = {}
+    for i, x in enumerate(activities):
+        relations[(x, x)] = rng.choice(diag)
+        for y in activities[i + 1 :]:
+            rel = rng.choice(offdiag)
+            relations[(x, y)] = rel
+            relations[(y, x)] = MIRROR[rel]
+    return Footprint(activities=frozenset(activities), relations=relations)
 
 
 def oracle_footprint_fitness(gold_relations, pred_relations, activities, include_diagonal=True):

@@ -521,6 +521,19 @@ class TestFailureModes:
         assert code == EXIT_FATAL
         assert "missing from split" in err
 
+    def test_missing_split_models_name_the_split_file(self, ws, tmp_path):
+        partial_split = tmp_path / "partial.jsonl"
+        with open(ws["split"], encoding="utf-8") as handle:
+            partial_split.write_text(handle.readline(), encoding="utf-8")
+        code, _, err = run(
+            ["prompts", "--dataset", f"{ws['data']}/sdfd.jsonl",
+             "--split", str(partial_split), "--out", str(tmp_path / "p.jsonl")]
+        )
+        assert code == EXIT_FATAL
+        assert err.startswith(
+            f"procsem: error: {partial_split}: models missing from split file: "
+        )
+
     @pytest.mark.parametrize(
         "task,key,value",
         [
@@ -534,6 +547,8 @@ class TestFailureModes:
             ("sptd", "activity_set", "ab"),
             ("tsad", "record_id", 7),
             ("asad", "model_id", 3),
+            ("tsad", "activity_set", ["a", "a"]),
+            ("sdfd", "edges", [["a", "b"]]),
         ],
     )
     def test_malformed_dataset_row_is_fatal(self, ws, tmp_path, task, key, value):
@@ -580,6 +595,17 @@ class TestFailureModes:
         )
         assert code == EXIT_FATAL
         assert "dataset is empty" in err
+
+    def test_score_names_an_empty_dataset(self, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("", encoding="utf-8")
+        code, _, err = run(
+            ["score", "--dataset", str(empty), "--predictions", str(preds)]
+        )
+        assert code == EXIT_FATAL
+        assert err == f"procsem: error: {empty}: dataset is empty\n"
 
     def test_repeated_dataset_record_is_fatal(self, ws, tmp_path):
         lines = Path(f"{ws['data']}/asad.jsonl").read_text("utf-8").splitlines()

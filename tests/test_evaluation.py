@@ -16,6 +16,7 @@ from procsem import (
     Relation,
     Task,
     TaskRecord,
+    answer_text,
     dfg_of_model,
     expected_random_footprint_fitness,
     footprint,
@@ -53,6 +54,7 @@ from conftest import (
     oracle_footprint_fitness,
     oracle_footprint_score,
     oracle_per_class_f1,
+    oracle_random_footprint,
     tree_strategy,
 )
 
@@ -476,6 +478,22 @@ class TestScoreDataset:
         assert report.per_record_fitness["m:sdfd:00000"] == 7 / 9
 
 
+def test_scoring_builds_no_footprint(monkeypatch):
+    entries = synth_corpus(n_models=12, seed=23, min_activities=3)
+    admitted = validate_corpus(entries).admitted
+    sdfd = [gen_sdfd(a.model, a.tree) for a in admitted]
+    sptd = [gen_sptd(a.model, a.tree) for a in admitted]
+    sdfd_preds = random_footprint_predictions(sdfd, seed=4)
+    sptd_preds = [Prediction(r.record_id, answer_text(r)) for r in sptd]
+
+    def refuse(dfg):
+        raise AssertionError("scoring built a footprint")
+
+    monkeypatch.setattr("procsem.evaluation.footprint", refuse)
+    assert score_dataset(sdfd, sdfd_preds).n_parse_failures == 0
+    assert score_dataset(sptd, sptd_preds).value == 1.0
+
+
 class TestRandomBaselines:
     def test_classification_deterministic(self):
         records = [
@@ -547,6 +565,26 @@ class TestRandomBaselines:
         assert expected_random_footprint_fitness(
             fp, include_diagonal=False
         ) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize(
+        "n,include_diagonal,expected",
+        [(0, True, 1.0), (0, False, 1.0), (1, True, 0.5), (1, False, 1.0)],
+    )
+    def test_expected_fitness_with_few_activities(self, n, include_diagonal, expected):
+        fp = footprint(Dfg(activities=frozenset("ab"[:n]), edges=frozenset()))
+        assert expected_random_footprint_fitness(fp, include_diagonal) == expected
+
+    @given(
+        st.sets(st.text(min_size=1, max_size=3), min_size=1, max_size=8),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_footprint_matches_relation_draws(self, activities, seed):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert random_footprint(frozenset(activities), rng) == (
+            oracle_random_footprint(activities, oracle_rng)
+        )
+        assert rng.getstate() == oracle_rng.getstate()
 
     def test_footprint_predictions_round_trip(self):
         record = sdfd_record({("a", "b"), ("b", "a")}, "abc")

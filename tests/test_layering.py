@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "procsem"
@@ -35,6 +36,26 @@ def test_fileio_imports_neither_scoring_nor_cli():
 
 def test_core_imports_no_other_procsem_module():
     assert procsem_imports("core") == set()
+
+
+def test_runtime_imports_only_stdlib():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert modules
+    outside: set[str] = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside.update(
+                f"{path.name}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            )
+    assert outside == set()
 
 
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from procsem import (
+    Dfg,
     EventLog,
     LanguageTooLargeError,
     Relation,
@@ -31,6 +32,7 @@ from conftest import (
     oracle_capped_language,
     oracle_dfg_edges,
     oracle_ef_pairs,
+    oracle_footprint,
     oracle_language,
     oracle_relabelled_dfg_edges,
     repeating_label_strategy,
@@ -229,6 +231,16 @@ class TestFootprint:
         fp = footprint_of_model(model)
         n = len(model.activity_set)
         assert len(fp.relations) == n * n
+
+    @given(
+        st.sets(st.sampled_from("abcd")),
+        st.sets(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd"))),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_relations_match_oracle(self, activities, edges):
+        edges = {(x, y) for x, y in edges if x in activities and y in activities}
+        dfg = Dfg(activities=frozenset(activities), edges=frozenset(edges))
+        assert footprint(dfg).relations == oracle_footprint(activities, edges)
 
 
 class TestEventuallyFollows:
