@@ -1,9 +1,10 @@
 """JSON-Lines readers and writers for every pipeline file format.
 
 One JSON object per line throughout; writers emit keys in a fixed order and
-rows in a canonical sort so identical inputs produce identical bytes.
-Dataset and sequence rows, the bulk of the output, are encoded straight from
-their records into the bytes `json.dumps(row, ensure_ascii=False)` gives.
+rows in a canonical sort so identical inputs produce identical bytes. Every
+value written is a string, a list of strings or a list of string lists, so
+each row is spelled straight from its fields, with the string quoting of the
+stdlib `json` encoder, into the bytes it gives with `ensure_ascii=False`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from .core import tree_labels
 from .promptgen import FtExample, PromptBundle
 from .taskgen import (
     LABEL_ANOMALOUS,
@@ -55,21 +57,21 @@ def _read_objects(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
             yield line_number, obj
 
 
-# `json.dumps` with a non-default `ensure_ascii` builds a new encoder per call.
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
-
-
 def _write_text(path: str | Path, lines: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.writelines(lines)
 
 
-def _write_lines(path: str | Path, objects: Iterable[dict[str, Any]]) -> None:
-    _write_text(path, (_ENCODER.encode(obj) + "\n" for obj in objects))
+_BY_RECORD_ID = attrgetter("record_id")
+
+
+def _row(**spelled: str) -> str:
+    """One row from values already spelled as JSON, keys in argument order."""
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in spelled.items()) + "}\n"
 
 
 def _strings(values: Iterable[str]) -> str:
-    """A JSON array of strings, spelled as `_ENCODER` spells it."""
+    """A JSON array of strings, with the `json` encoder's `", "` separator."""
     return "[" + ", ".join(map(_quote, values)) + "]"
 
 
@@ -124,14 +126,11 @@ def read_corpus(path: str | Path) -> tuple[list[CorpusEntry], list[Rejection]]:
 
 
 def write_corpus(path: str | Path, entries: Iterable[CorpusEntry]) -> None:
-    def row(entry: CorpusEntry) -> dict[str, Any]:
-        obj: dict[str, Any] = {"model_id": entry.model_id}
-        if entry.name is not None:
-            obj["name"] = entry.name
-        obj["tree"] = render_tree(entry.tree)
-        return obj
+    def row(entry: CorpusEntry) -> str:
+        name = {} if entry.name is None else {"name": _quote(entry.name)}
+        return _row(model_id=_quote(entry.model_id), **name, tree=_quote(render_tree(entry.tree)))
 
-    _write_lines(path, (row(e) for e in sorted(entries, key=lambda e: e.model_id)))
+    _write_text(path, map(row, sorted(entries, key=lambda e: e.model_id)))
 
 
 # ---------------------------------------------------------------------------
@@ -146,34 +145,31 @@ def _is_string_pair(value: Any) -> bool:
     return _is_strings(value) and len(value) == 2
 
 
-# Keys each task's rows must carry, besides the ones every row carries.
-_PAYLOAD_KEYS = {
-    Task.TSAD: ("trace", "label"),
-    Task.ASAD: ("pair", "label"),
-    Task.SNAP: ("prefix", "next_activity"),
-    Task.SDFD: ("edges",),
-    Task.SPTD: ("tree_text",),
-}
+_STRING = (lambda v: isinstance(v, str), "a string", str)
+_STRINGS = (_is_strings, "a list of strings", tuple)
+_PAIR = (_is_string_pair, "a list of two strings", tuple)
+_LABEL = (lambda v: v in (LABEL_VALID, LABEL_ANOMALOUS), "Valid or Anomalous", str)
+_SET = (lambda v: _is_strings(v) and len(set(v)) == len(v), "a list of distinct strings", tuple)
+_EDGES = (
+    lambda v: isinstance(v, list) and all(map(_is_string_pair, v)),
+    "a list of string pairs",
+    lambda v: tuple(map(tuple, v)),
+)
 
-# Shape of each row field wherever it appears. Besides presence and type,
-# rows are checked only for a distinct `activity_set` that holds every
-# `edges` endpoint, because every pipeline pass reads its datasets several
-# times.
-_FIELD_SHAPES = {
-    "activity_set": (
-        lambda v: _is_strings(v) and len(set(v)) == len(v),
-        "a list of distinct strings",
-    ),
-    "trace": (_is_strings, "a list of strings"),
-    "pair": (_is_string_pair, "a list of two strings"),
-    "prefix": (_is_strings, "a list of strings"),
-    "label": (lambda v: v in (LABEL_VALID, LABEL_ANOMALOUS), "Valid or Anomalous"),
-    "next_activity": (lambda v: isinstance(v, str), "a string"),
-    "edges": (
-        lambda v: isinstance(v, list) and all(_is_string_pair(e) for e in v),
-        "a list of string pairs",
-    ),
-    "tree_text": (lambda v: isinstance(v, str), "a string"),
+# The fields of each task's rows besides `record_id`, `task` and `model_id`:
+# key → (shape check, the shape it wants, conversion to the record's value).
+# Beyond these, rows are checked only across fields (sdfd edges, sptd leaves),
+# because every pipeline pass reads its datasets several times.
+_FIELDS = {
+    Task.TSAD: {"activity_set": _SET, "trace": _STRINGS, "label": _LABEL},
+    Task.ASAD: {"activity_set": _SET, "pair": _PAIR, "label": _LABEL},
+    Task.SNAP: {"activity_set": _SET, "prefix": _STRINGS, "next_activity": _STRING},
+    Task.SDFD: {"activity_set": _SET, "edges": _EDGES},
+    Task.SPTD: {"activity_set": _SET, "tree_text": _STRING},
+}
+# The other tasks' fields, which a row may not carry.
+_FOREIGN = {
+    task: set().union(*_FIELDS.values()) - fields.keys() for task, fields in _FIELDS.items()
 }
 
 
@@ -182,25 +178,31 @@ def obj_to_record(obj: dict[str, Any], path: str | Path, line_number: int) -> Ta
         task = Task(str(_require(obj, "task", path, line_number)))
     except ValueError:
         raise FileFormatError(path, line_number, f"unknown task {obj.get('task')!r}") from None
-    for key in ("activity_set", *_PAYLOAD_KEYS[task]):
-        _require(obj, key, path, line_number)
-    for key, (is_valid, shape) in _FIELD_SHAPES.items():
-        if key in obj and not is_valid(obj[key]):
+    if not _FOREIGN[task].isdisjoint(obj):
+        key = next(k for k in obj if k in _FOREIGN[task])
+        raise FileFormatError(path, line_number, f"{key!r} is not a {task.value} field")
+    values: dict[str, Any] = {}
+    for key, (is_valid, shape, convert) in _FIELDS[task].items():
+        value = _require(obj, key, path, line_number)
+        if not is_valid(value):
             raise FileFormatError(path, line_number, f"{key!r} must be {shape}")
-    if "edges" in obj and not {a for e in obj["edges"] for a in e} <= set(obj["activity_set"]):
+        values[key] = convert(value)
+    activities = values["activity_set"]
+    if task is Task.SDFD and not {a for e in values["edges"] for a in e} <= set(activities):
         raise FileFormatError(path, line_number, "'edges' must join members of 'activity_set'")
+    if task is Task.SPTD:
+        try:
+            leaves = tree_labels(parse_tree(values["tree_text"]))
+        except TreeSyntaxError as exc:
+            raise FileFormatError(path, line_number, f"'tree_text' does not parse: {exc}") from None
+        if sorted(leaves) != sorted(activities):
+            reason = "'activity_set' must list the leaves of 'tree_text'"
+            raise FileFormatError(path, line_number, reason)
     return TaskRecord(
         record_id=_require_str(obj, "record_id", path, line_number),
         task=task,
         model_id=_require_str(obj, "model_id", path, line_number),
-        activity_set=tuple(obj["activity_set"]),
-        trace=tuple(obj["trace"]) if "trace" in obj else None,
-        pair=tuple(obj["pair"]) if "pair" in obj else None,
-        prefix=tuple(obj["prefix"]) if "prefix" in obj else None,
-        label=obj.get("label"),
-        next_activity=obj.get("next_activity"),
-        edges=tuple(tuple(e) for e in obj["edges"]) if "edges" in obj else None,
-        tree_text=obj.get("tree_text"),
+        **values,
     )
 
 
@@ -220,7 +222,7 @@ def read_dataset(path: str | Path) -> list[TaskRecord]:
 
 
 def _record_lines(records: Iterable[TaskRecord]) -> Iterator[str]:
-    """Dataset rows, each the bytes `_ENCODER` gives for the record's object:
+    """Dataset rows, each the bytes the `json` encoder gives for the record's object:
     `record_id`, `task`, `model_id`, `activity_set`, then the fields that are
     not None. The task, model and activity-set part is encoded once per
     distinct (task, model_id, activity_set)."""
@@ -254,7 +256,7 @@ def _record_lines(records: Iterable[TaskRecord]) -> Iterator[str]:
 
 
 def write_dataset(path: str | Path, records: Iterable[TaskRecord]) -> None:
-    _write_text(path, _record_lines(sorted(records, key=attrgetter("record_id"))))
+    _write_text(path, _record_lines(sorted(records, key=_BY_RECORD_ID)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +265,10 @@ def write_dataset(path: str | Path, records: Iterable[TaskRecord]) -> None:
 
 def write_sequences(path: str | Path, models: Iterable[Any]) -> None:
     """One row per model with its full played-out language, sorted."""
-    ordered = sorted(models, key=lambda m: m.model_id)
-    _write_text(
-        path,
-        (
-            f'{{"model_id": {_quote(m.model_id)}, '
-            f'"sequences": {_string_lists(sorted(m.sequences))}}}\n'
-            for m in ordered
-        ),
-    )
+    _write_text(path, (
+        _row(model_id=_quote(m.model_id), sequences=_string_lists(sorted(m.sequences)))
+        for m in sorted(models, key=lambda m: m.model_id)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +291,10 @@ def write_split(path: str | Path, assignment: SplitAssignment | dict[str, Split]
     mapping = (
         assignment.assignment if isinstance(assignment, SplitAssignment) else assignment
     )
-    _write_lines(
-        path,
-        (
-            {"model_id": model_id, "split": mapping[model_id].value}
-            for model_id in sorted(mapping)
-        ),
-    )
+    _write_text(path, (
+        _row(model_id=_quote(model_id), split=_quote(mapping[model_id].value))
+        for model_id in sorted(mapping)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -308,35 +302,19 @@ def write_split(path: str | Path, assignment: SplitAssignment | dict[str, Split]
 
 
 def write_icl_prompts(path: str | Path, bundles: Iterable[PromptBundle]) -> None:
-    ordered = sorted(bundles, key=lambda b: b.record_id)
-    _write_lines(
-        path,
-        (
-            {
-                "record_id": b.record_id,
-                "task": b.task.value,
-                "prompt": b.prompt_text,
-                "shot_record_ids": list(b.shot_record_ids),
-            }
-            for b in ordered
-        ),
-    )
+    _write_text(path, (
+        _row(record_id=_quote(b.record_id), task=_quote(b.task.value),
+             prompt=_quote(b.prompt_text), shot_record_ids=_strings(b.shot_record_ids))
+        for b in sorted(bundles, key=_BY_RECORD_ID)
+    ))
 
 
 def write_ft_examples(path: str | Path, examples: Iterable[FtExample]) -> None:
-    ordered = sorted(examples, key=lambda e: e.record_id)
-    _write_lines(
-        path,
-        (
-            {
-                "record_id": e.record_id,
-                "task": e.task.value,
-                "input": e.input_text,
-                "target": e.target_text,
-            }
-            for e in ordered
-        ),
-    )
+    _write_text(path, (
+        _row(record_id=_quote(e.record_id), task=_quote(e.task.value),
+             input=_quote(e.input_text), target=_quote(e.target_text))
+        for e in sorted(examples, key=_BY_RECORD_ID)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +338,7 @@ def read_predictions(path: str | Path) -> list[Prediction]:
 
 
 def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> None:
-    ordered = sorted(predictions, key=lambda p: p.record_id)
-    _write_lines(
-        path,
-        ({"record_id": p.record_id, "prediction": p.raw_text} for p in ordered),
-    )
+    _write_text(path, (
+        _row(record_id=_quote(p.record_id), prediction=_quote(p.raw_text))
+        for p in sorted(predictions, key=_BY_RECORD_ID)
+    ))

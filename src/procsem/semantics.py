@@ -158,18 +158,14 @@ def _language(tree: ProcessTree, limit: int) -> set[Trace]:
         for child in tree.children:
             out = _shuffle_languages(out, _language(child, limit), limit)
         return out
-    # LOOP: do-child once, or do, one redo-child, do again.
+    # LOOP: do-child once, or do, one redo-child, do again. No language is
+    # empty, so |B·R| <= |B·R·B| <= |out|: each cap check trips only when
+    # the whole language is over the cap.
     body = _language(tree.children[0], limit)
     out = set(body)
     for redo_child in tree.children[1:]:
-        redo = _language(redo_child, limit)
-        for u in body:
-            for v in redo:
-                for w in body:
-                    out.add(u + v + w)
-                    if len(out) > limit:
-                        raise LanguageTooLargeError(limit)
-    return out
+        out |= _concat_pair(_concat_pair(body, _language(redo_child, limit), limit), body, limit)
+    return _check(out, limit)
 
 
 def playout(

@@ -6,8 +6,9 @@ expectations in the tests do not depend on the code under test. The
 capped play-out, the character-loop tokenizer and the `\\s+` whitespace
 rule are step-by-step references for the package's faster kernels, the
 play-out-and-footprint record score is the reference for scoring from
-edge sets and tree relations, and the relation-drawing random footprint
-is the reference for drawing edges.
+edge sets and tree relations, the relation-drawing random footprint is
+the reference for drawing edges, and the `json.dumps` rows are the
+references for every file writer.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from procsem import (
     parse_dfg_edges,
     parse_tree,
     playout,
+    render_tree,
 )
 from procsem.core import MIRROR, tree_labels
 from procsem.evaluation import fold_label
@@ -498,6 +500,44 @@ def oracle_sequences_line(model) -> str:
         "model_id": model.model_id,
         "sequences": [list(s) for s in sorted(model.sequences)],
     }
+    return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+def oracle_corpus_line(entry) -> str:
+    """Reference corpus row: `name` only when set, through `json.dumps`."""
+    obj = {"model_id": entry.model_id}
+    if entry.name is not None:
+        obj["name"] = entry.name
+    obj["tree"] = render_tree(entry.tree)
+    return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+def oracle_split_line(model_id: str, split) -> str:
+    return json.dumps({"model_id": model_id, "split": split.value}, ensure_ascii=False) + "\n"
+
+
+def oracle_icl_line(bundle) -> str:
+    obj = {
+        "record_id": bundle.record_id,
+        "task": bundle.task.value,
+        "prompt": bundle.prompt_text,
+        "shot_record_ids": list(bundle.shot_record_ids),
+    }
+    return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+def oracle_ft_line(example) -> str:
+    obj = {
+        "record_id": example.record_id,
+        "task": example.task.value,
+        "input": example.input_text,
+        "target": example.target_text,
+    }
+    return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+def oracle_prediction_line(prediction) -> str:
+    obj = {"record_id": prediction.record_id, "prediction": prediction.raw_text}
     return json.dumps(obj, ensure_ascii=False) + "\n"
 
 

@@ -549,6 +549,8 @@ class TestFailureModes:
             ("asad", "model_id", 3),
             ("tsad", "activity_set", ["a", "a"]),
             ("sdfd", "edges", [["a", "b"]]),
+            ("sptd", "tree_text", "->('a', "),
+            ("sptd", "activity_set", ["no such leaf"]),
         ],
     )
     def test_malformed_dataset_row_is_fatal(self, ws, tmp_path, task, key, value):
@@ -570,6 +572,24 @@ class TestFailureModes:
         assert err.startswith(f"procsem: error: {dataset}:2: ")
         assert repr(key) in err
         assert err.count("\n") == 1
+
+    def test_sptd_row_must_list_its_tree_leaves(self, tmp_path):
+        # Scored over the listed activities, this row would give the
+        # reversed tree fitness 1.0.
+        row = {"record_id": "m:sptd:00000", "task": "sptd", "model_id": "m",
+               "activity_set": ["a"], "tree_text": "->('a', 'b')"}
+        dataset = tmp_path / "sptd.jsonl"
+        dataset.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        preds = tmp_path / "preds.jsonl"
+        write_predictions(preds, [Prediction("m:sptd:00000", "->('b', 'a')")])
+        code, summary, err = run(
+            ["score", "--dataset", str(dataset), "--predictions", str(preds), "--per-record"]
+        )
+        assert code == EXIT_FATAL
+        assert summary is None
+        assert err == (
+            f"procsem: error: {dataset}:1: 'activity_set' must list the leaves of 'tree_text'\n"
+        )
 
     def test_mixed_task_dataset_is_fatal(self, ws, tmp_path):
         tsad = Path(f"{ws['data']}/tsad.jsonl").read_text("utf-8")

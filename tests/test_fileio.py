@@ -1,24 +1,53 @@
-"""Row encoders of `fileio` against the `json.dumps` oracles in conftest."""
+"""Row encoders of `fileio` against the `json.dumps` oracles in conftest,
+and the dataset reader against the writer."""
 
 from __future__ import annotations
 
+import json
 import tempfile
+from operator import attrgetter
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from procsem import (
     LABEL_ANOMALOUS,
     LABEL_VALID,
+    CorpusEntry,
+    FileFormatError,
+    FtExample,
+    Leaf,
+    Prediction,
     ProcessModel,
+    PromptBundle,
+    Split,
+    SplitAssignment,
     Task,
     TaskRecord,
+    read_dataset,
+    render_tree,
+    write_corpus,
     write_dataset,
+    write_ft_examples,
+    write_icl_prompts,
+    write_predictions,
     write_sequences,
+    write_split,
 )
+from procsem.core import tree_labels
 
-from conftest import oracle_record_line, oracle_sequences_line
+from conftest import (
+    oracle_corpus_line,
+    oracle_ft_line,
+    oracle_icl_line,
+    oracle_prediction_line,
+    oracle_record_line,
+    oracle_sequences_line,
+    oracle_split_line,
+    tree_strategy,
+)
 
 # Characters JSON escapes or that a hand-written encoder gets wrong: quote,
 # backslash, control characters, the JavaScript line separators, non-ASCII
@@ -92,3 +121,124 @@ def test_sequence_rows_match_json_dumps(models):
     ordered = sorted(models, key=lambda m: m.model_id)
     expected = "".join(map(oracle_sequences_line, ordered)).encode("utf-8")
     assert _written(write_sequences, models) == expected
+
+
+def _expected(oracle, rows, key) -> bytes:
+    return "".join(map(oracle, sorted(rows, key=key))).encode("utf-8")
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            CorpusEntry,
+            model_id=text,
+            tree=tree_strategy(max_leaves=4),
+            name=st.none() | text,
+        ),
+        max_size=4,
+    )
+)
+@example([CorpusEntry("m2", Leaf("a"), name='"x"'), CorpusEntry("m1", Leaf("b"))])
+def test_corpus_rows_match_json_dumps(entries):
+    expected = _expected(oracle_corpus_line, entries, attrgetter("model_id"))
+    assert _written(write_corpus, entries) == expected
+
+
+@settings(deadline=None)
+@given(st.dictionaries(text, st.sampled_from(list(Split)), max_size=5))
+def test_split_rows_match_json_dumps(mapping):
+    expected = "".join(oracle_split_line(m, mapping[m]) for m in sorted(mapping))
+    assert _written(write_split, mapping) == expected.encode("utf-8")
+    assignment = SplitAssignment(mapping, components=(), component_bins=())
+    assert _written(write_split, assignment) == expected.encode("utf-8")
+
+
+tasks = st.sampled_from(list(Task))
+
+
+@settings(deadline=None)
+@given(st.lists(st.builds(PromptBundle, text, tasks, text, strings), max_size=5))
+def test_icl_rows_match_json_dumps(bundles):
+    expected = _expected(oracle_icl_line, bundles, attrgetter("record_id"))
+    assert _written(write_icl_prompts, bundles) == expected
+
+
+@settings(deadline=None)
+@given(st.lists(st.builds(FtExample, text, tasks, text, text), max_size=5))
+def test_ft_rows_match_json_dumps(examples):
+    expected = _expected(oracle_ft_line, examples, attrgetter("record_id"))
+    assert _written(write_ft_examples, examples) == expected
+
+
+@settings(deadline=None)
+@given(st.lists(st.builds(Prediction, text, text), max_size=5))
+def test_prediction_rows_match_json_dumps(predictions):
+    expected = _expected(oracle_prediction_line, predictions, attrgetter("record_id"))
+    assert _written(write_predictions, predictions) == expected
+
+
+# ---------------------------------------------------------------------------
+# Reading back what the writer wrote
+
+
+def _distinct_leaves(tree) -> bool:
+    labels = tree_labels(tree)
+    return len(set(labels)) == len(labels)
+
+
+@st.composite
+def consistent_records(draw, task: Task) -> TaskRecord:
+    """Records that every reader check accepts: a distinct activity set,
+    sdfd edges inside it, and an sptd tree whose leaves it lists."""
+    if task is Task.SPTD:
+        tree = draw(tree_strategy(max_leaves=6).filter(_distinct_leaves))
+        activities = tuple(draw(st.permutations(tree_labels(tree))))
+        payload = {"tree_text": render_tree(tree)}
+    else:
+        activities = tuple(draw(st.lists(text, max_size=4, unique=True)))
+        label = st.sampled_from([LABEL_VALID, LABEL_ANOMALOUS])
+        member = st.sampled_from(activities or ("",))
+        edges = st.lists(st.tuples(member, member), max_size=4 if activities else 0)
+        payload = draw(
+            {
+                Task.TSAD: st.fixed_dictionaries({"trace": strings, "label": label}),
+                Task.ASAD: st.fixed_dictionaries({"pair": string_pairs, "label": label}),
+                Task.SNAP: st.fixed_dictionaries({"prefix": strings, "next_activity": text}),
+                Task.SDFD: st.fixed_dictionaries({"edges": edges.map(tuple)}),
+            }[task]
+        )
+    return TaskRecord(
+        record_id=draw(text),
+        task=task,
+        model_id=draw(st.sampled_from(["m1", "m2"]) | text),
+        activity_set=activities,
+        **payload,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tasks.flatmap(
+        lambda task: st.lists(
+            consistent_records(task), max_size=6, unique_by=attrgetter("record_id")
+        )
+    )
+)
+def test_dataset_round_trip(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        write_dataset(path, records)
+        assert read_dataset(path) == sorted(records, key=attrgetter("record_id"))
+
+
+def test_foreign_payload_key_is_fatal(tmp_path):
+    record = TaskRecord("r1", Task.TSAD, "m1", ("a", "b"), trace=("a", "b"), label=LABEL_VALID)
+    path = tmp_path / "tsad.jsonl"
+    write_dataset(path, [record])
+    row = json.loads(path.read_text("utf-8"))
+    row["edges"] = [["a", "b"]]
+    path.write_text("\n" + json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(FileFormatError) as exc_info:
+        read_dataset(path)
+    assert str(exc_info.value) == f"{path}:2: 'edges' is not a tsad field"

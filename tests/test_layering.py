@@ -87,3 +87,10 @@ def test_fileio_uses_only_public_json_names():
         if any(part.startswith(("_", "c_")) for part in name.split("."))
     }
     assert private == set()
+
+
+def test_fileio_spells_rows_one_way():
+    # Every row is spelled from `encode_basestring`; a `JSONEncoder` or
+    # `json.dump(s)` beside it would be a second spelling path.
+    second_paths = {"json.JSONEncoder", "json.encoder.JSONEncoder", "json.dumps", "json.dump"}
+    assert not json_names("fileio") & second_paths

@@ -135,6 +135,17 @@ class TestLanguage:
             assert language(tree, max_sequences=cap) == expected
 
 
+    def test_loop_body_redo_product_alone_over_the_cap(self):
+        # |B| = 3, |B·R| = 6, |B·R·B| = 18: the whole language has 21 sequences.
+        tree = loop(xor(leaf("a"), leaf("b"), leaf("c")), xor(leaf("d"), leaf("e")))
+        with pytest.raises(LanguageTooLargeError) as exc_info:
+            language(tree, max_sequences=5)
+        assert exc_info.value.limit == 5
+        assert len(language(tree, max_sequences=21)) == 21
+        with pytest.raises(LanguageTooLargeError):
+            language(tree, max_sequences=20)
+
+
 class TestPlayout:
     def test_worked_example_sequences(self, m1_model):
         assert m1_model.sequences == {
