@@ -109,7 +109,6 @@ from .taskgen import (
 )
 from .tree_dsl import (
     EdgeParse,
-    EdgeSyntaxError,
     TreeSyntaxError,
     parse_dfg_edges,
     parse_tree,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import fmean, median
@@ -140,6 +141,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if path:
         try:
             data = json.loads(Path(path).read_text("utf-8"))
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: bad JSON: {exc}") from None
         if not isinstance(data, dict):
@@ -171,14 +174,8 @@ def _emit(summary: dict[str, Any]) -> None:
 
 
 def _validated(corpus_path: str, max_sequences: int) -> tuple[ValidationReport, int]:
-    entries, parse_rejections = read_corpus(corpus_path)
-    report = validate_corpus(entries, max_sequences)
-    report = ValidationReport(
-        admitted=report.admitted,
-        rejected=tuple([*parse_rejections, *report.rejected]),
-    )
-    status = EXIT_PARTIAL if report.rejected else EXIT_OK
-    return report, status
+    report = validate_corpus(read_corpus(corpus_path), max_sequences)
+    return report, EXIT_PARTIAL if report.rejected else EXIT_OK
 
 
 def _read_task_dataset(path: str) -> tuple[Task, list[TaskRecord]]:
@@ -190,10 +187,7 @@ def _read_task_dataset(path: str) -> tuple[Task, list[TaskRecord]]:
 
 
 def _rejection_counts(report: ValidationReport) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for rejection in report.rejected:
-        counts[rejection.reason.value] = counts.get(rejection.reason.value, 0) + 1
-    return counts
+    return dict(Counter(rejection.reason.value for rejection in report.rejected))
 
 
 # ---------------------------------------------------------------------------

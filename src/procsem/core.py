@@ -57,11 +57,12 @@ class OpKind(str, Enum):
 
 @dataclass(frozen=True)
 class Leaf:
+    """A visible activity; its label is normalized on construction."""
+
     label: Activity
 
     def __post_init__(self) -> None:
-        if not self.label:
-            raise EmptyLabelError("leaf activity label must be non-empty")
+        object.__setattr__(self, "label", normalize_label(self.label))
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,7 @@ def score_sdfd(
     empty text is an empty (edge-free) prediction and is scored normally.
     Edges with an endpoint that matches no gold activity are dropped.
     """
-    parsed = parse_dfg_edges(pred_text, strict=False)
+    parsed = parse_dfg_edges(pred_text)
     if not parsed.edges and pred_text.strip():
         return RecordScore(
             record_id=record.record_id,

@@ -10,6 +10,7 @@ stdlib `json` encoder, into the bytes it gives with `ensure_ascii=False`.
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring as _quote
 from operator import attrgetter
 from pathlib import Path
@@ -44,17 +45,25 @@ class FileFormatError(ValueError):
 
 def _read_objects(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
     with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(path, line_number, f"bad JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise FileFormatError(path, line_number, "expected a JSON object")
-            yield line_number, obj
+        try:
+            for line_number, line in enumerate(handle, start=1):
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                try:
+                    obj = json.loads(stripped)
+                except json.JSONDecodeError as exc:
+                    raise FileFormatError(path, line_number, f"bad JSON: {exc}") from None
+                if not isinstance(obj, dict):
+                    raise FileFormatError(path, line_number, "expected a JSON object")
+                yield line_number, obj
+        except UnicodeDecodeError:
+            # Count lines as the failed read did; `surrogateescape` reads each
+            # byte that does not decode as a lone surrogate, absent from UTF-8.
+            with open(path, encoding="utf-8", errors="surrogateescape") as again:
+                lines = enumerate(again, start=1)
+                bad = next(n for n, line in lines if re.search(r"[\udc80-\udcff]", line))
+            raise FileFormatError(path, bad, "not UTF-8") from None
 
 
 def _write_text(path: str | Path, lines: Iterable[str]) -> None:
@@ -104,10 +113,10 @@ def _check_new_id(seen: dict[str, int], record_id: str, path: str | Path, line_n
 # Corpus files: {"model_id", "name"?, "tree"}
 
 
-def read_corpus(path: str | Path) -> tuple[list[CorpusEntry], list[Rejection]]:
-    """Parse a corpus file; tree syntax errors become per-entry rejections."""
-    entries: list[CorpusEntry] = []
-    rejections: list[Rejection] = []
+def read_corpus(path: str | Path) -> list[CorpusEntry | Rejection]:
+    """The rows of a corpus file in file order; a row whose tree does not
+    parse stands as its `parse_error` rejection."""
+    rows: list[CorpusEntry | Rejection] = []
     for line_number, obj in _read_objects(path):
         model_id = _require_str(obj, "model_id", path, line_number)
         tree_text = _require_str(obj, "tree", path, line_number)
@@ -117,12 +126,10 @@ def read_corpus(path: str | Path) -> tuple[list[CorpusEntry], list[Rejection]]:
         try:
             tree = parse_tree(tree_text)
         except TreeSyntaxError as exc:
-            rejections.append(
-                Rejection(model_id, RejectionReason.PARSE_ERROR, str(exc))
-            )
+            rows.append(Rejection(model_id, RejectionReason.PARSE_ERROR, str(exc)))
             continue
-        entries.append(CorpusEntry(model_id=model_id, tree=tree, name=name))
-    return entries, rejections
+        rows.append(CorpusEntry(model_id=model_id, tree=tree, name=name))
+    return rows
 
 
 def write_corpus(path: str | Path, entries: Iterable[CorpusEntry]) -> None:

@@ -66,17 +66,16 @@ class FtExample:
 
 def load_templates(task: Task, directory: str | Path | None = None) -> PromptTemplates:
     """Packaged defaults, or per-task files from an override directory."""
-    if directory is not None:
-        base = Path(directory)
-        return PromptTemplates(
-            description=(base / f"{task.value}.desc.txt").read_text("utf-8").strip(),
-            block=(base / f"{task.value}.block.txt").read_text("utf-8").strip(),
-        )
-    package = resources.files(__package__) / "templates"
-    return PromptTemplates(
-        description=(package / f"{task.value}.desc.txt").read_text("utf-8").strip(),
-        block=(package / f"{task.value}.block.txt").read_text("utf-8").strip(),
-    )
+    base = resources.files(__package__) / "templates" if directory is None else Path(directory)
+    texts = []
+    for part in ("desc", "block"):
+        path = base / f"{task.value}.{part}.txt"
+        try:
+            texts.append(path.read_text("utf-8").strip())
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8") from None
+    description, block = texts
+    return PromptTemplates(description=description, block=block)
 
 
 def default_shots(task: Task) -> int:

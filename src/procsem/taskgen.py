@@ -21,19 +21,15 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import (
     Activity,
-    EmptyLabelError,
-    Leaf,
-    Operator,
     ProcessModel,
     ProcessTree,
-    Silent,
     Trace,
-    normalize_label,
     tree_labels,
 )
 from .semantics import (
@@ -112,7 +108,6 @@ class CorpusEntry:
 class RejectionReason(str, Enum):
     PARSE_ERROR = "parse_error"
     DUPLICATE_MODEL_ID = "duplicate_model_id"
-    INVALID_LABEL = "invalid_label"
     DUPLICATE_ACTIVITY_LABELS = "duplicate_activity_labels"
     LANGUAGE_TOO_LARGE = "language_too_large"
     EMPTY_LANGUAGE = "empty_language"
@@ -143,24 +138,17 @@ class ValidationReport:
         return [a.model for a in self.admitted]
 
 
-def _normalize_tree(tree: ProcessTree) -> ProcessTree:
-    if isinstance(tree, Leaf):
-        return Leaf(normalize_label(tree.label))
-    if isinstance(tree, Silent):
-        return tree
-    return Operator(tree.kind, tuple(_normalize_tree(c) for c in tree.children))
-
-
 def validate_corpus(
-    entries: list[CorpusEntry],
+    entries: Iterable[CorpusEntry | Rejection],
     max_sequences: int = DEFAULT_MAX_SEQUENCES,
 ) -> ValidationReport:
-    """Play out each entry and admit only models fit for task generation.
+    """Play out each row and admit only models fit for task generation.
 
     Rejects duplicate model ids, trees reusing an activity label across
     leaves, play-out overflow, empty-only languages, fewer than two
     activities, and repeats of an already-admitted activity set (first
-    occurrence wins). Rejections never abort the batch.
+    occurrence wins). A row rejected upstream is passed through in its
+    place, and its id counts as seen. Rejections keep row order.
     """
     admitted: list[AdmittedModel] = []
     rejected: list[Rejection] = []
@@ -173,14 +161,10 @@ def validate_corpus(
             )
             continue
         seen_ids.add(entry.model_id)
-        try:
-            tree = _normalize_tree(entry.tree)
-        except EmptyLabelError as exc:
-            rejected.append(
-                Rejection(entry.model_id, RejectionReason.INVALID_LABEL, str(exc))
-            )
+        if isinstance(entry, Rejection):
+            rejected.append(entry)
             continue
-        labels = tree_labels(tree)
+        labels = tree_labels(entry.tree)
         if len(labels) != len(set(labels)):
             rejected.append(
                 Rejection(
@@ -192,7 +176,7 @@ def validate_corpus(
             continue
         try:
             model = playout(
-                tree, max_sequences, model_id=entry.model_id, name=entry.name
+                entry.tree, max_sequences, model_id=entry.model_id, name=entry.name
             )
         except LanguageTooLargeError as exc:
             rejected.append(
@@ -215,7 +199,7 @@ def validate_corpus(
             )
             continue
         seen_activity_sets.add(model.activity_set)
-        admitted.append(AdmittedModel(model=model, tree=tree))
+        admitted.append(AdmittedModel(model=model, tree=entry.tree))
     return ValidationReport(admitted=tuple(admitted), rejected=tuple(rejected))
 
 

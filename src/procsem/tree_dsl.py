@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .core import (
     ArityError,
+    EmptyLabelError,
     Leaf,
     OpKind,
     Operator,
@@ -160,10 +161,9 @@ class _Parser:
         if kind == "label":
             self.pos += 1
             try:
-                label = normalize_label(value)
-            except ValueError:
+                return Leaf(value)
+            except EmptyLabelError:
                 raise TreeSyntaxError(position, "empty activity label") from None
-            return Leaf(label)
         if kind == "tau":
             self.pos += 1
             return Silent()
@@ -220,15 +220,6 @@ _EDGE_RE = re.compile(
 )
 
 
-class EdgeSyntaxError(ValueError):
-    """Raised in strict mode for a line that is not a well-formed edge."""
-
-    def __init__(self, line_number: int, line: str) -> None:
-        super().__init__(f"line {line_number}: not an edge: {line!r}")
-        self.line_number = line_number
-        self.line = line
-
-
 @dataclass(frozen=True)
 class EdgeParse:
     """Edges recovered from text plus the non-blank lines that matched nothing."""
@@ -237,39 +228,29 @@ class EdgeParse:
     skipped: tuple[str, ...]
 
 
-def parse_dfg_edges(text: str, strict: bool = False) -> EdgeParse:
+def parse_dfg_edges(text: str) -> EdgeParse:
     """Extract ``'a' -> 'b'`` edges, one per line.
 
-    Lenient mode (default) scans each line for edge patterns and records
-    non-blank lines without any match as skipped. Strict mode requires every
-    non-blank line to be exactly one edge and raises EdgeSyntaxError otherwise.
-    Labels are normalized; lines whose labels normalize to empty are skipped
-    (lenient) or rejected (strict). Duplicate edges collapse to one.
+    Each line is scanned for edge patterns; non-blank lines without any
+    match are recorded as skipped. Labels are normalized; lines whose labels
+    normalize to empty are skipped. Duplicate edges collapse to one.
     """
     edges: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     skipped: list[str] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    for line in text.splitlines():
         stripped = line.strip()
         if not stripped:
             continue
-        if strict:
-            match = _EDGE_RE.fullmatch(stripped)
-            if match is None:
-                raise EdgeSyntaxError(line_number, stripped)
-            matches = [match]
-        else:
-            matches = list(_EDGE_RE.finditer(line))
-            if not matches:
-                skipped.append(stripped)
-                continue
+        matches = list(_EDGE_RE.finditer(line))
+        if not matches:
+            skipped.append(stripped)
+            continue
         for match in matches:
             try:
                 source = normalize_label(_unescape(match.group(1)))
                 target = normalize_label(_unescape(match.group(2)))
             except ValueError:
-                if strict:
-                    raise EdgeSyntaxError(line_number, stripped) from None
                 skipped.append(stripped)
                 continue
             edge = (source, target)

@@ -363,7 +363,7 @@ def oracle_footprint_score(
     compare two full footprint maps. A prediction over the play-out cap
     scores 0 as a parse failure here."""
     if record.task is Task.SDFD:
-        parsed = parse_dfg_edges(pred_text, strict=False)
+        parsed = parse_dfg_edges(pred_text)
         skipped = len(parsed.skipped)
         if not parsed.edges and pred_text.strip():
             return RecordScore(record.record_id, 0.0, True, skipped_lines=skipped)

@@ -427,6 +427,16 @@ class TestConfigHandling:
         assert code == EXIT_FATAL
         assert err.startswith(f"procsem: error: {config}: bad JSON: ")
 
+    def test_non_utf8_config_names_the_file(self, ws, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"seed": 3, "note": "\xff"}\n')
+        code, _, err = run(
+            ["split", ws["corpus"], "--out", str(tmp_path / "s.jsonl"),
+             "--config", str(config)]
+        )
+        assert code == EXIT_FATAL
+        assert err == f"procsem: error: {config}: not UTF-8\n"
+
 
 class TestFailureModes:
     def test_validate_flags_bad_rows_with_partial_exit(self, tmp_path):
@@ -452,6 +462,26 @@ class TestFailureModes:
         )
         assert code == EXIT_OK
         assert summary["rejected"] == 0
+
+    def test_first_row_of_an_id_wins_even_when_it_does_not_parse(self, tmp_path):
+        rows = [
+            {"model_id": "m1", "tree": "->('a',"},
+            {"model_id": "m1", "tree": "->('a', 'b')"},
+            {"model_id": "m2", "tree": "X('c', 'd')"},
+            {"model_id": "m2", "tree": "X('c',"},
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        out = tmp_path / "admitted.jsonl"
+        code, summary, _ = run(["validate", str(corpus), "--out", str(out)])
+        assert code == EXIT_PARTIAL
+        assert [(r["model_id"], r["reason"]) for r in summary["rejections"]] == [
+            ("m1", "parse_error"),
+            ("m1", "duplicate_model_id"),
+            ("m2", "duplicate_model_id"),
+        ]
+        assert summary["admitted"] == 1
+        assert [json.loads(line)["model_id"] for line in out.read_text("utf-8").splitlines()] == ["m2"]
 
     @pytest.mark.parametrize(
         "key,value", [("model_id", 5), ("tree", ["->('a', 'b')"]), ("name", 7)]
@@ -682,6 +712,50 @@ class TestFailureModes:
         )
         assert code == EXIT_FATAL
         assert err == f"procsem: error: {split}:1: {key!r} must be a string\n"
+
+    @pytest.mark.parametrize("kind", ["corpus", "dataset", "predictions", "split"])
+    def test_non_utf8_row_names_path_and_line(self, ws, tmp_path, kind):
+        # The dataset's bad line lies past the first block a text-mode read
+        # decodes, so its number is not that of the last row read.
+        sources = {
+            "corpus": ws["corpus"],
+            "dataset": f"{ws['data']}/tsad.jsonl",
+            "predictions": ws["preds"],
+            "split": ws["split"],
+        }
+        lines = Path(sources[kind]).read_bytes().splitlines(keepends=True)
+        bad_line = 300 if kind == "dataset" else 2
+        assert len(lines) > bad_line
+        lines[bad_line - 1] = lines[bad_line - 1].replace(b'"', b'"\xff', 1)
+        bad = tmp_path / f"{kind}.jsonl"
+        bad.write_bytes(b"".join(lines))
+        paths = {**sources, kind: str(bad)}
+        argv = {
+            "corpus": ["validate", paths["corpus"], "--out", str(tmp_path / "o.jsonl")],
+            "dataset": ["score", "--dataset", paths["dataset"],
+                        "--predictions", paths["predictions"]],
+            "predictions": ["score", "--dataset", paths["dataset"],
+                            "--predictions", paths["predictions"]],
+            "split": ["prompts", "--dataset", paths["dataset"], "--split", paths["split"],
+                      "--mode", "ft", "--out", str(tmp_path / "ft.jsonl")],
+        }[kind]
+        code, summary, err = run(argv)
+        assert code == EXIT_FATAL
+        assert summary is None
+        assert err == f"procsem: error: {bad}:{bad_line}: not UTF-8\n"
+
+    def test_non_utf8_template_names_the_file(self, ws, tmp_path):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "tsad.desc.txt").write_bytes(b"Decide \xff\n")
+        (templates / "tsad.block.txt").write_text("{instance}\n", encoding="utf-8")
+        code, _, err = run(
+            ["prompts", "--dataset", f"{ws['data']}/tsad.jsonl", "--split", ws["split"],
+             "--mode", "ft", "--templates-dir", str(templates),
+             "--out", str(tmp_path / "ft.jsonl")]
+        )
+        assert code == EXIT_FATAL
+        assert err == f"procsem: error: {templates / 'tsad.desc.txt'}: not UTF-8\n"
 
 
 def test_python_dash_m_runs_the_cli():

@@ -79,6 +79,16 @@ class TestTreeNodes:
         with pytest.raises(EmptyLabelError):
             Leaf("")
 
+    @given(st.one_of(st.text(max_size=8), st.text(alphabet=" a\t\n\x85\u3000", max_size=8)))
+    @settings(max_examples=200, deadline=None)
+    def test_leaf_normalizes_its_label(self, raw):
+        if not raw or raw.isspace():
+            with pytest.raises(EmptyLabelError):
+                Leaf(raw)
+        else:
+            assert Leaf(raw) == Leaf(normalize_label(raw))
+            assert Leaf(raw).label == normalize_label(raw)
+
     def test_loop_requires_two_children(self):
         with pytest.raises(ArityError):
             loop(leaf("a"))

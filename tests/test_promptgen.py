@@ -25,6 +25,7 @@ from procsem import (
     parse_binary_label,
     parse_dfg_edges,
     parse_tree,
+    render_dfg_edges,
     render_ft,
     render_icl,
     synth_corpus,
@@ -358,7 +359,9 @@ class TestAnswersRoundTripThroughScoring:
                         record.next_activity, MatchingMode.CASE_INSENSITIVE
                     )
                 elif task is Task.SDFD:
-                    parsed = parse_dfg_edges(answer, strict=True)
+                    parsed = parse_dfg_edges(answer)
                     assert set(parsed.edges) == set(record.edges)
+                    assert render_dfg_edges(parsed.edges) == answer
+                    assert parsed.skipped == ()
                 else:
                     assert parse_tree(answer) == parse_tree(record.tree_text)

@@ -4,6 +4,7 @@ import pytest
 
 from procsem import (
     CorpusEntry,
+    EmptyLabelError,
     LABEL_ANOMALOUS,
     LABEL_VALID,
     RejectionReason,
@@ -54,8 +55,8 @@ class TestValidateCorpus:
         assert report.rejected[0].reason is RejectionReason.DUPLICATE_MODEL_ID
 
     def test_invalid_label(self):
-        report = validate_corpus([CorpusEntry("m", seq(leaf(" "), leaf("b")))])
-        assert report.rejected[0].reason is RejectionReason.INVALID_LABEL
+        with pytest.raises(EmptyLabelError):
+            leaf(" ")
 
     def test_duplicate_activity_labels(self):
         report = validate_corpus([CorpusEntry("m", seq(leaf("a"), leaf("a")))])

@@ -11,7 +11,6 @@ from procsem import (
     OpKind,
     Operator,
     Silent,
-    EdgeSyntaxError,
     TreeSyntaxError,
     parse_dfg_edges,
     parse_tree,
@@ -200,18 +199,20 @@ class TestParseDfgEdges:
         parsed = parse_dfg_edges(r"'it\'s' -> 'b'")
         assert parsed.edges == (("it's", "b"),)
 
-    def test_strict_rejects_garbage(self):
-        with pytest.raises(EdgeSyntaxError):
-            parse_dfg_edges("'a' -> 'b' trailing", strict=True)
-
     def test_strict_accepts_clean_lines(self):
-        parsed = parse_dfg_edges("'a' -> 'b'\n'b' -> 'a'", strict=True)
+        text = "'a' -> 'b'\n'b' -> 'a'"
+        parsed = parse_dfg_edges(text)
         assert parsed.edges == (("a", "b"), ("b", "a"))
+        assert render_dfg_edges(parsed.edges) == text
+        assert parsed.skipped == ()
 
     def test_render_round_trip(self):
         edges = (("pay order", "ship item"), ("it's", "a\\b"))
         rendered = render_dfg_edges(edges)
-        assert set(parse_dfg_edges(rendered, strict=True).edges) == set(edges)
+        parsed = parse_dfg_edges(rendered)
+        assert set(parsed.edges) == set(edges)
+        assert render_dfg_edges(parsed.edges) == rendered
+        assert parsed.skipped == ()
 
     def test_render_sorts(self):
         assert render_dfg_edges((("b", "a"), ("a", "b"))) == "'a' -> 'b'\n'b' -> 'a'"
