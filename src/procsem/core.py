@@ -133,33 +133,32 @@ def _union_of(sequences: Iterable[Trace]) -> frozenset[Activity]:
 
 @dataclass(frozen=True)
 class EventLog:
-    """A finite multiset of traces; `traces` keeps duplicates."""
+    """A finite multiset of traces; `traces` keeps duplicates, and
+    `activity_set` is their union."""
 
     traces: tuple[Trace, ...]
-    activity_set: frozenset[Activity]
+    activity_set: frozenset[Activity] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.activity_set != _union_of(self.traces):
-            raise ValueError("activity_set must equal the union over traces")
+        object.__setattr__(self, "activity_set", _union_of(self.traces))
 
     @classmethod
     def from_traces(cls, traces: Iterable[Trace]) -> "EventLog":
-        ts = tuple(tuple(t) for t in traces)
-        return cls(traces=ts, activity_set=_union_of(ts))
+        return cls(traces=tuple(tuple(t) for t in traces))
 
 
 @dataclass(frozen=True)
 class ProcessModel:
-    """The set of execution sequences a process allows."""
+    """The set of execution sequences a process allows; `activity_set` is
+    their union."""
 
     model_id: str
     sequences: frozenset[Trace]
-    activity_set: frozenset[Activity]
+    activity_set: frozenset[Activity] = field(init=False)
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if self.activity_set != _union_of(self.sequences):
-            raise ValueError("activity_set must equal the union over sequences")
+        object.__setattr__(self, "activity_set", _union_of(self.sequences))
 
     @classmethod
     def from_sequences(
@@ -168,11 +167,9 @@ class ProcessModel:
         sequences: Iterable[Trace],
         name: str | None = None,
     ) -> "ProcessModel":
-        seqs = frozenset(tuple(s) for s in sequences)
         return cls(
             model_id=model_id,
-            sequences=seqs,
-            activity_set=_union_of(seqs),
+            sequences=frozenset(tuple(s) for s in sequences),
             name=name,
         )
 

@@ -44,26 +44,22 @@ class FileFormatError(ValueError):
 
 
 def _read_objects(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            for line_number, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    obj = json.loads(stripped)
-                except json.JSONDecodeError as exc:
-                    raise FileFormatError(path, line_number, f"bad JSON: {exc}") from None
-                if not isinstance(obj, dict):
-                    raise FileFormatError(path, line_number, "expected a JSON object")
-                yield line_number, obj
-        except UnicodeDecodeError:
-            # Count lines as the failed read did; `surrogateescape` reads each
-            # byte that does not decode as a lone surrogate, absent from UTF-8.
-            with open(path, encoding="utf-8", errors="surrogateescape") as again:
-                lines = enumerate(again, start=1)
-                bad = next(n for n, line in lines if re.search(r"[\udc80-\udcff]", line))
-            raise FileFormatError(path, bad, "not UTF-8") from None
+    # `surrogateescape` reads each byte that does not decode as a lone
+    # surrogate, absent from UTF-8, so the lines are judged in file order.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            if not line.isascii() and re.search(r"[\udc80-\udcff]", line):
+                raise FileFormatError(path, line_number, "not UTF-8")
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                obj = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                raise FileFormatError(path, line_number, f"bad JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise FileFormatError(path, line_number, "expected a JSON object")
+            yield line_number, obj
 
 
 def _write_text(path: str | Path, lines: Iterable[str]) -> None:
@@ -101,11 +97,13 @@ def _require_str(obj: dict[str, Any], key: str, path: str | Path, line_number: i
     return value
 
 
-def _check_new_id(seen: dict[str, int], record_id: str, path: str | Path, line_number: int) -> None:
-    """Note where `record_id` first appears; a second row with it is an error."""
-    first = seen.setdefault(record_id, line_number)
+def _check_new_id(
+    seen: dict[str, int], key: str, value: str, path: str | Path, line_number: int
+) -> None:
+    """Note where the id `value` of field `key` first appears; a repeat is an error."""
+    first = seen.setdefault(value, line_number)
     if first != line_number:
-        reason = f"duplicate record_id {record_id!r} (first on line {first})"
+        reason = f"duplicate {key} {value!r} (first on line {first})"
         raise FileFormatError(path, line_number, reason)
 
 
@@ -152,27 +150,30 @@ def _is_string_pair(value: Any) -> bool:
     return _is_strings(value) and len(value) == 2
 
 
-_STRING = (lambda v: isinstance(v, str), "a string", str)
-_STRINGS = (_is_strings, "a list of strings", tuple)
-_PAIR = (_is_string_pair, "a list of two strings", tuple)
-_LABEL = (lambda v: v in (LABEL_VALID, LABEL_ANOMALOUS), "Valid or Anomalous", str)
-_SET = (lambda v: _is_strings(v) and len(set(v)) == len(v), "a list of distinct strings", tuple)
+_STRING = (lambda v: isinstance(v, str), "a string", str, _quote)
+_STRINGS = (_is_strings, "a list of strings", tuple, _strings)
+_PAIR = (_is_string_pair, "a list of two strings", tuple, _strings)
+_LABEL = (lambda v: v in (LABEL_VALID, LABEL_ANOMALOUS), "Valid or Anomalous", str, _quote)
+_SET = (lambda v: _is_strings(v) and len(set(v)) == len(v), "a list of distinct strings",
+        tuple, _strings)
 _EDGES = (
     lambda v: isinstance(v, list) and all(map(_is_string_pair, v)),
     "a list of string pairs",
     lambda v: tuple(map(tuple, v)),
+    _string_lists,
 )
 
-# The fields of each task's rows besides `record_id`, `task` and `model_id`:
-# key → (shape check, the shape it wants, conversion to the record's value).
-# Beyond these, rows are checked only across fields (sdfd edges, sptd leaves),
+# The fields of each task's rows besides `record_id`, `task`, `model_id` and
+# `activity_set`, in row order: key → (shape check, the shape it wants,
+# conversion to the record's value, spelling of the record's value). Beyond
+# these, rows are checked only across fields (sdfd edges, sptd leaves),
 # because every pipeline pass reads its datasets several times.
 _FIELDS = {
-    Task.TSAD: {"activity_set": _SET, "trace": _STRINGS, "label": _LABEL},
-    Task.ASAD: {"activity_set": _SET, "pair": _PAIR, "label": _LABEL},
-    Task.SNAP: {"activity_set": _SET, "prefix": _STRINGS, "next_activity": _STRING},
-    Task.SDFD: {"activity_set": _SET, "edges": _EDGES},
-    Task.SPTD: {"activity_set": _SET, "tree_text": _STRING},
+    Task.TSAD: {"trace": _STRINGS, "label": _LABEL},
+    Task.ASAD: {"pair": _PAIR, "label": _LABEL},
+    Task.SNAP: {"prefix": _STRINGS, "next_activity": _STRING},
+    Task.SDFD: {"edges": _EDGES},
+    Task.SPTD: {"tree_text": _STRING},
 }
 # The other tasks' fields, which a row may not carry.
 _FOREIGN = {
@@ -189,7 +190,7 @@ def obj_to_record(obj: dict[str, Any], path: str | Path, line_number: int) -> Ta
         key = next(k for k in obj if k in _FOREIGN[task])
         raise FileFormatError(path, line_number, f"{key!r} is not a {task.value} field")
     values: dict[str, Any] = {}
-    for key, (is_valid, shape, convert) in _FIELDS[task].items():
+    for key, (is_valid, shape, convert, _) in (("activity_set", _SET), *_FIELDS[task].items()):
         value = _require(obj, key, path, line_number)
         if not is_valid(value):
             raise FileFormatError(path, line_number, f"{key!r} must be {shape}")
@@ -223,16 +224,17 @@ def read_dataset(path: str | Path) -> list[TaskRecord]:
         if records and record.task is not records[0].task:
             reason = f"{record.task.value} row in a {records[0].task.value} dataset"
             raise FileFormatError(path, n, reason)
-        _check_new_id(seen, record.record_id, path, n)
+        _check_new_id(seen, "record_id", record.record_id, path, n)
         records.append(record)
     return records
 
 
 def _record_lines(records: Iterable[TaskRecord]) -> Iterator[str]:
     """Dataset rows, each the bytes the `json` encoder gives for the record's object:
-    `record_id`, `task`, `model_id`, `activity_set`, then the fields that are
-    not None. The task, model and activity-set part is encoded once per
-    distinct (task, model_id, activity_set)."""
+    `record_id`, `task`, `model_id`, `activity_set`, then the task's fields in
+    `_FIELDS` order; other tasks' fields are not written. The task, model and
+    activity-set part is encoded once per distinct (task, model_id,
+    activity_set). A record missing one of its task's fields is a ValueError."""
     heads: dict[tuple[Task, str, tuple[str, ...]], str] = {}
     for record in records:
         key = (record.task, record.model_id, record.activity_set)
@@ -244,20 +246,11 @@ def _record_lines(records: Iterable[TaskRecord]) -> Iterator[str]:
                 f', "activity_set": {_strings(record.activity_set)}'
             )
         parts = ['{"record_id": ', _quote(record.record_id), head]
-        if record.trace is not None:
-            parts += (', "trace": ', _strings(record.trace))
-        if record.pair is not None:
-            parts += (', "pair": ', _strings(record.pair))
-        if record.prefix is not None:
-            parts += (', "prefix": ', _strings(record.prefix))
-        if record.label is not None:
-            parts += (', "label": ', _quote(record.label))
-        if record.next_activity is not None:
-            parts += (', "next_activity": ', _quote(record.next_activity))
-        if record.edges is not None:
-            parts += (', "edges": ', _string_lists(record.edges))
-        if record.tree_text is not None:
-            parts += (', "tree_text": ', _quote(record.tree_text))
+        for key, (_, _, _, spell) in _FIELDS[record.task].items():
+            value = getattr(record, key)
+            if value is None:
+                raise ValueError(f"record {record.record_id!r} has no {key!r}")
+            parts += (f', "{key}": ', spell(value))
         parts.append("}\n")
         yield "".join(parts)
 
@@ -283,9 +276,12 @@ def write_sequences(path: str | Path, models: Iterable[Any]) -> None:
 
 
 def read_split(path: str | Path) -> dict[str, Split]:
+    """The split of each model; no two rows name the same model."""
     assignment: dict[str, Split] = {}
+    seen: dict[str, int] = {}
     for line_number, obj in _read_objects(path):
         model_id = _require_str(obj, "model_id", path, line_number)
+        _check_new_id(seen, "model_id", model_id, path, line_number)
         raw = _require_str(obj, "split", path, line_number)
         try:
             assignment[model_id] = Split(raw)
@@ -334,7 +330,7 @@ def read_predictions(path: str | Path) -> list[Prediction]:
     seen: dict[str, int] = {}
     for line_number, obj in _read_objects(path):
         record_id = _require_str(obj, "record_id", path, line_number)
-        _check_new_id(seen, record_id, path, line_number)
+        _check_new_id(seen, "record_id", record_id, path, line_number)
         predictions.append(
             Prediction(
                 record_id=record_id,

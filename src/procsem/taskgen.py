@@ -24,6 +24,7 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Any
 
 from .core import (
     Activity,
@@ -207,8 +208,22 @@ def validate_corpus(
 # Task generators
 
 
-def _sorted_activities(model: ProcessModel) -> tuple[Activity, ...]:
-    return tuple(sorted(model.activity_set))
+def _records(
+    model: ProcessModel, task: Task, payloads: Iterable[dict[str, Any]]
+) -> list[TaskRecord]:
+    """The model's records of `task`, numbered in payload order; each payload
+    holds the task's own fields."""
+    activities = tuple(sorted(model.activity_set))
+    return [
+        TaskRecord(
+            record_id=f"{model.model_id}:{task.value}:{i:05d}",
+            task=task,
+            model_id=model.model_id,
+            activity_set=activities,
+            **payload,
+        )
+        for i, payload in enumerate(payloads)
+    ]
 
 
 def gen_tsad(
@@ -232,10 +247,8 @@ def gen_tsad(
     log: list[Trace] = list(base)
     while len(log) < min_log_size:
         log.append(rng.choice(base))
-    activities = _sorted_activities(model)
-    id_prefix = f"{model.model_id}:{Task.TSAD.value}:"
-    records: list[TaskRecord] = []
-    for i, trace in enumerate(log):
+    payloads: list[dict[str, Any]] = []
+    for trace in log:
         noised: Trace | None = None
         if rng.random() < noise_prob and len(trace) >= 2:
             for _ in range(max_retries):
@@ -246,17 +259,11 @@ def gen_tsad(
                 if swapped not in model.sequences:
                     noised = swapped
                     break
-        records.append(
-            TaskRecord(
-                record_id=f"{id_prefix}{i:05d}",
-                task=Task.TSAD,
-                model_id=model.model_id,
-                activity_set=activities,
-                trace=noised if noised is not None else trace,
-                label=LABEL_ANOMALOUS if noised is not None else LABEL_VALID,
-            )
-        )
-    return records
+        if noised is None:
+            payloads.append({"trace": trace, "label": LABEL_VALID})
+        else:
+            payloads.append({"trace": noised, "label": LABEL_ANOMALOUS})
+    return _records(model, Task.TSAD, payloads)
 
 
 def gen_asad(model: ProcessModel, tree: ProcessTree, seed: int) -> list[TaskRecord]:
@@ -275,23 +282,9 @@ def gen_asad(model: ProcessModel, tree: ProcessTree, seed: int) -> list[TaskReco
         (x, y) for x in ordered for y in ordered if (x, y) not in ef.pairs
     ]
     negatives = sorted(rng.sample(complement, min(len(positives), len(complement))))
-    activities = _sorted_activities(model)
-    id_prefix = f"{model.model_id}:{Task.ASAD.value}:"
-    records: list[TaskRecord] = []
-    for pair, label in [(p, LABEL_VALID) for p in positives] + [
-        (n, LABEL_ANOMALOUS) for n in negatives
-    ]:
-        records.append(
-            TaskRecord(
-                record_id=f"{id_prefix}{len(records):05d}",
-                task=Task.ASAD,
-                model_id=model.model_id,
-                activity_set=activities,
-                pair=pair,
-                label=label,
-            )
-        )
-    return records
+    payloads = [{"pair": p, "label": LABEL_VALID} for p in positives]
+    payloads += [{"pair": n, "label": LABEL_ANOMALOUS} for n in negatives]
+    return _records(model, Task.ASAD, payloads)
 
 
 def gen_snap(model: ProcessModel) -> list[TaskRecord]:
@@ -300,51 +293,28 @@ def gen_snap(model: ProcessModel) -> list[TaskRecord]:
     Identical (prefix, next) pairs within one model collapse to the first
     occurrence.
     """
-    activities = _sorted_activities(model)
-    id_prefix = f"{model.model_id}:{Task.SNAP.value}:"
     seen: set[tuple[Trace, Activity]] = set()
-    records: list[TaskRecord] = []
+    payloads: list[dict[str, Any]] = []
     for sequence in model.nonempty_sequences:
         for k in range(1, len(sequence)):
             item = (sequence[:k], sequence[k])
             if item in seen:
                 continue
             seen.add(item)
-            records.append(
-                TaskRecord(
-                    record_id=f"{id_prefix}{len(records):05d}",
-                    task=Task.SNAP,
-                    model_id=model.model_id,
-                    activity_set=activities,
-                    prefix=item[0],
-                    next_activity=item[1],
-                )
-            )
-    return records
+            payloads.append({"prefix": item[0], "next_activity": item[1]})
+    return _records(model, Task.SNAP, payloads)
 
 
 def gen_sdfd(model: ProcessModel, tree: ProcessTree) -> TaskRecord:
     """One record per model: gold is the model's directly-follows edges,
     read off its tree."""
     dfg = dfg_of_model(tree)
-    return TaskRecord(
-        record_id=f"{model.model_id}:{Task.SDFD.value}:00000",
-        task=Task.SDFD,
-        model_id=model.model_id,
-        activity_set=_sorted_activities(model),
-        edges=tuple(sorted(dfg.edges)),
-    )
+    return _records(model, Task.SDFD, [{"edges": tuple(sorted(dfg.edges))}])[0]
 
 
 def gen_sptd(model: ProcessModel, tree: ProcessTree) -> TaskRecord:
     """One record per model: gold is the model's canonical tree text."""
-    return TaskRecord(
-        record_id=f"{model.model_id}:{Task.SPTD.value}:00000",
-        task=Task.SPTD,
-        model_id=model.model_id,
-        activity_set=_sorted_activities(model),
-        tree_text=render_tree(tree),
-    )
+    return _records(model, Task.SPTD, [{"tree_text": render_tree(tree)}])[0]
 
 
 def generate_task(

@@ -713,6 +713,22 @@ class TestFailureModes:
         assert code == EXIT_FATAL
         assert err == f"procsem: error: {split}:1: {key!r} must be a string\n"
 
+    def test_repeated_split_row_is_fatal(self, ws, tmp_path):
+        lines = Path(ws["split"]).read_text("utf-8").splitlines()
+        row = json.loads(lines[0])
+        again = json.dumps({**row, "split": "test" if row["split"] != "test" else "train"})
+        split = tmp_path / "split.jsonl"
+        split.write_text("\n".join([lines[0], again, *lines[1:]]) + "\n", encoding="utf-8")
+        code, _, err = run(
+            ["prompts", "--dataset", f"{ws['data']}/sdfd.jsonl", "--split", str(split),
+             "--mode", "ft", "--out", str(tmp_path / "ft.jsonl")]
+        )
+        assert code == EXIT_FATAL
+        assert err == (
+            f"procsem: error: {split}:2: duplicate model_id "
+            f"{row['model_id']!r} (first on line 1)\n"
+        )
+
     @pytest.mark.parametrize("kind", ["corpus", "dataset", "predictions", "split"])
     def test_non_utf8_row_names_path_and_line(self, ws, tmp_path, kind):
         # The dataset's bad line lies past the first block a text-mode read
@@ -743,6 +759,23 @@ class TestFailureModes:
         assert code == EXIT_FATAL
         assert summary is None
         assert err == f"procsem: error: {bad}:{bad_line}: not UTF-8\n"
+
+    @pytest.mark.parametrize(
+        "first_row,reason",
+        [
+            (b"{bad json", "bad JSON: "),
+            (b'{"model_id": 5, "tree": "\'a\'"}', "'model_id' must be a string\n"),
+        ],
+    )
+    def test_row_error_wins_over_a_later_bad_byte(self, tmp_path, first_row, reason):
+        # Both lines lie in the first block a text-mode read decodes.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(first_row + b'\n{"model_id": "m\xff", "tree": "\'a\'"}\n')
+        code, summary, err = run(["validate", str(bad), "--out", str(tmp_path / "o.jsonl")])
+        assert code == EXIT_FATAL
+        assert summary is None
+        assert err.startswith(f"procsem: error: {bad}:1: {reason}")
+        assert err.count("\n") == 1
 
     def test_non_utf8_template_names_the_file(self, ws, tmp_path):
         templates = tmp_path / "templates"

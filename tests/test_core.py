@@ -114,7 +114,9 @@ class TestEventLog:
         assert log.activity_set == frozenset({"a", "b", "c"})
 
     def test_activity_set_must_match(self):
-        with pytest.raises(ValueError):
+        # The set is derived from the traces and cannot be passed in.
+        assert EventLog(traces=(("a",), ("b", "a"))).activity_set == frozenset({"a", "b"})
+        with pytest.raises(TypeError):
             EventLog(traces=(("a",),), activity_set=frozenset({"a", "b"}))
 
 
@@ -134,7 +136,10 @@ class TestProcessModel:
         assert model.nonempty_sequences == [("a",)]
 
     def test_activity_set_must_match(self):
-        with pytest.raises(ValueError):
+        # The set is derived from the sequences and cannot be passed in.
+        model = ProcessModel(model_id="m", sequences=frozenset({(), ("a", "b")}))
+        assert model.activity_set == frozenset({"a", "b"})
+        with pytest.raises(TypeError):
             ProcessModel(
                 model_id="m",
                 sequences=frozenset({("a",)}),

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -242,3 +243,32 @@ def test_foreign_payload_key_is_fatal(tmp_path):
     with pytest.raises(FileFormatError) as exc_info:
         read_dataset(path)
     assert str(exc_info.value) == f"{path}:2: 'edges' is not a tsad field"
+
+
+@st.composite
+def records_with_foreign_fields(draw) -> tuple[TaskRecord, TaskRecord]:
+    """A record every reader check accepts, and a copy that also carries
+    some of the other tasks' fields."""
+    record = draw(tasks.flatmap(consistent_records))
+    offered: dict = {}
+    for task in Task:
+        offered.update(draw(_PAYLOADS[task]))
+    foreign = {key: value for key, value in offered.items() if getattr(record, key) is None}
+    keys = draw(st.lists(st.sampled_from(sorted(foreign)), min_size=1, unique=True))
+    return record, replace(record, **{key: foreign[key] for key in keys})
+
+
+@settings(max_examples=100, deadline=None)
+@given(records_with_foreign_fields())
+def test_foreign_fields_are_not_written(pair):
+    record, carrier = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        write_dataset(path, [carrier])
+        assert read_dataset(path) == [record]
+
+
+def test_record_missing_a_task_field_is_not_written(tmp_path):
+    record = TaskRecord("r1", Task.TSAD, "m1", ("a", "b"), trace=("a", "b"))
+    with pytest.raises(ValueError, match="^record 'r1' has no 'label'$"):
+        write_dataset(tmp_path / "tsad.jsonl", [record])
