@@ -12,8 +12,6 @@ from .core import (
     ArityError,
     Dfg,
     EmptyLabelError,
-    EventLog,
-    EventuallyFollowsSet,
     Footprint,
     Leaf,
     OpKind,
@@ -35,9 +33,8 @@ from .evaluation import (
     MatchingMode,
     RecordScore,
     ScoreReport,
+    edge_fitness,
     expected_random_footprint_fitness,
-    footprint_fitness,
-    footprint_to_dfg,
     macro_f1,
     parse_binary_label,
     random_classification_baseline,
@@ -76,7 +73,6 @@ from .promptgen import (
 from .semantics import (
     DEFAULT_MAX_SEQUENCES,
     LanguageTooLargeError,
-    dfg_of_log,
     dfg_of_model,
     eventually_follows,
     footprint,

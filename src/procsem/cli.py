@@ -312,7 +312,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     config = build_config(args)
     report, status = _validated(args.corpus, config.max_sequences)
     assignment = split_corpus(report.models, config.split_ratios, config.seed)
-    write_split(args.out, assignment)
+    write_split(args.out, assignment.assignment)
     _emit(
         {
             "command": "split",

@@ -1,7 +1,7 @@
 """Shared domain types for process behavior.
 
 Activities are plain strings (normalized labels), traces are tuples of
-activities, and everything built from them (logs, models, trees, graphs,
+activities, and everything built from them (models, trees, graphs,
 footprints) is an immutable value that is safe to share across threads.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 Activity = str
 Trace = tuple[Activity, ...]
@@ -124,27 +124,7 @@ def tree_labels(tree: ProcessTree) -> list[Activity]:
 
 
 # ---------------------------------------------------------------------------
-# Logs and models
-
-
-def _union_of(sequences: Iterable[Trace]) -> frozenset[Activity]:
-    return frozenset().union(*sequences)
-
-
-@dataclass(frozen=True)
-class EventLog:
-    """A finite multiset of traces; `traces` keeps duplicates, and
-    `activity_set` is their union."""
-
-    traces: tuple[Trace, ...]
-    activity_set: frozenset[Activity] = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "activity_set", _union_of(self.traces))
-
-    @classmethod
-    def from_traces(cls, traces: Iterable[Trace]) -> "EventLog":
-        return cls(traces=tuple(tuple(t) for t in traces))
+# Models
 
 
 @dataclass(frozen=True)
@@ -158,7 +138,7 @@ class ProcessModel:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "activity_set", _union_of(self.sequences))
+        object.__setattr__(self, "activity_set", frozenset().union(*self.sequences))
 
     @classmethod
     def from_sequences(
@@ -174,16 +154,9 @@ class ProcessModel:
         )
 
     @property
-    def has_empty_sequence(self) -> bool:
-        return () in self.sequences
-
-    @property
     def nonempty_sequences(self) -> list[Trace]:
         """Non-empty sequences in a canonical (sorted) order."""
         return sorted(s for s in self.sequences if s)
-
-    def __contains__(self, trace: Trace) -> bool:
-        return tuple(trace) in self.sequences
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +225,3 @@ class Footprint:
             if rel is Relation.FORWARD or rel is Relation.PARALLEL
         )
 
-
-@dataclass(frozen=True)
-class EventuallyFollowsSet:
-    """Ordered pairs (x, y) where y can occur at some point after x."""
-
-    pairs: frozenset[tuple[Activity, Activity]]
-
-    def __contains__(self, pair: tuple[Activity, Activity]) -> bool:
-        return pair in self.pairs
-
-    def __iter__(self) -> Iterator[tuple[Activity, Activity]]:
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)

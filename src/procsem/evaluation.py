@@ -167,19 +167,6 @@ def edge_fitness(
     return (total - wrong) / total
 
 
-def footprint_fitness(
-    gold_fp: Footprint, pred_fp: Footprint, include_diagonal: bool = True
-) -> float:
-    """Fraction of ordered gold-activity pairs with equal relations.
-
-    Pairs absent from the predicted footprint count as NONE; predicted
-    activities outside the gold set are ignored.
-    """
-    return edge_fitness(
-        gold_fp.activities, gold_fp.follow_edges, pred_fp.follow_edges, include_diagonal
-    )
-
-
 @dataclass(frozen=True)
 class RecordScore:
     record_id: str
@@ -414,11 +401,6 @@ def random_footprint(activity_set: frozenset[Activity] | tuple[Activity, ...], r
     return footprint(Dfg(activities=frozenset(activities), edges=frozenset(edges)))
 
 
-def footprint_to_dfg(fp: Footprint) -> Dfg:
-    """Edge set whose footprint is exactly `fp` (footprint∘this = identity)."""
-    return Dfg(activities=fp.activities, edges=fp.follow_edges)
-
-
 def random_footprint_predictions(
     records: list[TaskRecord], seed: int
 ) -> list[Prediction]:
@@ -433,8 +415,7 @@ def random_footprint_predictions(
         if record.task is not Task.SDFD:
             raise ValueError("random footprint predictions apply to DFG records only")
         rng = model_rng(seed, "baseline", record.task.value, record.record_id)
-        fp = random_footprint(record.activity_set, rng)
-        edges = footprint_to_dfg(fp).edges
+        edges = random_footprint(record.activity_set, rng).follow_edges
         predictions.append(
             Prediction(
                 record_id=record.record_id, raw_text=render_dfg_edges(tuple(edges))
@@ -443,16 +424,14 @@ def random_footprint_predictions(
     return predictions
 
 
-def expected_random_footprint_fitness(
-    gold_fp: Footprint, include_diagonal: bool = True
-) -> float:
-    """Analytic mean fitness of the random-footprint baseline.
+def expected_random_footprint_fitness(n: int, include_diagonal: bool = True) -> float:
+    """Analytic mean fitness of the random-footprint baseline over `n`
+    gold activities.
 
     Each off-diagonal ordered pair matches with probability 1/4, each
     diagonal pair with probability 1/2 (gold diagonals are PARALLEL or
     NONE by construction). With no pair to score the fitness is 1.0.
     """
-    n = len(gold_fp.activities)
     if include_diagonal:
         if n == 0:
             return 1.0

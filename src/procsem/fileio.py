@@ -10,7 +10,10 @@ stdlib `json` encoder, into the bytes it gives with `ensure_ascii=False`.
 from __future__ import annotations
 
 import json
+import os
 import re
+import shutil
+from contextlib import suppress
 from json.encoder import encode_basestring as _quote
 from operator import attrgetter
 from pathlib import Path
@@ -26,7 +29,6 @@ from .taskgen import (
     Rejection,
     RejectionReason,
     Split,
-    SplitAssignment,
     Task,
     TaskRecord,
 )
@@ -63,8 +65,26 @@ def _read_objects(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
 
 
 def _write_text(path: str | Path, lines: Iterable[str]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(lines)
+    """Write `lines` to a sibling temp file of the resolved path, then move it
+    over the destination with the destination's mode, so a failed write
+    leaves the old file or none. A destination that exists but is not a
+    regular file, such as a FIFO or `/dev/stdout`, is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        return
+    target = os.path.realpath(path)
+    temp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        with suppress(FileNotFoundError):
+            shutil.copymode(target, temp)
+        os.replace(temp, target)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(temp)
+        raise
 
 
 _BY_RECORD_ID = attrgetter("record_id")
@@ -112,8 +132,8 @@ def _check_new_id(
 
 
 def read_corpus(path: str | Path) -> list[CorpusEntry | Rejection]:
-    """The rows of a corpus file in file order; a row whose tree does not
-    parse stands as its `parse_error` rejection."""
+    """The rows of a corpus file in file order, each with its line; a row
+    whose tree does not parse stands as its `parse_error` rejection."""
     rows: list[CorpusEntry | Rejection] = []
     for line_number, obj in _read_objects(path):
         model_id = _require_str(obj, "model_id", path, line_number)
@@ -124,9 +144,11 @@ def read_corpus(path: str | Path) -> list[CorpusEntry | Rejection]:
         try:
             tree = parse_tree(tree_text)
         except TreeSyntaxError as exc:
-            rows.append(Rejection(model_id, RejectionReason.PARSE_ERROR, str(exc)))
+            rows.append(
+                Rejection(model_id, RejectionReason.PARSE_ERROR, str(exc), line_number)
+            )
             continue
-        rows.append(CorpusEntry(model_id=model_id, tree=tree, name=name))
+        rows.append(CorpusEntry(model_id=model_id, tree=tree, name=name, line=line_number))
     return rows
 
 
@@ -290,10 +312,7 @@ def read_split(path: str | Path) -> dict[str, Split]:
     return assignment
 
 
-def write_split(path: str | Path, assignment: SplitAssignment | dict[str, Split]) -> None:
-    mapping = (
-        assignment.assignment if isinstance(assignment, SplitAssignment) else assignment
-    )
+def write_split(path: str | Path, mapping: dict[str, Split]) -> None:
     _write_text(path, (
         _row(model_id=_quote(model_id), split=_quote(mapping[model_id].value))
         for model_id in sorted(mapping)

@@ -16,8 +16,8 @@ with LanguageTooLargeError instead of exhausting memory.
 The directly-follows and eventually-follows relations need no play-out:
 `tree_relations` reads them off the tree bottom-up (van der Aalst, *Process
 Mining*, 2016, footprints; Leemans, Fahland and van der Aalst, Petri Nets
-2013, block-structured trees), so they have no size cap. `dfg_of_model` and
-`eventually_follows` take a tree that way, or a played-out model from its
+2013, block-structured trees), so they have no size cap. `eventually_follows`
+reads a tree that way; `dfg_of_model` also takes a played-out model, from its
 sequences.
 """
 
@@ -28,8 +28,6 @@ from typing import Mapping, NamedTuple
 from .core import (
     Activity,
     Dfg,
-    EventLog,
-    EventuallyFollowsSet,
     Footprint,
     Leaf,
     Operator,
@@ -289,8 +287,8 @@ def tree_relations(
 # Directly-follows, footprints, eventually-follows
 
 
-def _edges_of(sequences: frozenset[Trace] | tuple[Trace, ...]) -> frozenset[tuple[str, str]]:
-    edges: set[tuple[str, str]] = set()
+def _edges_of(sequences: frozenset[Trace]) -> frozenset[Pair]:
+    edges: set[Pair] = set()
     for s in sequences:
         edges.update(zip(s, s[1:]))
     return frozenset(edges)
@@ -306,11 +304,6 @@ def dfg_of_model(model: ProcessModel | ProcessTree) -> Dfg:
         return Dfg(activities=model.activity_set, edges=_edges_of(model.sequences))
     relations = tree_relations(model)
     return Dfg(activities=relations.alphabet, edges=relations.df)
-
-
-def dfg_of_log(log: EventLog) -> Dfg:
-    """Directly-follows graph of a log; duplicate traces add nothing new."""
-    return Dfg(activities=log.activity_set, edges=_edges_of(log.traces))
 
 
 def footprint(dfg: Dfg) -> Footprint:
@@ -336,26 +329,8 @@ def footprint_of_model(model: ProcessModel) -> Footprint:
     return footprint(dfg_of_model(model))
 
 
-def eventually_follows(model: ProcessModel | ProcessTree) -> EventuallyFollowsSet:
-    """Pairs (x, y) where y occurs after x (any gap) in some sequence.
-
-    Repeats of one activity produce self-pairs. A tree is read with
-    `tree_relations`. For a played-out model, one backward pass per
-    sequence ORs the bitmask of the activities seen so far, that is, those
-    occurring later, into each activity's after-set.
-    """
-    if not isinstance(model, ProcessModel):
-        return EventuallyFollowsSet(pairs=tree_relations(model).ef)
-    activities = sorted(model.activity_set)
-    bits = {a: 1 << i for i, a in enumerate(activities)}
-    after = dict.fromkeys(activities, 0)
-    for s in model.sequences:
-        later = 0
-        for a in reversed(s):
-            after[a] |= later
-            later |= bits[a]
-    return EventuallyFollowsSet(
-        pairs=frozenset(
-            (x, y) for x, mask in after.items() for y in activities if mask & bits[y]
-        )
-    )
+def eventually_follows(tree: ProcessTree) -> frozenset[Pair]:
+    """Pairs (x, y) where y occurs after x (any gap) in some sequence of the
+    tree's language, read with `tree_relations`; repeats of one activity
+    produce self-pairs."""
+    return tree_relations(tree).ef

@@ -101,9 +101,12 @@ def model_rng(seed: int, *parts: str) -> random.Random:
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """A corpus row; `line` is its line in the file it was read from."""
+
     model_id: str
     tree: ProcessTree
     name: str | None = None
+    line: int | None = field(default=None, compare=False)
 
 
 class RejectionReason(str, Enum):
@@ -121,6 +124,7 @@ class Rejection:
     model_id: str
     reason: RejectionReason
     detail: str = ""
+    line: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -149,30 +153,36 @@ def validate_corpus(
     leaves, play-out overflow, empty-only languages, fewer than two
     activities, and repeats of an already-admitted activity set (first
     occurrence wins). A row rejected upstream is passed through in its
-    place, and its id counts as seen. Rejections keep row order.
+    place, and its id counts as seen. Rejections keep row order, and each
+    carries its row's `line`; a duplicate id's detail names the first line
+    of that id when it is known.
     """
     admitted: list[AdmittedModel] = []
     rejected: list[Rejection] = []
-    seen_ids: set[str] = set()
+    first_line_of: dict[str, int | None] = {}
     seen_activity_sets: set[frozenset[Activity]] = set()
+
+    def reject(
+        entry: CorpusEntry | Rejection, reason: RejectionReason, detail: str = ""
+    ) -> None:
+        rejected.append(Rejection(entry.model_id, reason, detail, entry.line))
+
     for entry in entries:
-        if entry.model_id in seen_ids:
-            rejected.append(
-                Rejection(entry.model_id, RejectionReason.DUPLICATE_MODEL_ID)
-            )
+        if entry.model_id in first_line_of:
+            first = first_line_of[entry.model_id]
+            detail = "" if first is None else f"first on line {first}"
+            reject(entry, RejectionReason.DUPLICATE_MODEL_ID, detail)
             continue
-        seen_ids.add(entry.model_id)
+        first_line_of[entry.model_id] = entry.line
         if isinstance(entry, Rejection):
             rejected.append(entry)
             continue
         labels = tree_labels(entry.tree)
         if len(labels) != len(set(labels)):
-            rejected.append(
-                Rejection(
-                    entry.model_id,
-                    RejectionReason.DUPLICATE_ACTIVITY_LABELS,
-                    "an activity label appears on more than one leaf",
-                )
+            reject(
+                entry,
+                RejectionReason.DUPLICATE_ACTIVITY_LABELS,
+                "an activity label appears on more than one leaf",
             )
             continue
         try:
@@ -180,24 +190,16 @@ def validate_corpus(
                 entry.tree, max_sequences, model_id=entry.model_id, name=entry.name
             )
         except LanguageTooLargeError as exc:
-            rejected.append(
-                Rejection(entry.model_id, RejectionReason.LANGUAGE_TOO_LARGE, str(exc))
-            )
+            reject(entry, RejectionReason.LANGUAGE_TOO_LARGE, str(exc))
             continue
         if not any(model.sequences):
-            rejected.append(
-                Rejection(entry.model_id, RejectionReason.EMPTY_LANGUAGE)
-            )
+            reject(entry, RejectionReason.EMPTY_LANGUAGE)
             continue
         if len(model.activity_set) < 2:
-            rejected.append(
-                Rejection(entry.model_id, RejectionReason.TOO_FEW_ACTIVITIES)
-            )
+            reject(entry, RejectionReason.TOO_FEW_ACTIVITIES)
             continue
         if model.activity_set in seen_activity_sets:
-            rejected.append(
-                Rejection(entry.model_id, RejectionReason.DUPLICATE_ACTIVITY_SET)
-            )
+            reject(entry, RejectionReason.DUPLICATE_ACTIVITY_SET)
             continue
         seen_activity_sets.add(model.activity_set)
         admitted.append(AdmittedModel(model=model, tree=entry.tree))
@@ -276,10 +278,10 @@ def gen_asad(model: ProcessModel, tree: ProcessTree, seed: int) -> list[TaskReco
     """
     rng = model_rng(seed, Task.ASAD.value, model.model_id)
     ef = eventually_follows(tree)
-    positives = sorted(ef.pairs)
+    positives = sorted(ef)
     ordered = sorted(model.activity_set)
     complement = [
-        (x, y) for x in ordered for y in ordered if (x, y) not in ef.pairs
+        (x, y) for x in ordered for y in ordered if (x, y) not in ef
     ]
     negatives = sorted(rng.sample(complement, min(len(positives), len(complement))))
     payloads = [{"pair": p, "label": LABEL_VALID} for p in positives]

@@ -173,7 +173,7 @@ class TestDeterminism:
                 ["synth", "--n-models", "12", "--seed", "3", "--out", out]
             )
             assert code == EXIT_OK
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_gen_is_reproducible(self, ws, tmp_path):
         first, second = tmp_path / "d1", tmp_path / "d2"
@@ -197,7 +197,7 @@ class TestDeterminism:
                  "--seed", "7"]
             )
             assert code == EXIT_OK
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_different_seed_changes_datasets(self, ws, tmp_path):
         other = tmp_path / "d3"
@@ -206,7 +206,7 @@ class TestDeterminism:
              "--min-log-size", "20"]
         )
         assert code == EXIT_OK
-        original = open(f"{ws['data']}/tsad.jsonl", "rb").read()
+        original = Path(f"{ws['data']}/tsad.jsonl").read_bytes()
         assert (other / "tsad.jsonl").read_bytes() != original
 
 
@@ -319,9 +319,9 @@ class TestConfigHandling:
              "--config", str(config)]
         )
         assert code == EXIT_OK
-        assert (via_config / "tsad.jsonl").read_bytes() == open(
-            f"{ws['data']}/tsad.jsonl", "rb"
-        ).read()
+        assert (via_config / "tsad.jsonl").read_bytes() == Path(
+            f"{ws['data']}/tsad.jsonl"
+        ).read_bytes()
 
     def test_flag_overrides_config(self, ws, tmp_path):
         config = tmp_path / "config.json"
@@ -332,9 +332,9 @@ class TestConfigHandling:
              "--config", str(config), "--seed", "7"]
         )
         assert code == EXIT_OK
-        assert (out_dir / "tsad.jsonl").read_bytes() == open(
-            f"{ws['data']}/tsad.jsonl", "rb"
-        ).read()
+        assert (out_dir / "tsad.jsonl").read_bytes() == Path(
+            f"{ws['data']}/tsad.jsonl"
+        ).read_bytes()
 
     def test_unknown_config_key_is_fatal(self, ws, tmp_path):
         config = tmp_path / "config.json"
@@ -480,8 +480,14 @@ class TestFailureModes:
             ("m1", "duplicate_model_id"),
             ("m2", "duplicate_model_id"),
         ]
+        assert [r["detail"] for r in summary["rejections"][1:]] == [
+            "first on line 1",
+            "first on line 3",
+        ]
         assert summary["admitted"] == 1
         assert [json.loads(line)["model_id"] for line in out.read_text("utf-8").splitlines()] == ["m2"]
+        rejected = procsem.validate_corpus(procsem.read_corpus(corpus)).rejected
+        assert [r.line for r in rejected] == [1, 2, 4]
 
     @pytest.mark.parametrize(
         "key,value", [("model_id", 5), ("tree", ["->('a', 'b')"]), ("name", 7)]

@@ -11,7 +11,6 @@ from procsem import (
     ArityError,
     Dfg,
     EmptyLabelError,
-    EventLog,
     Footprint,
     Leaf,
     OpKind,
@@ -107,32 +106,14 @@ class TestTreeNodes:
         assert len({par(leaf("a"), leaf("b")), par(leaf("a"), leaf("b"))}) == 1
 
 
-class TestEventLog:
-    def test_from_traces_keeps_duplicates(self):
-        log = EventLog.from_traces([("a", "b"), ("a", "b"), ("c",)])
-        assert len(log.traces) == 3
-        assert log.activity_set == frozenset({"a", "b", "c"})
-
-    def test_activity_set_must_match(self):
-        # The set is derived from the traces and cannot be passed in.
-        assert EventLog(traces=(("a",), ("b", "a"))).activity_set == frozenset({"a", "b"})
-        with pytest.raises(TypeError):
-            EventLog(traces=(("a",),), activity_set=frozenset({"a", "b"}))
-
-
 class TestProcessModel:
     def test_from_sequences_dedups(self):
         model = ProcessModel.from_sequences("m", [("a", "b"), ("a", "b")])
         assert model.sequences == frozenset({("a", "b")})
 
-    def test_membership(self):
-        model = ProcessModel.from_sequences("m", [("a", "b")])
-        assert ("a", "b") in model
-        assert ("b", "a") not in model
-
     def test_has_empty_sequence(self):
         model = ProcessModel.from_sequences("m", [(), ("a",)])
-        assert model.has_empty_sequence
+        assert () in model.sequences
         assert model.nonempty_sequences == [("a",)]
 
     def test_activity_set_must_match(self):

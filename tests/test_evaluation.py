@@ -18,10 +18,9 @@ from procsem import (
     TaskRecord,
     answer_text,
     dfg_of_model,
+    edge_fitness,
     expected_random_footprint_fitness,
     footprint,
-    footprint_fitness,
-    footprint_to_dfg,
     gen_sdfd,
     gen_snap,
     gen_sptd,
@@ -44,7 +43,6 @@ from procsem import (
 from procsem.evaluation import (
     LengthMismatchError,
     UnknownRecordError,
-    edge_fitness,
     fold_label,
     per_class_f1,
 )
@@ -163,39 +161,35 @@ class TestMacroF1:
 
 class TestFootprintFitness:
     def test_identity(self):
-        fp = footprint(
-            Dfg(activities=frozenset("ab"), edges=frozenset({("a", "b")}))
-        )
-        assert footprint_fitness(fp, fp) == 1.0
+        edges = frozenset({("a", "b")})
+        assert edge_fitness(frozenset("ab"), edges, edges) == 1.0
 
     def test_hand_derived_seven_ninths(self):
         activities = frozenset("abc")
-        gold = footprint(
-            Dfg(activities=activities, edges=frozenset({("a", "b"), ("b", "c")}))
-        )
-        pred = footprint(Dfg(activities=activities, edges=frozenset({("a", "b")})))
-        assert footprint_fitness(gold, pred) == 7 / 9
+        gold = frozenset({("a", "b"), ("b", "c")})
+        pred = frozenset({("a", "b")})
+        assert edge_fitness(activities, gold, pred) == 7 / 9
 
     def test_zero_edges_both_sides(self):
-        activities = frozenset("abc")
-        empty = footprint(Dfg(activities=activities, edges=frozenset()))
-        assert footprint_fitness(empty, empty) == 1.0
+        assert edge_fitness(frozenset("abc"), frozenset(), frozenset()) == 1.0
 
     def test_symmetry_same_activity_set(self):
         activities = frozenset("abcd")
         rng = random.Random(0)
         for _ in range(20):
-            left = random_footprint(activities, rng)
-            right = random_footprint(activities, rng)
-            assert footprint_fitness(left, right) == footprint_fitness(right, left)
+            left = random_footprint(activities, rng).follow_edges
+            right = random_footprint(activities, rng).follow_edges
+            assert edge_fitness(activities, left, right) == edge_fitness(
+                activities, right, left
+            )
 
     def test_diagonal_flag(self):
         activities = frozenset("ab")
-        gold = footprint(Dfg(activities=activities, edges=frozenset({("a", "a")})))
-        pred = footprint(Dfg(activities=activities, edges=frozenset()))
+        gold = frozenset({("a", "a")})
+        pred = frozenset()
         # diagonal (a,a) disagrees: 3/4 with it, 2/2 without
-        assert footprint_fitness(gold, pred) == 3 / 4
-        assert footprint_fitness(gold, pred, include_diagonal=False) == 1.0
+        assert edge_fitness(activities, gold, pred) == 3 / 4
+        assert edge_fitness(activities, gold, pred, include_diagonal=False) == 1.0
 
 
 edge_sets = st.sets(st.tuples(st.sampled_from("abcdz"), st.sampled_from("abcdz")))
@@ -224,7 +218,9 @@ class TestEdgeFitness:
         assert got == expected
         gold_fp = footprint(Dfg(activities=activities, edges=frozenset(inside)))
         pred_fp = footprint(Dfg(activities=pred_activities, edges=frozenset(pred)))
-        assert footprint_fitness(gold_fp, pred_fp, include_diagonal) == expected
+        assert edge_fitness(
+            activities, gold_fp.follow_edges, pred_fp.follow_edges, include_diagonal
+        ) == expected
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(0, 6), st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -236,7 +232,9 @@ class TestEdgeFitness:
         expected = oracle_footprint_fitness(
             gold.relations, pred.relations, activities, include_diagonal
         )
-        assert footprint_fitness(gold, pred, include_diagonal) == expected
+        assert edge_fitness(
+            activities, gold.follow_edges, pred.follow_edges, include_diagonal
+        ) == expected
 
 
 class TestScoreSdfd:
@@ -555,15 +553,12 @@ class TestRandomBaselines:
         rng = random.Random(7)
         for _ in range(50):
             fp = random_footprint(frozenset("abcde"), rng)
-            assert footprint(footprint_to_dfg(fp)) == fp
+            assert footprint(Dfg(activities=fp.activities, edges=fp.follow_edges)) == fp
 
     def test_expected_fitness_formula(self):
-        fp = footprint(
-            Dfg(activities=frozenset("abcd"), edges=frozenset({("a", "b")}))
-        )
-        assert expected_random_footprint_fitness(fp) == pytest.approx(0.3125)
+        assert expected_random_footprint_fitness(4) == pytest.approx(0.3125)
         assert expected_random_footprint_fitness(
-            fp, include_diagonal=False
+            4, include_diagonal=False
         ) == pytest.approx(0.25)
 
     @pytest.mark.parametrize(
@@ -571,8 +566,7 @@ class TestRandomBaselines:
         [(0, True, 1.0), (0, False, 1.0), (1, True, 0.5), (1, False, 1.0)],
     )
     def test_expected_fitness_with_few_activities(self, n, include_diagonal, expected):
-        fp = footprint(Dfg(activities=frozenset("ab"[:n]), edges=frozenset()))
-        assert expected_random_footprint_fitness(fp, include_diagonal) == expected
+        assert expected_random_footprint_fitness(n, include_diagonal) == expected
 
     @given(
         st.sets(st.text(min_size=1, max_size=3), min_size=1, max_size=8),

@@ -4,7 +4,10 @@ and the dataset reader against the writer."""
 from __future__ import annotations
 
 import json
+import os
+import stat
 import tempfile
+import threading
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
@@ -24,7 +27,6 @@ from procsem import (
     ProcessModel,
     PromptBundle,
     Split,
-    SplitAssignment,
     Task,
     TaskRecord,
     read_dataset,
@@ -151,8 +153,6 @@ def test_corpus_rows_match_json_dumps(entries):
 def test_split_rows_match_json_dumps(mapping):
     expected = "".join(oracle_split_line(m, mapping[m]) for m in sorted(mapping))
     assert _written(write_split, mapping) == expected.encode("utf-8")
-    assignment = SplitAssignment(mapping, components=(), component_bins=())
-    assert _written(write_split, assignment) == expected.encode("utf-8")
 
 
 tasks = st.sampled_from(list(Task))
@@ -272,3 +272,44 @@ def test_record_missing_a_task_field_is_not_written(tmp_path):
     record = TaskRecord("r1", Task.TSAD, "m1", ("a", "b"), trace=("a", "b"))
     with pytest.raises(ValueError, match="^record 'r1' has no 'label'$"):
         write_dataset(tmp_path / "tsad.jsonl", [record])
+
+
+def test_failed_write_leaves_the_old_file(tmp_path):
+    good = TaskRecord("r0", Task.TSAD, "m1", ("a", "b"), trace=("a", "b"), label=LABEL_VALID)
+    bad = replace(good, record_id="r1", label=None)
+    path = tmp_path / "tsad.jsonl"
+    path.write_bytes(b"old\n")
+    with pytest.raises(ValueError, match="^record 'r1' has no 'label'$"):
+        write_dataset(path, [good, bad])
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["tsad.jsonl"]
+
+
+def test_write_through_a_symlink_updates_its_target(tmp_path):
+    target = tmp_path / "predictions.jsonl"
+    target.write_bytes(b"old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    prediction = Prediction("r1", "a -> b")
+    write_predictions(link, [prediction])
+    assert link.is_symlink()
+    assert target.read_bytes() == oracle_prediction_line(prediction).encode("utf-8")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "predictions.jsonl"]
+
+
+def test_write_to_a_fifo_goes_through_it_in_place(tmp_path):
+    fifo = tmp_path / "predictions.fifo"
+    os.mkfifo(fifo)
+    received: list[bytes] = []
+    # A daemon thread, so a writer that never opens the FIFO fails the test
+    # instead of hanging the run.
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    prediction = Prediction("r1", "Valid")
+    write_predictions(fifo, [prediction])
+    reader.join(timeout=10)
+    assert received == [oracle_prediction_line(prediction).encode("utf-8")]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["predictions.fifo"]
