@@ -13,6 +13,7 @@ import json
 import os
 import re
 import shutil
+from collections import defaultdict
 from contextlib import suppress
 from json.encoder import encode_basestring as _quote
 from operator import attrgetter
@@ -203,7 +204,42 @@ _FOREIGN = {
 }
 
 
-def obj_to_record(obj: dict[str, Any], path: str | Path, line_number: int) -> TaskRecord:
+def _field(
+    obj: dict[str, Any], key: str, spec: tuple, seen: dict[Any, Any],
+    path: str | Path, line_number: int,
+) -> Any:
+    """The value of field `key`, checked and converted by `spec`, as the one
+    copy of it that `seen` holds. `seen` holds only converted values that passed
+    the check, so a list or string equal to one of them is not checked again.
+    Any other value goes through the full check: one not held yet, a list
+    that holds a list or a dict, and a value of another type, whose keys or
+    characters could match a held tuple."""
+    value = _require(obj, key, path, line_number)
+    if type(value) is list or type(value) is str:
+        try:
+            held = seen.get(tuple(value) if type(value) is list else value)
+        except TypeError:  # a list that holds a list or a dict
+            held = None
+        if held is not None:
+            return held
+    is_valid, shape, convert, _ = spec
+    if not is_valid(value):
+        raise FileFormatError(path, line_number, f"{key!r} must be {shape}")
+    converted = convert(value)
+    return seen.setdefault(converted, converted)
+
+
+def obj_to_record(
+    obj: dict[str, Any],
+    path: str | Path,
+    line_number: int,
+    shared: defaultdict[str, dict[Any, Any]] | None = None,
+) -> TaskRecord:
+    """The record of one row as `json` decodes it. Rows read with the same
+    `shared` dict share every equal field value and `model_id`, and each
+    distinct value is checked once."""
+    if shared is None:
+        shared = defaultdict(dict)
     try:
         task = Task(str(_require(obj, "task", path, line_number)))
     except ValueError:
@@ -211,12 +247,10 @@ def obj_to_record(obj: dict[str, Any], path: str | Path, line_number: int) -> Ta
     if not _FOREIGN[task].isdisjoint(obj):
         key = next(k for k in obj if k in _FOREIGN[task])
         raise FileFormatError(path, line_number, f"{key!r} is not a {task.value} field")
-    values: dict[str, Any] = {}
-    for key, (is_valid, shape, convert, _) in (("activity_set", _SET), *_FIELDS[task].items()):
-        value = _require(obj, key, path, line_number)
-        if not is_valid(value):
-            raise FileFormatError(path, line_number, f"{key!r} must be {shape}")
-        values[key] = convert(value)
+    values = {
+        key: _field(obj, key, spec, shared[key], path, line_number)
+        for key, spec in (("activity_set", _SET), *_FIELDS[task].items())
+    }
     activities = values["activity_set"]
     if task is Task.SDFD and not {a for e in values["edges"] for a in e} <= set(activities):
         raise FileFormatError(path, line_number, "'edges' must join members of 'activity_set'")
@@ -231,24 +265,33 @@ def obj_to_record(obj: dict[str, Any], path: str | Path, line_number: int) -> Ta
     return TaskRecord(
         record_id=_require_str(obj, "record_id", path, line_number),
         task=task,
-        model_id=_require_str(obj, "model_id", path, line_number),
+        model_id=_field(obj, "model_id", _STRING, shared["model_id"], path, line_number),
         **values,
     )
 
 
 def read_dataset(path: str | Path) -> list[TaskRecord]:
     """The records of a dataset file; all of its rows belong to one task,
-    and no two share a `record_id`."""
+    and no two share a `record_id`. Equal field values and model ids of
+    different rows are one shared object."""
     records: list[TaskRecord] = []
-    seen: dict[str, int] = {}
+    ids: dict[str, int] = {}
+    shared: defaultdict[str, dict[Any, Any]] = defaultdict(dict)
     for n, obj in _read_objects(path):
-        record = obj_to_record(obj, path, n)
+        record = obj_to_record(obj, path, n, shared)
         if records and record.task is not records[0].task:
             reason = f"{record.task.value} row in a {records[0].task.value} dataset"
             raise FileFormatError(path, n, reason)
-        _check_new_id(seen, "record_id", record.record_id, path, n)
+        _check_new_id(ids, "record_id", record.record_id, path, n)
         records.append(record)
     return records
+
+
+# Each task's fields as (the row text before the value, key, spelling).
+_SPELLINGS = {
+    task: tuple((f', "{key}": ', key, spell) for key, (_, _, _, spell) in fields.items())
+    for task, fields in _FIELDS.items()
+}
 
 
 def _record_lines(records: Iterable[TaskRecord]) -> Iterator[str]:
@@ -268,11 +311,11 @@ def _record_lines(records: Iterable[TaskRecord]) -> Iterator[str]:
                 f', "activity_set": {_strings(record.activity_set)}'
             )
         parts = ['{"record_id": ', _quote(record.record_id), head]
-        for key, (_, _, _, spell) in _FIELDS[record.task].items():
+        for before, key, spell in _SPELLINGS[record.task]:
             value = getattr(record, key)
             if value is None:
                 raise ValueError(f"record {record.record_id!r} has no {key!r}")
-            parts += (f', "{key}": ', spell(value))
+            parts += (before, spell(value))
         parts.append("}\n")
         yield "".join(parts)
 
@@ -344,18 +387,16 @@ def write_ft_examples(path: str | Path, examples: Iterable[FtExample]) -> None:
 
 
 def read_predictions(path: str | Path) -> list[Prediction]:
-    """The predictions of a file; no two share a `record_id`."""
+    """The predictions of a file; no two share a `record_id`. Equal
+    prediction texts of different rows are one shared string."""
     predictions: list[Prediction] = []
-    seen: dict[str, int] = {}
+    ids: dict[str, int] = {}
+    texts: dict[str, str] = {}
     for line_number, obj in _read_objects(path):
         record_id = _require_str(obj, "record_id", path, line_number)
-        _check_new_id(seen, "record_id", record_id, path, line_number)
-        predictions.append(
-            Prediction(
-                record_id=record_id,
-                raw_text=_require_str(obj, "prediction", path, line_number),
-            )
-        )
+        _check_new_id(ids, "record_id", record_id, path, line_number)
+        text = _require_str(obj, "prediction", path, line_number)
+        predictions.append(Prediction(record_id=record_id, raw_text=texts.setdefault(text, text)))
     return predictions
 
 

@@ -63,7 +63,7 @@ CLASSIFICATION_TASKS = (Task.TSAD, Task.ASAD)
 GENERATION_TASKS = (Task.SDFD, Task.SPTD)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskRecord:
     """One benchmark instance; non-applicable payload fields stay None."""
 
@@ -80,7 +80,7 @@ class TaskRecord:
     tree_text: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     """A model's raw answer to the record with the same id."""
 
@@ -228,6 +228,22 @@ def _records(
     ]
 
 
+def _two_positions(rng: random.Random, n: int) -> tuple[int, int]:
+    """Two distinct positions below `n`: the draws and the values of CPython's
+    `rng.sample(range(n), 2)`, without its overhead. Up to n = 21 `sample`
+    draws the second position from the n - 1 left after the first, with
+    n - 1 moved into the first's place; above that it redraws until the
+    second differs from the first."""
+    a = rng.randrange(n)
+    if n <= 21:
+        b = rng.randrange(n - 1)
+        return a, n - 1 if b == a else b
+    b = rng.randrange(n)
+    while b == a:
+        b = rng.randrange(n)
+    return a, b
+
+
 def gen_tsad(
     model: ProcessModel,
     seed: int,
@@ -254,7 +270,7 @@ def gen_tsad(
         noised: Trace | None = None
         if rng.random() < noise_prob and len(trace) >= 2:
             for _ in range(max_retries):
-                a, b = rng.sample(range(len(trace)), 2)
+                a, b = _two_positions(rng, len(trace))
                 candidate = list(trace)
                 candidate[a], candidate[b] = candidate[b], candidate[a]
                 swapped = tuple(candidate)

@@ -609,6 +609,40 @@ class TestFailureModes:
         assert repr(key) in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "key,value,shape",
+        [
+            ("activity_set", [["a", "b"], "c"], "a list of distinct strings"),
+            ("activity_set", {"a": 0, "b": 1, "c": 2}, "a list of distinct strings"),
+            ("activity_set", ["a", "a", "b"], "a list of distinct strings"),
+            ("activity_set", ["a", "b", 3], "a list of distinct strings"),
+            ("activity_set", "abc", "a list of distinct strings"),
+            ("trace", {"a": 0, "b": 1}, "a list of strings"),
+            ("trace", [["a"], "b"], "a list of strings"),
+            ("label", ["Valid"], "Valid or Anomalous"),
+            ("model_id", ["m"], "a string"),
+        ],
+    )
+    def test_bad_value_after_a_valid_row_of_its_model_is_fatal(
+        self, tmp_path, key, value, shape
+    ):
+        # The reader takes a value equal to one it has already checked from
+        # its store of checked values; a bad row that follows a good one of
+        # the same model must still get the full check.
+        good = {"record_id": "m:tsad:00000", "task": "tsad", "model_id": "m",
+                "activity_set": ["a", "b", "c"], "trace": ["a", "b"], "label": "Valid"}
+        bad = {**good, "record_id": "m:tsad:00001", key: value}
+        dataset = tmp_path / "bad.jsonl"
+        dataset.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("", encoding="utf-8")
+        code, summary, err = run(
+            ["score", "--dataset", str(dataset), "--predictions", str(preds)]
+        )
+        assert code == EXIT_FATAL
+        assert summary is None
+        assert err == f"procsem: error: {dataset}:2: {key!r} must be {shape}\n"
+
     def test_sptd_row_must_list_its_tree_leaves(self, tmp_path):
         # Scored over the listed activities, this row would give the
         # reversed tree fitness 1.0.

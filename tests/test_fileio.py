@@ -29,6 +29,9 @@ from procsem import (
     Split,
     Task,
     TaskRecord,
+    gen_tsad,
+    parse_tree,
+    playout,
     read_dataset,
     render_tree,
     write_corpus,
@@ -189,30 +192,34 @@ def _distinct_leaves(tree) -> bool:
 
 
 @st.composite
-def consistent_records(draw, task: Task) -> TaskRecord:
+def consistent_records(draw, task: Task, values: st.SearchStrategy[str] = text) -> TaskRecord:
     """Records that every reader check accepts: a distinct activity set,
-    sdfd edges inside it, and an sptd tree whose leaves it lists."""
+    sdfd edges inside it, and an sptd tree whose leaves it lists. Model ids,
+    activities and trace items are drawn from `values`."""
     if task is Task.SPTD:
         tree = draw(tree_strategy(max_leaves=6).filter(_distinct_leaves))
         activities = tuple(draw(st.permutations(tree_labels(tree))))
         payload = {"tree_text": render_tree(tree)}
     else:
-        activities = tuple(draw(st.lists(text, max_size=4, unique=True)))
+        activities = tuple(draw(st.lists(values, max_size=4, unique=True)))
         label = st.sampled_from([LABEL_VALID, LABEL_ANOMALOUS])
         member = st.sampled_from(activities or ("",))
         edges = st.lists(st.tuples(member, member), max_size=4 if activities else 0)
+        trace = st.lists(values, max_size=4).map(tuple)
         payload = draw(
             {
-                Task.TSAD: st.fixed_dictionaries({"trace": strings, "label": label}),
-                Task.ASAD: st.fixed_dictionaries({"pair": string_pairs, "label": label}),
-                Task.SNAP: st.fixed_dictionaries({"prefix": strings, "next_activity": text}),
+                Task.TSAD: st.fixed_dictionaries({"trace": trace, "label": label}),
+                Task.ASAD: st.fixed_dictionaries(
+                    {"pair": st.tuples(values, values), "label": label}
+                ),
+                Task.SNAP: st.fixed_dictionaries({"prefix": trace, "next_activity": values}),
                 Task.SDFD: st.fixed_dictionaries({"edges": edges.map(tuple)}),
             }[task]
         )
     return TaskRecord(
         record_id=draw(text),
         task=task,
-        model_id=draw(st.sampled_from(["m1", "m2"]) | text),
+        model_id=draw(st.sampled_from(["m1", "m2"]) | values),
         activity_set=activities,
         **payload,
     )
@@ -231,6 +238,55 @@ def test_dataset_round_trip(records):
         path = Path(tmp) / "rows.jsonl"
         write_dataset(path, records)
         assert read_dataset(path) == sorted(records, key=attrgetter("record_id"))
+
+
+_FIELD_NAMES = {
+    Task.TSAD: ("trace", "label"),
+    Task.ASAD: ("pair", "label"),
+    Task.SNAP: ("prefix", "next_activity"),
+    Task.SDFD: ("edges",),
+    Task.SPTD: ("tree_text",),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tasks.flatmap(
+        lambda task: st.lists(
+            consistent_records(task, values=st.sampled_from(["a", "b", "\u2028"])),
+            max_size=8,
+            unique_by=attrgetter("record_id"),
+        )
+    )
+)
+def test_round_trip_shares_equal_values(records):
+    # Few distinct values, so that rows repeat each other's values and the
+    # reader takes most of them from the values it has already checked.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        write_dataset(path, records)
+        read = read_dataset(path)
+    assert read == sorted(records, key=attrgetter("record_id"))
+    held: dict = {}
+    for record in read:
+        for key in ("model_id", "activity_set", *_FIELD_NAMES[record.task]):
+            value = getattr(record, key)
+            assert held.setdefault((key, value), value) is value
+
+
+def test_rows_of_one_model_share_their_values(tmp_path):
+    tree = parse_tree("->('a', X('b', 'c'), 'd')")
+    records = gen_tsad(playout(tree, model_id="m1"), seed=3)
+    path = tmp_path / "tsad.jsonl"
+    write_dataset(path, records)
+    read = read_dataset(path)
+    assert read == sorted(records, key=attrgetter("record_id"))
+    first = read[0]
+    assert all(r.activity_set is first.activity_set for r in read)
+    assert all(r.model_id is first.model_id for r in read)
+    traces = {r.trace: r.trace for r in read}
+    assert all(r.trace is traces[r.trace] for r in read)
+    assert len(traces) < len(read)
 
 
 def test_foreign_payload_key_is_fatal(tmp_path):
