@@ -209,19 +209,8 @@ def _field(
     path: str | Path, line_number: int,
 ) -> Any:
     """The value of field `key`, checked and converted by `spec`, as the one
-    copy of it that `seen` holds. `seen` holds only converted values that passed
-    the check, so a list or string equal to one of them is not checked again.
-    Any other value goes through the full check: one not held yet, a list
-    that holds a list or a dict, and a value of another type, whose keys or
-    characters could match a held tuple."""
+    copy of an equal value that `seen` holds."""
     value = _require(obj, key, path, line_number)
-    if type(value) is list or type(value) is str:
-        try:
-            held = seen.get(tuple(value) if type(value) is list else value)
-        except TypeError:  # a list that holds a list or a dict
-            held = None
-        if held is not None:
-            return held
     is_valid, shape, convert, _ = spec
     if not is_valid(value):
         raise FileFormatError(path, line_number, f"{key!r} must be {shape}")
@@ -233,13 +222,10 @@ def obj_to_record(
     obj: dict[str, Any],
     path: str | Path,
     line_number: int,
-    shared: defaultdict[str, dict[Any, Any]] | None = None,
+    shared: defaultdict[str, dict[Any, Any]],
 ) -> TaskRecord:
     """The record of one row as `json` decodes it. Rows read with the same
-    `shared` dict share every equal field value and `model_id`, and each
-    distinct value is checked once."""
-    if shared is None:
-        shared = defaultdict(dict)
+    `shared` dict share every equal field value and `model_id`."""
     try:
         task = Task(str(_require(obj, "task", path, line_number)))
     except ValueError:

@@ -228,22 +228,6 @@ def _records(
     ]
 
 
-def _two_positions(rng: random.Random, n: int) -> tuple[int, int]:
-    """Two distinct positions below `n`: the draws and the values of CPython's
-    `rng.sample(range(n), 2)`, without its overhead. Up to n = 21 `sample`
-    draws the second position from the n - 1 left after the first, with
-    n - 1 moved into the first's place; above that it redraws until the
-    second differs from the first."""
-    a = rng.randrange(n)
-    if n <= 21:
-        b = rng.randrange(n - 1)
-        return a, n - 1 if b == a else b
-    b = rng.randrange(n)
-    while b == a:
-        b = rng.randrange(n)
-    return a, b
-
-
 def gen_tsad(
     model: ProcessModel,
     seed: int,
@@ -270,7 +254,7 @@ def gen_tsad(
         noised: Trace | None = None
         if rng.random() < noise_prob and len(trace) >= 2:
             for _ in range(max_retries):
-                a, b = _two_positions(rng, len(trace))
+                a, b = rng.sample(range(len(trace)), 2)
                 candidate = list(trace)
                 candidate[a], candidate[b] = candidate[b], candidate[a]
                 swapped = tuple(candidate)

@@ -626,9 +626,9 @@ class TestFailureModes:
     def test_bad_value_after_a_valid_row_of_its_model_is_fatal(
         self, tmp_path, key, value, shape
     ):
-        # The reader takes a value equal to one it has already checked from
-        # its store of checked values; a bad row that follows a good one of
-        # the same model must still get the full check.
+        # The reader shares each value with the equal ones it has already
+        # read; a bad row that follows a good one of the same model must
+        # still get the full check.
         good = {"record_id": "m:tsad:00000", "task": "tsad", "model_id": "m",
                 "activity_set": ["a", "b", "c"], "trace": ["a", "b"], "label": "Valid"}
         bad = {**good, "record_id": "m:tsad:00001", key: value}

@@ -261,7 +261,7 @@ _FIELD_NAMES = {
 )
 def test_round_trip_shares_equal_values(records):
     # Few distinct values, so that rows repeat each other's values and the
-    # reader takes most of them from the values it has already checked.
+    # reader shares most of them with rows it has already read.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.jsonl"
         write_dataset(path, records)

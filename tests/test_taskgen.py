@@ -1,11 +1,8 @@
 from __future__ import annotations
 
-import random
 from dataclasses import asdict, replace
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from procsem import (
     CorpusEntry,
@@ -34,7 +31,6 @@ from procsem import (
     validate_corpus,
     xor,
 )
-from procsem.taskgen import _two_positions
 
 from conftest import M1_TREE_TEXT, oracle_ef_pairs, oracle_language
 
@@ -185,17 +181,6 @@ class TestGenTsad:
         records = gen_tsad(admitted.model, seed=5)
         assert all(r.activity_set is records[0].activity_set for r in records)
         assert all(r.model_id is records[0].model_id for r in records)
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.integers(min_value=2, max_value=64), st.integers(min_value=0, max_value=2**64))
-@example(21, 0)  # the last n of `sample`'s pool method
-@example(22, 0)  # the first n of its set method
-def test_two_positions_draw_as_sample_does(n, seed):
-    drawn, sampled = random.Random(seed), random.Random(seed)
-    assert _two_positions(drawn, n) == tuple(sampled.sample(range(n), 2))
-    # Both leave the stream at the same place.
-    assert drawn.getstate() == sampled.getstate()
 
 
 class TestGenAsad:
