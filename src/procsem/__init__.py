@@ -99,6 +99,7 @@ from .taskgen import (
     gen_snap,
     gen_sptd,
     gen_tsad,
+    generate_dataset,
     generate_task,
     split_corpus,
     validate_corpus,

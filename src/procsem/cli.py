@@ -58,7 +58,7 @@ from .taskgen import (
     TaskRecord,
     ValidationReport,
     check_split_ratios,
-    generate_task,
+    generate_dataset,
     split_corpus,
     validate_corpus,
 )
@@ -281,20 +281,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     counts: dict[str, int] = {}
     for task in tasks:
-        records = []
-        for admitted in report.admitted:
-            records.extend(
-                generate_task(
-                    task,
-                    admitted,
-                    config.seed,
-                    config.min_log_size,
-                    config.noise_prob,
-                    config.max_retries,
-                )
-            )
-        write_dataset(out_dir / f"{task.value}.jsonl", records)
-        counts[task.value] = len(records)
+        records = generate_dataset(
+            task,
+            report.admitted,
+            config.seed,
+            config.min_log_size,
+            config.noise_prob,
+            config.max_retries,
+        )
+        counts[task.value] = write_dataset(out_dir / f"{task.value}.jsonl", records)
     _emit(
         {
             "command": "gen",

@@ -1,7 +1,8 @@
 """JSON-Lines readers and writers for every pipeline file format.
 
 One JSON object per line throughout; writers emit keys in a fixed order and
-rows in a canonical sort so identical inputs produce identical bytes. Every
+rows in a canonical sort so identical inputs produce identical bytes. Dataset
+rows are written in the order given, which must be `record_id` order. Every
 value written is a string, a list of strings or a list of string lists, so
 each row is spelled straight from its fields, with the string quoting of the
 stdlib `json` encoder, into the bytes it gives with `ensure_ascii=False`.
@@ -280,34 +281,48 @@ _SPELLINGS = {
 }
 
 
-def _record_lines(records: Iterable[TaskRecord]) -> Iterator[str]:
-    """Dataset rows, each the bytes the `json` encoder gives for the record's object:
-    `record_id`, `task`, `model_id`, `activity_set`, then the task's fields in
-    `_FIELDS` order; other tasks' fields are not written. The task, model and
-    activity-set part is encoded once per distinct (task, model_id,
-    activity_set). A record missing one of its task's fields is a ValueError."""
-    heads: dict[tuple[Task, str, tuple[str, ...]], str] = {}
-    for record in records:
-        key = (record.task, record.model_id, record.activity_set)
-        head = heads.get(key)
-        if head is None:
-            head = heads[key] = (
-                f', "task": {_quote(record.task.value)}'
-                f', "model_id": {_quote(record.model_id)}'
-                f', "activity_set": {_strings(record.activity_set)}'
-            )
-        parts = ['{"record_id": ', _quote(record.record_id), head]
-        for before, key, spell in _SPELLINGS[record.task]:
-            value = getattr(record, key)
-            if value is None:
-                raise ValueError(f"record {record.record_id!r} has no {key!r}")
-            parts += (before, spell(value))
-        parts.append("}\n")
-        yield "".join(parts)
+def write_dataset(path: str | Path, records: Iterable[TaskRecord]) -> int:
+    """Write `records` as dataset rows in the order given and return how many
+    were written. Each row is the bytes the `json` encoder gives for the
+    record's object: `record_id`, `task`, `model_id`, `activity_set`, then the
+    task's fields in `_FIELDS` order; other tasks' fields are not written.
 
+    Each `record_id` must be greater than the one before it, so the file
+    holds no id twice and `read_dataset` gives the records back in the same
+    order. A record out of that order, or missing one of its task's fields,
+    is a ValueError naming the record, and the old file stays."""
+    written = 0
 
-def write_dataset(path: str | Path, records: Iterable[TaskRecord]) -> None:
-    _write_text(path, _record_lines(sorted(records, key=_BY_RECORD_ID)))
+    def lines() -> Iterator[str]:
+        nonlocal written
+        previous: str | None = None
+        last_key: tuple[Task, str, tuple[str, ...]] | None = None
+        for record in records:
+            record_id = record.record_id
+            if previous is not None and record_id <= previous:
+                raise ValueError(f"record {record_id!r} follows {previous!r}; ids must increase")
+            previous = record_id
+            # A model's rows come together, so its task, model and
+            # activity-set part is spelled once per run of them.
+            key = (record.task, record.model_id, record.activity_set)
+            if key != last_key:
+                last_key, head = key, (
+                    f', "task": {_quote(record.task.value)}'
+                    f', "model_id": {_quote(record.model_id)}'
+                    f', "activity_set": {_strings(record.activity_set)}'
+                )
+            parts = ['{"record_id": ', _quote(record_id), head]
+            for before, field, spell in _SPELLINGS[record.task]:
+                value = getattr(record, field)
+                if value is None:
+                    raise ValueError(f"record {record_id!r} has no {field!r}")
+                parts += (before, spell(value))
+            parts.append("}\n")
+            written += 1
+            yield "".join(parts)
+
+    _write_text(path, lines())
+    return written
 
 
 # ---------------------------------------------------------------------------

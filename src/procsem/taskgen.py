@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Any
 
 from .core import (
@@ -338,6 +339,43 @@ def generate_task(
     if task is Task.SDFD:
         return [gen_sdfd(model, admitted.tree)]
     return [gen_sptd(model, admitted.tree)]
+
+
+_BY_RECORD_ID = attrgetter("record_id")
+
+
+def _id_prefix(admitted: AdmittedModel) -> str:
+    """The text every record id of the model starts with (see `_records`)."""
+    return admitted.model.model_id + ":"
+
+
+def generate_dataset(
+    task: Task,
+    admitted: Iterable[AdmittedModel],
+    seed: int,
+    min_log_size: int = DEFAULT_MIN_LOG_SIZE,
+    noise_prob: float = DEFAULT_NOISE_PROB,
+    max_retries: int = DEFAULT_MAX_RETRIES,
+) -> Iterator[TaskRecord]:
+    """The records of `task` for every admitted model, in `record_id` order,
+    generated one model at a time.
+
+    Every record id starts with its model's id and ":", the model's id
+    prefix. Two models' records can interleave only when one prefix starts
+    with the other, and in prefix order such models directly follow the
+    shorter one. So each model whose prefix starts with the current batch
+    head's joins that batch, and each batch is sorted by `record_id`, which
+    also places an index past 99,999.
+    """
+    head: str | None = None
+    batch: list[TaskRecord] = []
+    for entry in sorted(admitted, key=_id_prefix):
+        prefix = _id_prefix(entry)
+        if head is None or not prefix.startswith(head):
+            yield from sorted(batch, key=_BY_RECORD_ID)
+            head, batch = prefix, []
+        batch += generate_task(task, entry, seed, min_log_size, noise_prob, max_retries)
+    yield from sorted(batch, key=_BY_RECORD_ID)
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,15 @@ from procsem import (
     TaskRecord,
     TreeSyntaxError,
     answer_text,
+    generate_task,
     load_templates,
     normalize_label,
     parse_dfg_edges,
     parse_tree,
     playout,
+    read_corpus,
     render_tree,
+    validate_corpus,
 )
 from procsem.core import MIRROR, tree_labels
 from procsem.evaluation import fold_label
@@ -492,6 +495,22 @@ def oracle_record_line(record: TaskRecord) -> str:
     if record.tree_text is not None:
         obj["tree_text"] = record.tree_text
     return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+def oracle_dataset(task: Task, admitted, seed: int, **settings) -> list[TaskRecord]:
+    """Every admitted model's records of `task` built at once and sorted
+    together by `record_id`."""
+    records = [
+        record for entry in admitted for record in generate_task(task, entry, seed, **settings)
+    ]
+    return sorted(records, key=lambda r: r.record_id)
+
+
+def oracle_dataset_bytes(corpus_path, task: Task, seed: int, **settings) -> bytes:
+    """Reference dataset file of `gen` for the corpus file."""
+    admitted = validate_corpus(read_corpus(corpus_path)).admitted
+    records = oracle_dataset(task, admitted, seed, **settings)
+    return "".join(map(oracle_record_line, records)).encode("utf-8")
 
 
 def oracle_sequences_line(model) -> str:

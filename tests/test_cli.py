@@ -15,6 +15,7 @@ import procsem
 from procsem import (
     MatchingMode,
     Prediction,
+    Task,
     answer_text,
     read_dataset,
     write_predictions,
@@ -28,6 +29,8 @@ from procsem.cli import (
     build_parser,
     main,
 )
+
+from conftest import oracle_dataset_bytes
 
 
 def run(argv):
@@ -307,6 +310,41 @@ def test_wide_outputs_match_golden_digests(tmp_path, monkeypatch):
         for name in WIDE_GOLDEN_DIGESTS
     }
     assert digests == WIDE_GOLDEN_DIGESTS
+
+
+# Model ids in shuffled file order that extend one another by ":", so that
+# the record ids of one model fall between those of another: the tsad rows of
+# "a:tsad:00001" sort between "a:tsad:00001" and "a:tsad:00002" of model "a".
+_EXTENDING_IDS = ("b", "a:tsad:00001", "ab", "a", "a-b", "a:tsad:0", "a:")
+
+
+def test_gen_orders_rows_of_ids_that_extend_one_another(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"model_id": model_id, "tree": f"->('x{i}', X('y{i}', ->('z{i}', 'w{i}')))"})
+        + "\n"
+        for i, model_id in enumerate(_EXTENDING_IDS)
+    ), encoding="utf-8")
+    code, summary, err = run(["gen", str(corpus), "--out-dir", str(tmp_path), "--seed", "2"])
+    assert code == EXIT_OK, err
+    assert summary["models"] == len(_EXTENDING_IDS)
+    for task in Task:
+        written = (tmp_path / f"{task.value}.jsonl").read_bytes()
+        assert written == oracle_dataset_bytes(corpus, task, seed=2, min_log_size=100), task
+        assert summary["records"][task.value] == written.count(b"\n")
+
+
+def test_gen_orders_a_six_digit_record_index(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"model_id": "m", "tree": "X(\'a\', \'b\')"}\n', encoding="utf-8")
+    code, summary, err = run(
+        ["gen", str(corpus), "--out-dir", str(tmp_path), "--task", "tsad",
+         "--min-log-size", "100001", "--seed", "2"]
+    )
+    assert code == EXIT_OK, err
+    assert summary["records"] == {"tsad": 100001}
+    written = (tmp_path / "tsad.jsonl").read_bytes()
+    assert written == oracle_dataset_bytes(corpus, Task.TSAD, seed=2, min_log_size=100001)
 
 
 class TestConfigHandling:

@@ -105,11 +105,11 @@ def _written(write, rows) -> bytes:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(task_records(), max_size=8))
+@given(st.lists(task_records(), max_size=8, unique_by=attrgetter("record_id")))
 def test_dataset_rows_match_json_dumps(records):
     ordered = sorted(records, key=lambda r: r.record_id)
     expected = "".join(map(oracle_record_line, ordered)).encode("utf-8")
-    assert _written(write_dataset, records) == expected
+    assert _written(write_dataset, ordered) == expected
 
 
 @settings(deadline=None)
@@ -236,7 +236,7 @@ def consistent_records(draw, task: Task, values: st.SearchStrategy[str] = text) 
 def test_dataset_round_trip(records):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.jsonl"
-        write_dataset(path, records)
+        assert write_dataset(path, sorted(records, key=attrgetter("record_id"))) == len(records)
         assert read_dataset(path) == sorted(records, key=attrgetter("record_id"))
 
 
@@ -264,7 +264,7 @@ def test_round_trip_shares_equal_values(records):
     # reader shares most of them with rows it has already read.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.jsonl"
-        write_dataset(path, records)
+        write_dataset(path, sorted(records, key=attrgetter("record_id")))
         read = read_dataset(path)
     assert read == sorted(records, key=attrgetter("record_id"))
     held: dict = {}
@@ -337,6 +337,20 @@ def test_failed_write_leaves_the_old_file(tmp_path):
     path.write_bytes(b"old\n")
     with pytest.raises(ValueError, match="^record 'r1' has no 'label'$"):
         write_dataset(path, [good, bad])
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["tsad.jsonl"]
+
+
+@pytest.mark.parametrize("ids", [("r1", "r1"), ("r2", "r1")])
+def test_record_ids_out_of_order_are_not_written(tmp_path, ids):
+    # A repeated id would give a file that `read_dataset` rejects.
+    first = TaskRecord(ids[0], Task.TSAD, "m1", ("a", "b"), trace=("a", "b"), label=LABEL_VALID)
+    second = replace(first, record_id=ids[1])
+    path = tmp_path / "tsad.jsonl"
+    path.write_bytes(b"old\n")
+    with pytest.raises(ValueError) as exc_info:
+        write_dataset(path, [first, second])
+    assert str(exc_info.value) == f"record {ids[1]!r} follows {ids[0]!r}; ids must increase"
     assert path.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["tsad.jsonl"]
 

@@ -3,8 +3,11 @@ from __future__ import annotations
 from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procsem import (
+    AdmittedModel,
     CorpusEntry,
     EmptyLabelError,
     LABEL_ANOMALOUS,
@@ -18,6 +21,7 @@ from procsem import (
     gen_snap,
     gen_sptd,
     gen_tsad,
+    generate_dataset,
     generate_task,
     leaf,
     loop,
@@ -32,7 +36,7 @@ from procsem import (
     xor,
 )
 
-from conftest import M1_TREE_TEXT, oracle_ef_pairs, oracle_language
+from conftest import M1_TREE_TEXT, oracle_dataset, oracle_ef_pairs, oracle_language
 
 
 def admit_one(tree, model_id="m"):
@@ -292,6 +296,26 @@ class TestGenSdfdSptd:
             records = generate_task(task, admitted, seed=5)
             assert records
             assert all(r.task is task for r in records)
+
+
+# Model ids built from pieces of record ids, so that one model's record ids
+# often fall between another's.
+_model_ids = st.lists(
+    st.lists(st.sampled_from(["a", "b", ":", "-", "tsad", "0", "00001"]), max_size=5).map("".join),
+    max_size=6,
+    unique=True,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_model_ids, st.randoms(use_true_random=False))
+def test_generate_dataset_yields_record_id_order(model_ids, shuffler):
+    tree = par(leaf("x"), xor(leaf("y"), leaf("z")))
+    admitted = [AdmittedModel(playout(tree, model_id=m), tree) for m in model_ids]
+    shuffler.shuffle(admitted)
+    for task, min_log_size in ((Task.TSAD, 12), (Task.SPTD, 1)):
+        expected = oracle_dataset(task, admitted, 4, min_log_size=min_log_size)
+        assert list(generate_dataset(task, admitted, 4, min_log_size=min_log_size)) == expected
 
 
 class TestSplitCorpus:
