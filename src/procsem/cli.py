@@ -83,6 +83,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.noise_prob <= 1.0:
             raise ValueError("noise_prob must lie in [0, 1]")
+        for key, low in (("min_log_size", 0), ("max_retries", 0), ("max_sequences", 1),
+                         ("shots", 1)):
+            value = getattr(self, key)
+            if value is not None and value < low:
+                raise ValueError(f"{key} must be at least {low}")
         check_split_ratios(self.split_ratios)
 
 
@@ -112,25 +117,37 @@ def _is_number(value: Any) -> bool:
 _INT_KEY = (_is_int, "an integer", int)
 _MATCHING_MODES = [m.value for m in MatchingMode]
 
-# Config-file key -> (JSON type check, what the check wants, conversion).
-_CONFIG_KEYS: dict[str, tuple[Callable[[Any], bool], str, Callable[[Any], Any]]] = {
-    "seed": _INT_KEY,
-    "min_log_size": _INT_KEY,
-    "noise_prob": (_is_number, "a number", float),
-    "max_retries": _INT_KEY,
+# The one listing of the config keys. Key -> (flag, add_argument keywords,
+# JSON type check of a --config value, what that check wants, conversion of a
+# flag or file value to its RunConfig field). A --config file may hold any
+# key; a subcommand has flags for only the keys it reads.
+_CONFIG_KEYS: dict[str, tuple[str, dict[str, Any], Callable, str, Callable]] = {
+    "seed": ("--seed", {"type": int, "help": "global random seed"}, *_INT_KEY),
+    "min_log_size": ("--min-log-size", {"type": int}, *_INT_KEY),
+    "noise_prob": ("--noise-prob", {"type": float}, _is_number, "a number", float),
+    "max_retries": ("--max-retries", {"type": int}, *_INT_KEY),
     "split_ratios": (
+        "--ratios",
+        {"type": _parse_ratios, "help": "train,validation,test ratios, e.g. 0.7,0.2,0.1"},
         lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
         "a list of three numbers",
         lambda v: tuple(float(x) for x in v),
     ),
-    "shots": _INT_KEY,
-    "max_sequences": _INT_KEY,
+    "shots": ("--shots", {"type": int}, *_INT_KEY),
+    "max_sequences": ("--max-sequences", {"type": int}, *_INT_KEY),
     "matching_mode": (
+        "--matching-mode",
+        {"choices": _MATCHING_MODES},
         lambda v: v in _MATCHING_MODES,
         f"one of {', '.join(map(repr, _MATCHING_MODES))}",
         MatchingMode,
     ),
-    "include_diagonal": (lambda v: isinstance(v, bool), "true or false", bool),
+    "include_diagonal": (
+        "--include-diagonal",
+        {"action": argparse.BooleanOptionalAction,
+         "help": "count footprint diagonal pairs (default: yes)"},
+        lambda v: isinstance(v, bool), "true or false", bool,
+    ),
 }
 
 
@@ -150,17 +167,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         for key, value in data.items():
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}: unknown config key {key!r}")
-            is_valid, wanted, convert = _CONFIG_KEYS[key]
+            _, _, is_valid, wanted, convert = _CONFIG_KEYS[key]
             if not is_valid(value):
                 raise ValueError(f"{path}: {key!r} must be {wanted}")
             try:
                 config = replace(config, **{key: convert(value)})
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-    for key in _CONFIG_KEYS:
+    for key, (*_, convert) in _CONFIG_KEYS.items():
         value = getattr(args, key, None)
         if value is not None:
-            config = replace(config, **{key: value})
+            config = replace(config, **{key: convert(value)})
     return config
 
 
@@ -442,33 +459,12 @@ def _report_summary(report: ScoreReport, include_per_record: bool) -> dict[str, 
 # Parser assembly
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """--config, and a flag for each config key the subcommand reads."""
     parser.add_argument("--config", help="JSON file with config defaults")
-    parser.add_argument("--seed", type=int, help="global random seed")
-    parser.add_argument("--min-log-size", dest="min_log_size", type=int)
-    parser.add_argument("--noise-prob", dest="noise_prob", type=float)
-    parser.add_argument("--max-retries", dest="max_retries", type=int)
-    parser.add_argument(
-        "--ratios",
-        dest="split_ratios",
-        type=_parse_ratios,
-        help="train,validation,test ratios, e.g. 0.7,0.2,0.1",
-    )
-    parser.add_argument("--shots", type=int)
-    parser.add_argument("--max-sequences", dest="max_sequences", type=int)
-    parser.add_argument(
-        "--matching-mode",
-        dest="matching_mode",
-        type=MatchingMode,
-        choices=list(MatchingMode),
-    )
-    parser.add_argument(
-        "--include-diagonal",
-        dest="include_diagonal",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="count footprint diagonal pairs (default: yes)",
-    )
+    for key in keys:
+        flag, kwargs = _CONFIG_KEYS[key][:2]
+        parser.add_argument(flag, dest=key, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,36 +478,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-prob", type=float, default=0.15)
     p.add_argument("--min-trace-len", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "seed", "max_sequences")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("validate", help="play out a corpus, report rejections")
     p.add_argument("corpus")
     p.add_argument("--out", required=True, help="admitted corpus file")
-    _add_config_flags(p)
+    _add_config_flags(p, "max_sequences")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("playout", help="write per-model sequences and stats")
     p.add_argument("corpus")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "max_sequences")
     p.set_defaults(func=cmd_playout)
 
     p = sub.add_parser("gen", help="generate task datasets from a corpus")
     p.add_argument("corpus")
-    p.add_argument(
-        "--task",
-        choices=[*[t.value for t in Task], "all"],
-        default="all",
-    )
+    p.add_argument("--task", choices=[*[t.value for t in Task], "all"], default="all")
     p.add_argument("--out-dir", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "seed", "min_log_size", "noise_prob", "max_retries", "max_sequences")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("split", help="leakage-free train/validation/test split")
     p.add_argument("corpus")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "seed", "split_ratios", "max_sequences")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("prompts", help="render ICL prompts or fine-tuning pairs")
@@ -525,21 +517,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--templates-dir", default=None)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "seed", "shots")
     p.set_defaults(func=cmd_prompts)
 
     p = sub.add_parser("baseline", help="write random baseline predictions")
     p.add_argument("--dataset", required=True)
     p.add_argument("--kind", choices=["random_class", "random_footprint"], required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "seed")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("score", help="score a prediction file against a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--predictions", required=True)
     p.add_argument("--per-record", action="store_true")
-    _add_config_flags(p)
+    _add_config_flags(p, "matching_mode", "include_diagonal")
     p.set_defaults(func=cmd_score)
 
     return parser

@@ -83,9 +83,12 @@ def _write_text(path: str | Path, lines: Iterable[str]) -> None:
         with suppress(FileNotFoundError):
             shutil.copymode(target, temp)
         os.replace(temp, target)
-    except BaseException:
+    except BaseException as exc:
         with suppress(FileNotFoundError):
             os.remove(temp)
+        if isinstance(exc, OSError) and exc.filename == temp:
+            # Name the destination the caller gave, not the temp file.
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

@@ -121,8 +121,10 @@ def synth_corpus(
         raise ValueError("n_models must be positive")
     if not 2 <= min_activities <= max_activities:
         raise ValueError("need 2 <= min_activities <= max_activities")
-    if min_trace_len > min_activities:
-        raise ValueError("min_trace_len cannot exceed min_activities")
+    if not 0.0 <= tau_prob <= 1.0:
+        raise ValueError("tau_prob must lie in [0, 1]")
+    if not 0 <= min_trace_len <= min_activities:
+        raise ValueError("need 0 <= min_trace_len <= min_activities")
     pool = [f"{v} {n}" for v in _VERBS for n in _NOUNS]
     if max_activities > len(pool):
         raise ValueError(f"max_activities cannot exceed {len(pool)}")

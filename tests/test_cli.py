@@ -283,18 +283,19 @@ def test_wide_outputs_match_golden_digests(tmp_path, monkeypatch):
     def step(name, argv, expected=EXIT_OK):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = main([*argv, *cap])
+            code = main(argv)
         assert code == expected, f"{argv}: {err.getvalue()}"
         if name:
             Path(name).write_text(out.getvalue(), encoding="utf-8")
 
-    step("validate.stdout", ["validate", "corpus.jsonl", "--out", "admitted.jsonl"],
-         EXIT_PARTIAL)
-    step(None, ["playout", "corpus.jsonl", "--out", "sequences.jsonl"], EXIT_PARTIAL)
+    # Only the corpus subcommands play out, so only they take the cap.
+    step("validate.stdout",
+         ["validate", "corpus.jsonl", "--out", "admitted.jsonl", *cap], EXIT_PARTIAL)
+    step(None, ["playout", "corpus.jsonl", "--out", "sequences.jsonl", *cap], EXIT_PARTIAL)
     for task in ("asad", "sdfd", "sptd"):
-        step(None, ["gen", "corpus.jsonl", "--task", task, "--out-dir", "data"],
+        step(None, ["gen", "corpus.jsonl", "--task", task, "--out-dir", "data", *cap],
              EXIT_PARTIAL)
-    step(None, ["split", "corpus.jsonl", "--out", "split.jsonl"], EXIT_PARTIAL)
+    step(None, ["split", "corpus.jsonl", "--out", "split.jsonl", *cap], EXIT_PARTIAL)
     step(None, ["baseline", "--dataset", "data/sdfd.jsonl", "--kind",
                 "random_footprint", "--out", "pred_sdfd.jsonl"])
     step("score_sdfd.stdout", ["score", "--dataset", "data/sdfd.jsonl",
@@ -407,6 +408,10 @@ class TestConfigHandling:
             ("noise_prob", 1.5, "noise_prob must lie in [0, 1]"),
             ("split_ratios", [1.2, -0.1, -0.1], "split ratios must lie in [0, 1]"),
             ("split_ratios", [0.5, 0.2, 0.1], "split ratios must sum to 1"),
+            ("max_sequences", 0, "max_sequences must be at least 1"),
+            ("min_log_size", -3, "min_log_size must be at least 0"),
+            ("max_retries", -3, "max_retries must be at least 0"),
+            ("shots", 0, "shots must be at least 1"),
         ],
     )
     def test_out_of_range_config_value_names_the_file(
@@ -474,6 +479,92 @@ class TestConfigHandling:
         )
         assert code == EXIT_FATAL
         assert err == f"procsem: error: {config}: not UTF-8\n"
+
+
+# The config flags each subcommand reads; a --config file may hold any key.
+SUBCOMMAND_CONFIG_FLAGS = {
+    "synth": {"--seed", "--max-sequences"},
+    "validate": {"--max-sequences"},
+    "playout": {"--max-sequences"},
+    "gen": {"--seed", "--min-log-size", "--noise-prob", "--max-retries", "--max-sequences"},
+    "split": {"--seed", "--ratios", "--max-sequences"},
+    "prompts": {"--seed", "--shots"},
+    "baseline": {"--seed"},
+    "score": {"--matching-mode", "--include-diagonal", "--no-include-diagonal"},
+}
+ALL_CONFIG_FLAGS = set().union(*SUBCOMMAND_CONFIG_FLAGS.values())
+
+# A valid command line of each subcommand. Run in this order in a directory
+# that holds corpus.jsonl, each reads what the ones before it wrote.
+SUBCOMMAND_ARGV = {
+    "synth": ["synth", "--n-models", "3", "--out", "c2.jsonl"],
+    "validate": ["validate", "corpus.jsonl", "--out", "a.jsonl"],
+    "playout": ["playout", "corpus.jsonl", "--out", "s.jsonl"],
+    "gen": ["gen", "corpus.jsonl", "--task", "tsad", "--out-dir", "data"],
+    "split": ["split", "corpus.jsonl", "--out", "split.jsonl"],
+    "prompts": ["prompts", "--dataset", "data/tsad.jsonl", "--split", "split.jsonl",
+                "--out", "icl.jsonl"],
+    "baseline": ["baseline", "--dataset", "data/tsad.jsonl", "--kind", "random_class",
+                 "--out", "pred.jsonl"],
+    "score": ["score", "--dataset", "data/tsad.jsonl", "--predictions", "pred.jsonl"],
+}
+
+
+def _help_text(command):
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc_info:
+        main([command, "--help"])
+    assert exc_info.value.code == EXIT_OK
+    return out.getvalue()
+
+
+class TestCliSurface:
+    @pytest.mark.parametrize("command", SUBCOMMAND_CONFIG_FLAGS)
+    def test_help_lists_exactly_the_config_flags_read(self, command):
+        listed = {
+            word.strip("[],") for word in _help_text(command).split()
+            if word.strip("[],") in ALL_CONFIG_FLAGS | {"--config"}
+        }
+        assert listed == SUBCOMMAND_CONFIG_FLAGS[command] | {"--config"}
+
+    @pytest.mark.parametrize("command", SUBCOMMAND_CONFIG_FLAGS)
+    def test_a_config_flag_not_read_is_a_usage_error(
+        self, command, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        for flag in sorted(ALL_CONFIG_FLAGS - SUBCOMMAND_CONFIG_FLAGS[command]):
+            value = [] if "diagonal" in flag else ["1"]
+            with pytest.raises(SystemExit) as exc_info:
+                main([*SUBCOMMAND_ARGV[command], flag, *value])
+            assert exc_info.value.code == EXIT_FATAL
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_score_help_spells_the_matching_modes(self):
+        assert "{case_sensitive,case_insensitive}" in _help_text("score")
+
+    def test_bad_matching_mode_names_the_choices(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main([*SUBCOMMAND_ARGV["score"], "--matching-mode", "exact"])
+        assert exc_info.value.code == EXIT_FATAL
+        assert ("invalid choice: 'exact' (choose from 'case_sensitive', "
+                "'case_insensitive')") in capsys.readouterr().err
+
+    def test_one_config_file_serves_every_subcommand(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("corpus.jsonl").write_text(
+            '{"model_id": "m1", "tree": "->(\'a\', X(\'b\', \'c\'))"}\n'
+            '{"model_id": "m2", "tree": "X(\'d\', +(\'e\', \'f\'))"}\n',
+            encoding="utf-8",
+        )
+        Path("config.json").write_text(json.dumps({
+            "seed": 4, "min_log_size": 5, "noise_prob": 0.0, "max_retries": 2,
+            "split_ratios": [0.5, 0.0, 0.5], "shots": 1, "max_sequences": 50,
+            "matching_mode": "case_sensitive", "include_diagonal": False,
+        }))
+        for command, argv in SUBCOMMAND_ARGV.items():
+            code, summary, err = run([*argv, "--config", "config.json"])
+            assert code == EXIT_OK, f"{command}: {err}"
+            assert summary["command"] == command
 
 
 class TestFailureModes:
@@ -551,6 +642,14 @@ class TestFailureModes:
         )
         assert code == EXIT_FATAL
         assert "error" in err
+
+    def test_write_error_names_the_destination(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"model_id": "m", "tree": "->(\'a\', \'b\')"}\n', encoding="utf-8")
+        out = tmp_path / "missing" / "dir" / "a.jsonl"
+        code, _, err = run(["validate", str(corpus), "--out", str(out)])
+        assert code == EXIT_FATAL
+        assert err == f"procsem: error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc_info:

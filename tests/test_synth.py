@@ -59,3 +59,7 @@ class TestSynthCorpus:
             synth_corpus(5, seed=0, min_activities=1)
         with pytest.raises(ValueError):
             synth_corpus(5, seed=0, min_activities=9, max_activities=8)
+        with pytest.raises(ValueError, match="tau_prob"):
+            synth_corpus(5, seed=0, tau_prob=7)
+        with pytest.raises(ValueError, match="min_trace_len"):
+            synth_corpus(5, seed=0, min_trace_len=-1)
