@@ -98,12 +98,23 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_FATAL, f"{self.prog}: error: {message}\n")
 
+    # A subcommand's parser reports the arguments it does not take itself,
+    # with its own usage, instead of handing them up to the top-level parser.
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parsed, extras
 
-def _parse_ratios(text: str) -> tuple[float, float, float]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != 3:
+
+def _parse_ratios(text: str) -> tuple[float, ...]:
+    try:
+        ratios = tuple(float(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        ratios = ()
+    if len(ratios) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated ratios")
-    return (float(parts[0]), float(parts[1]), float(parts[2]))
+    return ratios
 
 
 def _is_int(value: Any) -> bool:
@@ -128,7 +139,8 @@ _CONFIG_KEYS: dict[str, tuple[str, dict[str, Any], Callable, str, Callable]] = {
     "max_retries": ("--max-retries", {"type": int}, *_INT_KEY),
     "split_ratios": (
         "--ratios",
-        {"type": _parse_ratios, "help": "train,validation,test ratios, e.g. 0.7,0.2,0.1"},
+        {"type": _parse_ratios, "metavar": "TRAIN,VALIDATION,TEST",
+         "help": "train,validation,test ratios, e.g. 0.7,0.2,0.1"},
         lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
         "a list of three numbers",
         lambda v: tuple(float(x) for x in v),
@@ -190,9 +202,8 @@ def _emit(summary: dict[str, Any]) -> None:
         print(f"  {key:<{width}}  {value}", file=sys.stderr)
 
 
-def _validated(corpus_path: str, max_sequences: int) -> tuple[ValidationReport, int]:
-    report = validate_corpus(read_corpus(corpus_path), max_sequences)
-    return report, EXIT_PARTIAL if report.rejected else EXIT_OK
+def _validated(corpus_path: str, max_sequences: int) -> ValidationReport:
+    return validate_corpus(read_corpus(corpus_path), max_sequences)
 
 
 def _read_task_dataset(path: str) -> tuple[Task, list[TaskRecord]]:
@@ -208,11 +219,12 @@ def _rejection_counts(report: ValidationReport) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands. Each takes the parsed arguments and the run config, writes its
+# outputs and returns its summary; `main` prints the summary and picks the
+# exit code.
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    config = build_config(args)
+def cmd_synth(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
     entries = synth_corpus(
         n_models=args.n_models,
         seed=config.seed,
@@ -223,13 +235,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         max_sequences=config.max_sequences,
     )
     write_corpus(args.out, entries)
-    _emit({"command": "synth", "models": len(entries), "out": args.out})
-    return EXIT_OK
+    return {"command": "synth", "models": len(entries), "out": args.out}
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    report, status = _validated(args.corpus, config.max_sequences)
+def cmd_validate(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
+    report = _validated(args.corpus, config.max_sequences)
     write_corpus(
         args.out,
         [
@@ -239,44 +249,37 @@ def cmd_validate(args: argparse.Namespace) -> int:
             for a in report.admitted
         ],
     )
-    _emit(
-        {
-            "command": "validate",
-            "admitted": len(report.admitted),
-            "rejected": len(report.rejected),
-            "rejection_reasons": _rejection_counts(report),
-            "rejections": [
-                {"model_id": r.model_id, "reason": r.reason.value, "detail": r.detail}
-                for r in report.rejected
-            ],
-            "out": args.out,
-        }
-    )
-    return status
+    return {
+        "command": "validate",
+        "admitted": len(report.admitted),
+        "rejected": len(report.rejected),
+        "rejection_reasons": _rejection_counts(report),
+        "rejections": [
+            {"model_id": r.model_id, "reason": r.reason.value, "detail": r.detail}
+            for r in report.rejected
+        ],
+        "out": args.out,
+    }
 
 
-def cmd_playout(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    report, status = _validated(args.corpus, config.max_sequences)
+def cmd_playout(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
+    report = _validated(args.corpus, config.max_sequences)
     models = report.models
     write_sequences(args.out, models)
     activity_counts = [len(m.activity_set) for m in models]
     sequence_counts = [len(m.sequences) for m in models]
     all_activities = set().union(*(m.activity_set for m in models)) if models else set()
     all_sequences = set().union(*(m.sequences for m in models)) if models else set()
-    _emit(
-        {
-            "command": "playout",
-            "models": len(models),
-            "unique_activities": len(all_activities),
-            "activities_per_model": _spread(activity_counts),
-            "unique_sequences": len(all_sequences),
-            "sequences_per_model": _spread(sequence_counts),
-            "rejected": len(report.rejected),
-            "out": args.out,
-        }
-    )
-    return status
+    return {
+        "command": "playout",
+        "models": len(models),
+        "unique_activities": len(all_activities),
+        "activities_per_model": _spread(activity_counts),
+        "unique_sequences": len(all_sequences),
+        "sequences_per_model": _spread(sequence_counts),
+        "rejected": len(report.rejected),
+        "out": args.out,
+    }
 
 
 def _spread(counts: list[int]) -> dict[str, float]:
@@ -290,9 +293,8 @@ def _spread(counts: list[int]) -> dict[str, float]:
     }
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    report, status = _validated(args.corpus, config.max_sequences)
+def cmd_gen(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
+    report = _validated(args.corpus, config.max_sequences)
     tasks = list(Task) if args.task == "all" else [Task(args.task)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -307,41 +309,31 @@ def cmd_gen(args: argparse.Namespace) -> int:
             config.max_retries,
         )
         counts[task.value] = write_dataset(out_dir / f"{task.value}.jsonl", records)
-    _emit(
-        {
-            "command": "gen",
-            "records": counts,
-            "models": len(report.admitted),
-            "rejected": len(report.rejected),
-            "rejection_reasons": _rejection_counts(report),
-            "out_dir": str(out_dir),
-        }
-    )
-    return status
+    return {
+        "command": "gen",
+        "records": counts,
+        "models": len(report.admitted),
+        "rejected": len(report.rejected),
+        "rejection_reasons": _rejection_counts(report),
+        "out_dir": str(out_dir),
+    }
 
 
-def cmd_split(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    report, status = _validated(args.corpus, config.max_sequences)
+def cmd_split(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
+    report = _validated(args.corpus, config.max_sequences)
     assignment = split_corpus(report.models, config.split_ratios, config.seed)
     write_split(args.out, assignment.assignment)
-    _emit(
-        {
-            "command": "split",
-            "models": len(assignment.assignment),
-            "components": len(assignment.components),
-            "sizes": {
-                split.value: len(assignment.model_ids(split)) for split in Split
-            },
-            "rejected": len(report.rejected),
-            "out": args.out,
-        }
-    )
-    return status
+    return {
+        "command": "split",
+        "models": len(assignment.assignment),
+        "components": len(assignment.components),
+        "sizes": {split.value: len(assignment.model_ids(split)) for split in Split},
+        "rejected": len(report.rejected),
+        "out": args.out,
+    }
 
 
-def cmd_prompts(args: argparse.Namespace) -> int:
-    config = build_config(args)
+def cmd_prompts(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
     task, records = _read_task_dataset(args.dataset)
     assignment = read_split(args.split)
     missing = sorted({r.model_id for r in records} - set(assignment))
@@ -357,39 +349,32 @@ def cmd_prompts(args: argparse.Namespace) -> int:
             if assignment[r.model_id] is query_split
         ]
         write_ft_examples(args.out, examples)
-        _emit(
-            {
-                "command": "prompts",
-                "mode": "ft",
-                "task": task.value,
-                "examples": len(examples),
-                "query_split": query_split.value,
-                "out": args.out,
-            }
-        )
-        return EXIT_OK
+        return {
+            "command": "prompts",
+            "mode": "ft",
+            "task": task.value,
+            "examples": len(examples),
+            "query_split": query_split.value,
+            "out": args.out,
+        }
     pool = ShotPool(r for r in records if assignment[r.model_id] is Split.TRAIN)
     queries = [r for r in records if assignment[r.model_id] is query_split]
     bundles = [
         render_icl(task, q, pool, shots, config.seed, templates) for q in queries
     ]
     write_icl_prompts(args.out, bundles)
-    _emit(
-        {
-            "command": "prompts",
-            "mode": "icl",
-            "task": task.value,
-            "prompts": len(bundles),
-            "shots": shots,
-            "query_split": query_split.value,
-            "out": args.out,
-        }
-    )
-    return EXIT_OK
+    return {
+        "command": "prompts",
+        "mode": "icl",
+        "task": task.value,
+        "prompts": len(bundles),
+        "shots": shots,
+        "query_split": query_split.value,
+        "out": args.out,
+    }
 
 
-def cmd_baseline(args: argparse.Namespace) -> int:
-    config = build_config(args)
+def cmd_baseline(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
     task, records = _read_task_dataset(args.dataset)
     if args.kind == "random_class":
         if task not in (*CLASSIFICATION_TASKS, Task.SNAP):
@@ -404,20 +389,16 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             )
         predictions = random_footprint_predictions(records, config.seed)
     write_predictions(args.out, predictions)
-    _emit(
-        {
-            "command": "baseline",
-            "kind": args.kind,
-            "task": task.value,
-            "predictions": len(predictions),
-            "out": args.out,
-        }
-    )
-    return EXIT_OK
+    return {
+        "command": "baseline",
+        "kind": args.kind,
+        "task": task.value,
+        "predictions": len(predictions),
+        "out": args.out,
+    }
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    config = build_config(args)
+def cmd_score(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
     _, records = _read_task_dataset(args.dataset)
     predictions = read_predictions(args.predictions)
     report = score_dataset(
@@ -426,9 +407,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         mode=config.matching_mode,
         include_diagonal=config.include_diagonal,
     )
-    summary = _report_summary(report, include_per_record=args.per_record)
-    _emit(summary)
-    return EXIT_OK
+    return _report_summary(report, include_per_record=args.per_record)
 
 
 def _report_summary(report: ScoreReport, include_per_record: bool) -> dict[str, Any]:
@@ -538,14 +517,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        summary = args.func(args, build_config(args))
+        _emit(summary)
     # File-format, unknown-record and shot-pool errors are all ValueErrors.
     except (OSError, ValueError) as exc:
         print(f"procsem: error: {exc}", file=sys.stderr)
         return EXIT_FATAL
+    # Exit 2 means exactly: rows were rejected, and the outputs were written.
+    return EXIT_PARTIAL if summary.get("rejected") else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -248,8 +248,8 @@ def test_outputs_match_golden_digests(tmp_path):
 
 # sha256 of each output for a corpus shaped like the `wide` benchmark
 # (10-16 activities, cap 2048) plus one malformed and one over-cap tree row.
-# The `*.stdout` entries are the JSON summaries; the validate summary carries
-# the tree-error position of the malformed row.
+# The `*.stdout` entries are the JSON summaries of every step; the validate
+# summary carries the tree-error position of the malformed row.
 WIDE_GOLDEN_DIGESTS = {
     "validate.stdout": "89b6c6a31ba1c1da915e205c9d8cb58860623840d8a546e9a76048ca5361b1b8",
     "sequences.jsonl": "39e41a4a7628dd8d64da4e6caa3315e0ea38e7f3ca6fe2bb3f3918477262ddf5",
@@ -259,6 +259,13 @@ WIDE_GOLDEN_DIGESTS = {
     "split.jsonl": "f83d033a5b9fa4d5fd98a2d7f1205eb86f4bd88f7e6eb9fe2275c68adf9ecd9a",
     "score_sdfd.stdout": "7a3a6eab30b895b5276989bc6efe3a31117eae8f535e52eebcab6e08a45e0cbc",
     "score_sptd.stdout": "6f99d76a87d3f47d4dd814b57a8d5d081456f349c0f627a46d97c7a833cdcee7",
+    "synth.stdout": "a4252a5e3fead83fd22117dba4b898b5b7c9dfade1de6fdf58c0aaf18d20051d",
+    "playout.stdout": "92a569768f7189516aceee1bd0300595a754c7423b214640c62d4e6c2cadcf8c",
+    "gen_asad.stdout": "d1b02279f04c03f94252388237c177704cbafe6d52254839edfe5b5057ff95d3",
+    "gen_sdfd.stdout": "ad2fb0d0efb77bc4ba9a0d1d6b18670045850b5ec84dc40908d12ef488b93dd6",
+    "gen_sptd.stdout": "c32e90b642207771b3667595a41e7e09986f07daa792d5876e4a9d93bb239887",
+    "split.stdout": "6932cffe84569fb9d16fc0cf77994084d19e70db380112db0744e542a6386b03",
+    "baseline.stdout": "17a4edb97ad3792371cc20030afd5fec4bb81d92902adee2935a677396c8f140",
 }
 
 WIDE_EXTRA_ROWS = [
@@ -271,33 +278,33 @@ def test_wide_outputs_match_golden_digests(tmp_path, monkeypatch):
     # Relative paths keep the summaries, which echo them, the same everywhere.
     monkeypatch.chdir(tmp_path)
     cap = ["--max-sequences", "2048"]
-    code, _, err = run(
-        ["synth", "--n-models", "24", "--min-activities", "10",
-         "--max-activities", "16", "--seed", "2", "--out", "corpus.jsonl", *cap]
-    )
-    assert code == EXIT_OK, err
-    with open("corpus.jsonl", "a", encoding="utf-8") as handle:
-        for row in WIDE_EXTRA_ROWS:
-            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
 
     def step(name, argv, expected=EXIT_OK):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
         assert code == expected, f"{argv}: {err.getvalue()}"
-        if name:
-            Path(name).write_text(out.getvalue(), encoding="utf-8")
+        Path(name).write_text(out.getvalue(), encoding="utf-8")
+
+    step("synth.stdout",
+         ["synth", "--n-models", "24", "--min-activities", "10",
+          "--max-activities", "16", "--seed", "2", "--out", "corpus.jsonl", *cap])
+    with open("corpus.jsonl", "a", encoding="utf-8") as handle:
+        for row in WIDE_EXTRA_ROWS:
+            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
 
     # Only the corpus subcommands play out, so only they take the cap.
     step("validate.stdout",
          ["validate", "corpus.jsonl", "--out", "admitted.jsonl", *cap], EXIT_PARTIAL)
-    step(None, ["playout", "corpus.jsonl", "--out", "sequences.jsonl", *cap], EXIT_PARTIAL)
+    step("playout.stdout",
+         ["playout", "corpus.jsonl", "--out", "sequences.jsonl", *cap], EXIT_PARTIAL)
     for task in ("asad", "sdfd", "sptd"):
-        step(None, ["gen", "corpus.jsonl", "--task", task, "--out-dir", "data", *cap],
+        step(f"gen_{task}.stdout",
+             ["gen", "corpus.jsonl", "--task", task, "--out-dir", "data", *cap],
              EXIT_PARTIAL)
-    step(None, ["split", "corpus.jsonl", "--out", "split.jsonl", *cap], EXIT_PARTIAL)
-    step(None, ["baseline", "--dataset", "data/sdfd.jsonl", "--kind",
-                "random_footprint", "--out", "pred_sdfd.jsonl"])
+    step("split.stdout", ["split", "corpus.jsonl", "--out", "split.jsonl", *cap], EXIT_PARTIAL)
+    step("baseline.stdout", ["baseline", "--dataset", "data/sdfd.jsonl", "--kind",
+                             "random_footprint", "--out", "pred_sdfd.jsonl"])
     step("score_sdfd.stdout", ["score", "--dataset", "data/sdfd.jsonl",
                                "--predictions", "pred_sdfd.jsonl"])
     write_predictions(
@@ -392,6 +399,19 @@ class TestConfigHandling:
         )
         assert code == EXIT_FATAL
         assert "noise_prob" in err
+
+    @pytest.mark.parametrize("ratios", ["a,b,c", "0.7,x,0.1", "0.7,0.2", "0.5,0.2,0.2,0.1"])
+    def test_ratios_that_are_not_three_numbers_are_a_usage_error(self, ws, tmp_path,
+                                                                 capsys, ratios):
+        out = tmp_path / "s.jsonl"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["split", ws["corpus"], "--out", str(out), "--ratios", ratios])
+        assert exc_info.value.code == EXIT_FATAL
+        err = capsys.readouterr().err
+        assert "[--ratios TRAIN,VALIDATION,TEST]" in err
+        assert err.endswith("procsem split: error: argument --ratios: "
+                            "expected three comma-separated ratios\n")
+        assert not out.exists()
 
     def test_out_of_range_ratio_flag_is_fatal(self, ws, tmp_path):
         out = tmp_path / "s.jsonl"
@@ -537,7 +557,20 @@ class TestCliSurface:
             with pytest.raises(SystemExit) as exc_info:
                 main([*SUBCOMMAND_ARGV[command], flag, *value])
             assert exc_info.value.code == EXIT_FATAL
-            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            # The subcommand's own usage, which lists the options it does take.
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: procsem {command} [-h]")
+            assert err.endswith(
+                f"procsem {command}: error: unrecognized arguments: {' '.join([flag, *value])}\n"
+            )
+
+    def test_an_unknown_option_before_the_subcommand_gets_the_top_level_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["--foo", *SUBCOMMAND_ARGV["validate"]])
+        assert exc_info.value.code == EXIT_FATAL
+        err = capsys.readouterr().err
+        assert err.startswith("usage: procsem [-h]")
+        assert err.endswith("procsem: error: unrecognized arguments: --foo\n")
 
     def test_score_help_spells_the_matching_modes(self):
         assert "{case_sensitive,case_insensitive}" in _help_text("score")

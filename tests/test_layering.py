@@ -94,3 +94,41 @@ def test_fileio_spells_rows_one_way():
     # `json.dump(s)` beside it would be a second spelling path.
     second_paths = {"json.JSONEncoder", "json.encoder.JSONEncoder", "json.dumps", "json.dump"}
     assert not json_names("fileio") & second_paths
+
+
+def cli_functions() -> dict[str, ast.FunctionDef]:
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text("utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def called_names(function: ast.FunctionDef) -> set[str]:
+    return {
+        node.func.id
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_every_subcommand_has_one_shape():
+    # A handler takes (args, config) and returns its summary; reading the
+    # config, printing the summary and choosing the exit code are `main`'s.
+    handlers = {name: f for name, f in cli_functions().items() if name.startswith("cmd_")}
+    assert len(handlers) == 8
+    for name, function in handlers.items():
+        assert [a.arg for a in function.args.args] == ["args", "config"], name
+        assert not called_names(function) & {"_emit", "print", "build_config"}, name
+        exit_codes = {
+            node.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Name) and node.id.startswith("EXIT_")
+        }
+        assert exit_codes == set(), name
+
+
+def test_main_alone_reads_the_config_and_emits_the_summary():
+    callers = {
+        name
+        for name, function in cli_functions().items()
+        if called_names(function) & {"_emit", "build_config"}
+    }
+    assert callers == {"main"}
