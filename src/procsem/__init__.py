@@ -82,7 +82,6 @@ from .semantics import (
 )
 from .synth import synth_corpus
 from .taskgen import (
-    AdmittedModel,
     CorpusEntry,
     LABEL_ANOMALOUS,
     LABEL_VALID,

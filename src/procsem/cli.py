@@ -48,7 +48,6 @@ from .semantics import DEFAULT_MAX_SEQUENCES
 from .synth import synth_corpus
 from .taskgen import (
     CLASSIFICATION_TASKS,
-    CorpusEntry,
     DEFAULT_MAX_RETRIES,
     DEFAULT_MIN_LOG_SIZE,
     DEFAULT_NOISE_PROB,
@@ -109,7 +108,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_ratios(text: str) -> tuple[float, ...]:
     try:
-        ratios = tuple(float(p) for p in text.split(",") if p.strip())
+        ratios = tuple(float(p) for p in text.split(","))
     except ValueError:
         ratios = ()
     if len(ratios) != 3:
@@ -240,15 +239,7 @@ def cmd_synth(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
 
 def cmd_validate(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
     report = _validated(args.corpus, config.max_sequences)
-    write_corpus(
-        args.out,
-        [
-            CorpusEntry(
-                model_id=a.model.model_id, tree=a.tree, name=a.model.name
-            )
-            for a in report.admitted
-        ],
-    )
+    write_corpus(args.out, report.admitted)
     return {
         "command": "validate",
         "admitted": len(report.admitted),
@@ -264,7 +255,7 @@ def cmd_validate(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
 
 def cmd_playout(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
     report = _validated(args.corpus, config.max_sequences)
-    models = report.models
+    models = report.admitted
     write_sequences(args.out, models)
     activity_counts = [len(m.activity_set) for m in models]
     sequence_counts = [len(m.sequences) for m in models]
@@ -321,7 +312,7 @@ def cmd_gen(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
 
 def cmd_split(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
     report = _validated(args.corpus, config.max_sequences)
-    assignment = split_corpus(report.models, config.split_ratios, config.seed)
+    assignment = split_corpus(report.admitted, config.split_ratios, config.seed)
     write_split(args.out, assignment.assignment)
     return {
         "command": "split",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Activity = str
 Trace = tuple[Activity, ...]
@@ -129,29 +129,20 @@ def tree_labels(tree: ProcessTree) -> list[Activity]:
 
 @dataclass(frozen=True)
 class ProcessModel:
-    """The set of execution sequences a process allows; `activity_set` is
-    their union."""
+    """A process tree and the set of execution sequences it allows.
+
+    `activity_set` is the tree's leaf labels: every leaf occurs in some
+    sequence of a played-out tree, so it is also the sequences' union.
+    """
 
     model_id: str
+    tree: ProcessTree
     sequences: frozenset[Trace]
     activity_set: frozenset[Activity] = field(init=False)
     name: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "activity_set", frozenset().union(*self.sequences))
-
-    @classmethod
-    def from_sequences(
-        cls,
-        model_id: str,
-        sequences: Iterable[Trace],
-        name: str | None = None,
-    ) -> "ProcessModel":
-        return cls(
-            model_id=model_id,
-            sequences=frozenset(tuple(s) for s in sequences),
-            name=name,
-        )
+        object.__setattr__(self, "activity_set", frozenset(tree_labels(self.tree)))
 
     @property
     def nonempty_sequences(self) -> list[Trace]:

@@ -21,7 +21,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from .core import tree_labels
+from .core import ProcessModel, tree_labels
 from .promptgen import FtExample, PromptBundle
 from .taskgen import (
     LABEL_ANOMALOUS,
@@ -157,8 +157,8 @@ def read_corpus(path: str | Path) -> list[CorpusEntry | Rejection]:
     return rows
 
 
-def write_corpus(path: str | Path, entries: Iterable[CorpusEntry]) -> None:
-    def row(entry: CorpusEntry) -> str:
+def write_corpus(path: str | Path, entries: Iterable[CorpusEntry | ProcessModel]) -> None:
+    def row(entry: CorpusEntry | ProcessModel) -> str:
         name = {} if entry.name is None else {"name": _quote(entry.name)}
         return _row(model_id=_quote(entry.model_id), **name, tree=_quote(render_tree(entry.tree)))
 

@@ -174,7 +174,7 @@ def playout(
     name: str | None = None,
 ) -> ProcessModel:
     """Unfold a tree into a process model holding its full language."""
-    return ProcessModel.from_sequences(model_id, language(tree, max_sequences), name)
+    return ProcessModel(model_id, tree, frozenset(language(tree, max_sequences)), name)
 
 
 # ---------------------------------------------------------------------------

@@ -129,19 +129,9 @@ class Rejection:
 
 
 @dataclass(frozen=True)
-class AdmittedModel:
-    model: ProcessModel
-    tree: ProcessTree
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    admitted: tuple[AdmittedModel, ...]
+    admitted: tuple[ProcessModel, ...]
     rejected: tuple[Rejection, ...]
-
-    @property
-    def models(self) -> list[ProcessModel]:
-        return [a.model for a in self.admitted]
 
 
 def validate_corpus(
@@ -158,7 +148,7 @@ def validate_corpus(
     carries its row's `line`; a duplicate id's detail names the first line
     of that id when it is known.
     """
-    admitted: list[AdmittedModel] = []
+    admitted: list[ProcessModel] = []
     rejected: list[Rejection] = []
     first_line_of: dict[str, int | None] = {}
     seen_activity_sets: set[frozenset[Activity]] = set()
@@ -203,7 +193,7 @@ def validate_corpus(
             reject(entry, RejectionReason.DUPLICATE_ACTIVITY_SET)
             continue
         seen_activity_sets.add(model.activity_set)
-        admitted.append(AdmittedModel(model=model, tree=entry.tree))
+        admitted.append(model)
     return ValidationReport(admitted=tuple(admitted), rejected=tuple(rejected))
 
 
@@ -269,7 +259,7 @@ def gen_tsad(
     return _records(model, Task.TSAD, payloads)
 
 
-def gen_asad(model: ProcessModel, tree: ProcessTree, seed: int) -> list[TaskRecord]:
+def gen_asad(model: ProcessModel, seed: int) -> list[TaskRecord]:
     """Activity-pair records: eventually-follows pairs vs sampled non-pairs.
 
     Negatives are drawn without replacement from the ordered-pair complement
@@ -278,7 +268,7 @@ def gen_asad(model: ProcessModel, tree: ProcessTree, seed: int) -> list[TaskReco
     The pairs are read off the model's tree, with no pass over its sequences.
     """
     rng = model_rng(seed, Task.ASAD.value, model.model_id)
-    ef = eventually_follows(tree)
+    ef = eventually_follows(model.tree)
     positives = sorted(ef)
     ordered = sorted(model.activity_set)
     complement = [
@@ -308,50 +298,49 @@ def gen_snap(model: ProcessModel) -> list[TaskRecord]:
     return _records(model, Task.SNAP, payloads)
 
 
-def gen_sdfd(model: ProcessModel, tree: ProcessTree) -> TaskRecord:
+def gen_sdfd(model: ProcessModel) -> TaskRecord:
     """One record per model: gold is the model's directly-follows edges,
     read off its tree."""
-    dfg = dfg_of_model(tree)
+    dfg = dfg_of_model(model.tree)
     return _records(model, Task.SDFD, [{"edges": tuple(sorted(dfg.edges))}])[0]
 
 
-def gen_sptd(model: ProcessModel, tree: ProcessTree) -> TaskRecord:
+def gen_sptd(model: ProcessModel) -> TaskRecord:
     """One record per model: gold is the model's canonical tree text."""
-    return _records(model, Task.SPTD, [{"tree_text": render_tree(tree)}])[0]
+    return _records(model, Task.SPTD, [{"tree_text": render_tree(model.tree)}])[0]
 
 
 def generate_task(
     task: Task,
-    admitted: AdmittedModel,
+    model: ProcessModel,
     seed: int,
     min_log_size: int = DEFAULT_MIN_LOG_SIZE,
     noise_prob: float = DEFAULT_NOISE_PROB,
     max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> list[TaskRecord]:
     """Uniform entry point over the five generators."""
-    model = admitted.model
     if task is Task.TSAD:
         return gen_tsad(model, seed, min_log_size, noise_prob, max_retries)
     if task is Task.ASAD:
-        return gen_asad(model, admitted.tree, seed)
+        return gen_asad(model, seed)
     if task is Task.SNAP:
         return gen_snap(model)
     if task is Task.SDFD:
-        return [gen_sdfd(model, admitted.tree)]
-    return [gen_sptd(model, admitted.tree)]
+        return [gen_sdfd(model)]
+    return [gen_sptd(model)]
 
 
 _BY_RECORD_ID = attrgetter("record_id")
 
 
-def _id_prefix(admitted: AdmittedModel) -> str:
+def _id_prefix(model: ProcessModel) -> str:
     """The text every record id of the model starts with (see `_records`)."""
-    return admitted.model.model_id + ":"
+    return model.model_id + ":"
 
 
 def generate_dataset(
     task: Task,
-    admitted: Iterable[AdmittedModel],
+    models: Iterable[ProcessModel],
     seed: int,
     min_log_size: int = DEFAULT_MIN_LOG_SIZE,
     noise_prob: float = DEFAULT_NOISE_PROB,
@@ -369,12 +358,12 @@ def generate_dataset(
     """
     head: str | None = None
     batch: list[TaskRecord] = []
-    for entry in sorted(admitted, key=_id_prefix):
-        prefix = _id_prefix(entry)
+    for model in sorted(models, key=_id_prefix):
+        prefix = _id_prefix(model)
         if head is None or not prefix.startswith(head):
             yield from sorted(batch, key=_BY_RECORD_ID)
             head, batch = prefix, []
-        batch += generate_task(task, entry, seed, min_log_size, noise_prob, max_retries)
+        batch += generate_task(task, model, seed, min_log_size, noise_prob, max_retries)
     yield from sorted(batch, key=_BY_RECORD_ID)
 
 
@@ -444,7 +433,7 @@ def check_split_ratios(ratios: tuple[float, float, float]) -> None:
 
 
 def split_corpus(
-    models: list[ProcessModel],
+    models: Iterable[ProcessModel],
     ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
     seed: int = 0,
 ) -> SplitAssignment:

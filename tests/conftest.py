@@ -497,11 +497,11 @@ def oracle_record_line(record: TaskRecord) -> str:
     return json.dumps(obj, ensure_ascii=False) + "\n"
 
 
-def oracle_dataset(task: Task, admitted, seed: int, **settings) -> list[TaskRecord]:
+def oracle_dataset(task: Task, models, seed: int, **settings) -> list[TaskRecord]:
     """Every admitted model's records of `task` built at once and sorted
     together by `record_id`."""
     records = [
-        record for entry in admitted for record in generate_task(task, entry, seed, **settings)
+        record for model in models for record in generate_task(task, model, seed, **settings)
     ]
     return sorted(records, key=lambda r: r.record_id)
 

@@ -144,15 +144,14 @@ def test_c03_random_footprint_baseline_matches_expectation():
     se = statistics.stdev(draws) / len(draws) ** 0.5
     assert abs(mean - expected) <= 3 * se, (mean, expected, se)
 
-    admitted = validate_corpus(synth_corpus(n_models=200, seed=5)).admitted
-    models = [a.model for a in admitted]
+    models = validate_corpus(synth_corpus(n_models=200, seed=5)).admitted
     med = statistics.median(len(m.activity_set) for m in models)
     assert 4 <= med <= 5
     analytic_mean = statistics.fmean(
         expected_random_footprint_fitness(len(m.activity_set)) for m in models
     )
     assert 0.28 <= analytic_mean <= 0.36
-    records = [gen_sdfd(a.model, a.tree) for a in admitted]
+    records = [gen_sdfd(m) for m in models]
     report = score_dataset(records, random_footprint_predictions(records, seed=5))
     assert 0.28 <= report.value <= 0.36, report.value
     assert time.monotonic() - started < 30.0
@@ -168,9 +167,9 @@ def test_c04_trace_anomaly_soundness_and_rate():
     assert len(report.admitted) >= 200
 
     n_records = n_anomalous = 0
-    for admitted in report.admitted:
-        language = oracle_language(admitted.tree)
-        for record in gen_tsad(admitted.model, seed=1):
+    for model in report.admitted:
+        language = oracle_language(model.tree)
+        for record in gen_tsad(model, seed=1):
             n_records += 1
             assert len(record.trace) >= 3
             member = record.trace in language
@@ -193,15 +192,14 @@ def test_c05_pair_anomaly_exactness():
         CorpusEntry(model_id="sat", tree=parse_tree("*(->('y1', 'y2'), tau)"))
     ]
     admitted = validate_corpus(entries).admitted
-    assert admitted and all(len(a.model.activity_set) <= 6 for a in admitted)
+    assert admitted and all(len(m.activity_set) <= 6 for m in admitted)
 
     saw_saturated = False
-    for adm in admitted:
-        model = adm.model
-        records = gen_asad(model, adm.tree, seed=1)
+    for model in admitted:
+        records = gen_asad(model, seed=1)
         positives = {r.pair for r in records if r.label == V}
         negatives = {r.pair for r in records if r.label == A}
-        ef = oracle_ef_pairs(oracle_language(adm.tree))
+        ef = oracle_ef_pairs(oracle_language(model.tree))
         assert positives == ef, model.model_id
         universe = {
             (x, y) for x in model.activity_set for y in model.activity_set
@@ -225,9 +223,8 @@ def test_c06_next_activity_coverage_and_continuability():
         # two sequences sharing their first step, to force deduplication
         CorpusEntry(model_id="dup", tree=parse_tree("*(->('z1', 'z2'), 'z3')"))
     ]
-    for adm in validate_corpus(entries).admitted:
-        model = adm.model
-        language = oracle_language(adm.tree)
+    for model in validate_corpus(entries).admitted:
+        language = oracle_language(model.tree)
         enumerated = [
             (s[:k], s[k])
             for s in sorted(q for q in language if q)
@@ -263,7 +260,7 @@ def test_c07_split_leakage_and_stratum_balance():
     entries = list(synth_corpus(n_models=60, seed=21)) + [
         CorpusEntry(model_id=mid, tree=parse_tree(text)) for mid, text in hand
     ]
-    models = validate_corpus(entries).models
+    models = validate_corpus(entries).admitted
     assert len(models) == 66
     by_id = {m.model_id: m for m in models}
 
@@ -296,10 +293,10 @@ def test_c08_fitness_identities():
     """Self-comparison scores 1.0 on every corpus gold, the two hand-derived
     partial-credit cases reproduce exactly, and scoring a predicted tree
     equals scoring its played-out edges on 500 random tree pairs."""
-    for adm in validate_corpus(synth_corpus(n_models=80, seed=29)).admitted:
-        dfg_record = gen_sdfd(adm.model, adm.tree)
+    for model in validate_corpus(synth_corpus(n_models=80, seed=29)).admitted:
+        dfg_record = gen_sdfd(model)
         assert score_sdfd(dfg_record, render_dfg_edges(dfg_record.edges)).fitness == 1.0
-        tree_record = gen_sptd(adm.model, adm.tree)
+        tree_record = gen_sptd(model)
         assert score_sptd(tree_record, tree_record.tree_text).fitness == 1.0
 
     gold_edges = TaskRecord(

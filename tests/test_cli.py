@@ -17,6 +17,7 @@ from procsem import (
     Prediction,
     Task,
     answer_text,
+    parse_tree,
     read_dataset,
     write_predictions,
 )
@@ -30,7 +31,7 @@ from procsem.cli import (
     main,
 )
 
-from conftest import oracle_dataset_bytes
+from conftest import oracle_corpus_line, oracle_dataset_bytes
 
 
 def run(argv):
@@ -400,7 +401,10 @@ class TestConfigHandling:
         assert code == EXIT_FATAL
         assert "noise_prob" in err
 
-    @pytest.mark.parametrize("ratios", ["a,b,c", "0.7,x,0.1", "0.7,0.2", "0.5,0.2,0.2,0.1"])
+    @pytest.mark.parametrize(
+        "ratios",
+        ["a,b,c", "0.7,x,0.1", "0.7,0.2", "0.5,0.2,0.2,0.1", "0.7,,0.2,0.1", "0.7,0.2,0.1,"],
+    )
     def test_ratios_that_are_not_three_numbers_are_a_usage_error(self, ws, tmp_path,
                                                                  capsys, ratios):
         out = tmp_path / "s.jsonl"
@@ -624,6 +628,36 @@ class TestFailureModes:
         )
         assert code == EXIT_OK
         assert summary["rejected"] == 0
+
+    def test_validate_writes_the_admitted_rows_as_json_dumps(self, tmp_path):
+        rows = [
+            {"model_id": "z9", "name": 'say "hi" \\ back', "tree": "->('o\\'k', 'b')"},
+            {"model_id": "broken", "name": "x", "tree": "->('a',"},
+            {"model_id": "m\u00e9", "name": "Bestellung prüfen — 注文", "tree": "X('c', 'd')"},
+            {"model_id": "tiny", "name": "\"", "tree": "'only'"},
+            {"model_id": "a1", "tree": "+('e', X('f', tau))"},
+            {"model_id": "again", "tree": "->('b', 'o\\'k')"},
+            {"model_id": "b2", "name": None, "tree": "*('g', 'h')"},
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8"
+        )
+        out = tmp_path / "admitted.jsonl"
+        code, summary, _ = run(["validate", str(corpus), "--out", str(out)])
+        assert code == EXIT_PARTIAL
+        assert [(r["model_id"], r["reason"]) for r in summary["rejections"]] == [
+            ("broken", "parse_error"),
+            ("tiny", "too_few_activities"),
+            ("again", "duplicate_activity_set"),
+        ]
+        admitted = [
+            procsem.CorpusEntry(r["model_id"], parse_tree(r["tree"]), r.get("name"))
+            for r in sorted(rows, key=lambda r: r["model_id"])
+            if r["model_id"] in {"z9", "m\u00e9", "a1", "b2"}
+        ]
+        expected = "".join(map(oracle_corpus_line, admitted))
+        assert out.read_bytes() == expected.encode("utf-8")
 
     def test_first_row_of_an_id_wins_even_when_it_does_not_parse(self, tmp_path):
         rows = [

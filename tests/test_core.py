@@ -107,22 +107,20 @@ class TestTreeNodes:
 
 
 class TestProcessModel:
-    def test_from_sequences_dedups(self):
-        model = ProcessModel.from_sequences("m", [("a", "b"), ("a", "b")])
-        assert model.sequences == frozenset({("a", "b")})
-
     def test_has_empty_sequence(self):
-        model = ProcessModel.from_sequences("m", [(), ("a",)])
+        model = ProcessModel("m", xor(tau(), leaf("a")), frozenset({(), ("a",)}))
         assert () in model.sequences
         assert model.nonempty_sequences == [("a",)]
 
     def test_activity_set_must_match(self):
-        # The set is derived from the sequences and cannot be passed in.
-        model = ProcessModel(model_id="m", sequences=frozenset({(), ("a", "b")}))
+        # The set is derived from the tree's leaves and cannot be passed in.
+        tree = xor(tau(), seq(leaf("a"), leaf("b")))
+        model = ProcessModel(model_id="m", tree=tree, sequences=frozenset({(), ("a", "b")}))
         assert model.activity_set == frozenset({"a", "b"})
         with pytest.raises(TypeError):
             ProcessModel(
                 model_id="m",
+                tree=leaf("a"),
                 sequences=frozenset({("a",)}),
                 activity_set=frozenset({"a", "b"}),
             )

@@ -411,8 +411,8 @@ def snap_records():
     entries = synth_corpus(n_models=10, seed=17, min_activities=3)
     report = validate_corpus(entries)
     records = []
-    for admitted in report.admitted:
-        records.extend(gen_snap(admitted.model))
+    for model in report.admitted:
+        records.extend(gen_snap(model))
     return records
 
 
@@ -479,8 +479,8 @@ class TestScoreDataset:
 def test_scoring_builds_no_footprint(monkeypatch):
     entries = synth_corpus(n_models=12, seed=23, min_activities=3)
     admitted = validate_corpus(entries).admitted
-    sdfd = [gen_sdfd(a.model, a.tree) for a in admitted]
-    sptd = [gen_sptd(a.model, a.tree) for a in admitted]
+    sdfd = [gen_sdfd(m) for m in admitted]
+    sptd = [gen_sptd(m) for m in admitted]
     sdfd_preds = random_footprint_predictions(sdfd, seed=4)
     sptd_preds = [Prediction(r.record_id, answer_text(r)) for r in sptd]
 

@@ -73,12 +73,12 @@ def corpus_records():
     report = validate_corpus(entries)
     assert not report.rejected
     by_task: dict[Task, list[TaskRecord]] = {t: [] for t in Task}
-    for admitted in report.admitted:
-        by_task[Task.TSAD].extend(gen_tsad(admitted.model, seed=41, min_log_size=10))
-        by_task[Task.ASAD].extend(gen_asad(admitted.model, admitted.tree, seed=41))
-        by_task[Task.SNAP].extend(gen_snap(admitted.model))
-        by_task[Task.SDFD].append(gen_sdfd(admitted.model, admitted.tree))
-        by_task[Task.SPTD].append(gen_sptd(admitted.model, admitted.tree))
+    for model in report.admitted:
+        by_task[Task.TSAD].extend(gen_tsad(model, seed=41, min_log_size=10))
+        by_task[Task.ASAD].extend(gen_asad(model, seed=41))
+        by_task[Task.SNAP].extend(gen_snap(model))
+        by_task[Task.SDFD].append(gen_sdfd(model))
+        by_task[Task.SPTD].append(gen_sptd(model))
     return by_task
 
 

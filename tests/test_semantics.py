@@ -162,6 +162,16 @@ class TestPlayout:
             "reject order",
         }
 
+    @given(any_tree)
+    @settings(max_examples=200, deadline=None)
+    @example(xor(leaf("a"), tau()))
+    @example(LOOPS_WITH_REPEATS[0])
+    def test_activity_set_is_the_union_of_the_sequences(self, tree):
+        # The set is read off the tree's leaves, and every leaf occurs in
+        # some sequence of the bounded play-out.
+        model = _played_out(tree)
+        assert model.activity_set == frozenset().union(*model.sequences)
+
 
 class TestDfg:
     def test_worked_example_edges(self, m1_model):

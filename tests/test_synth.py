@@ -45,8 +45,8 @@ class TestSynthCorpus:
         entries = synth_corpus(60, seed=9, min_activities=3, min_trace_len=3)
         report = validate_corpus(entries)
         assert not report.rejected
-        for admitted in report.admitted:
-            assert all(len(s) >= 3 for s in admitted.model.sequences)
+        for model in report.admitted:
+            assert all(len(s) >= 3 for s in model.sequences)
 
     def test_min_trace_len_requires_enough_activities(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procsem import (
-    AdmittedModel,
     CorpusEntry,
     EmptyLabelError,
     LABEL_ANOMALOUS,
@@ -47,8 +46,8 @@ def admit_one(tree, model_id="m"):
 
 class TestValidateCorpus:
     def test_m1_admitted_with_two_sequences(self):
-        admitted = admit_one(parse_tree(M1_TREE_TEXT), "m1")
-        assert len(admitted.model.sequences) == 2
+        model = admit_one(parse_tree(M1_TREE_TEXT), "m1")
+        assert len(model.sequences) == 2
 
     def test_duplicate_model_id(self):
         report = validate_corpus(
@@ -79,6 +78,11 @@ class TestValidateCorpus:
         report = validate_corpus([CorpusEntry("m", wide)], max_sequences=100)
         assert report.rejected[0].reason is RejectionReason.LANGUAGE_TOO_LARGE
 
+    def test_play_out_cap_is_checked_before_the_activity_count(self):
+        # One activity, and two sequences over a cap of one.
+        report = validate_corpus([CorpusEntry("m", xor(leaf("a"), tau()))], max_sequences=1)
+        assert report.rejected[0].reason is RejectionReason.LANGUAGE_TOO_LARGE
+
     def test_empty_language(self):
         report = validate_corpus([CorpusEntry("m", xor(tau(), tau()))])
         assert report.rejected[0].reason is RejectionReason.EMPTY_LANGUAGE
@@ -98,7 +102,7 @@ class TestValidateCorpus:
                 CorpusEntry("m2", xor(leaf("a"), leaf("b"))),
             ]
         )
-        assert [a.model.model_id for a in report.admitted] == ["m1"]
+        assert [a.model_id for a in report.admitted] == ["m1"]
         assert report.rejected[0].model_id == "m2"
         assert report.rejected[0].reason is RejectionReason.DUPLICATE_ACTIVITY_SET
 
@@ -109,27 +113,27 @@ class TestValidateCorpus:
                 CorpusEntry("good", seq(leaf("a"), leaf("b"))),
             ]
         )
-        assert [a.model.model_id for a in report.admitted] == ["good"]
+        assert [a.model_id for a in report.admitted] == ["good"]
 
 
 class TestGenTsad:
     def test_pads_to_min_log_size(self):
-        admitted = admit_one(parse_tree(M1_TREE_TEXT), "m1")
-        records = gen_tsad(admitted.model, seed=5)
+        model = admit_one(parse_tree(M1_TREE_TEXT), "m1")
+        records = gen_tsad(model, seed=5)
         assert len(records) == 100
         assert len({r.record_id for r in records}) == 100
 
     def test_no_padding_when_log_is_large(self):
-        admitted = admit_one(par(*[leaf(x) for x in "abcde"]), "m")
-        assert len(admitted.model.sequences) == 120
-        records = gen_tsad(admitted.model, seed=5)
+        model = admit_one(par(*[leaf(x) for x in "abcde"]), "m")
+        assert len(model.sequences) == 120
+        records = gen_tsad(model, seed=5)
         assert len(records) == 120
 
     def test_soundness_against_reference_language(self):
         tree = parse_tree(M1_TREE_TEXT)
-        admitted = admit_one(tree, "m1")
+        model = admit_one(tree, "m1")
         reference = oracle_language(tree)
-        for record in gen_tsad(admitted.model, seed=5):
+        for record in gen_tsad(model, seed=5):
             if record.label == LABEL_ANOMALOUS:
                 assert record.trace not in reference
             else:
@@ -138,64 +142,64 @@ class TestGenTsad:
 
     def test_swap_closed_language_yields_only_valid(self):
         # every transposition of a trace of +('a','b') is again a trace
-        admitted = admit_one(par(leaf("a"), leaf("b")), "m")
-        records = gen_tsad(admitted.model, seed=5)
+        model = admit_one(par(leaf("a"), leaf("b")), "m")
+        records = gen_tsad(model, seed=5)
         assert all(r.label == LABEL_VALID for r in records)
-        assert all(r.trace in admitted.model.sequences for r in records)
+        assert all(r.trace in model.sequences for r in records)
 
     def test_short_traces_never_anomalous(self):
-        admitted = admit_one(xor(leaf("a"), seq(leaf("b"), leaf("c"))), "m")
-        for record in gen_tsad(admitted.model, seed=5):
+        model = admit_one(xor(leaf("a"), seq(leaf("b"), leaf("c"))), "m")
+        for record in gen_tsad(model, seed=5):
             if len(record.trace) < 2:
                 assert record.label == LABEL_VALID
 
     def test_roughly_half_anomalous(self):
-        admitted = admit_one(seq(*[leaf(x) for x in "abcdef"]), "m")
-        records = gen_tsad(admitted.model, seed=5, min_log_size=2000)
+        model = admit_one(seq(*[leaf(x) for x in "abcdef"]), "m")
+        records = gen_tsad(model, seed=5, min_log_size=2000)
         fraction = sum(r.label == LABEL_ANOMALOUS for r in records) / len(records)
         assert 0.40 <= fraction <= 0.55
 
     def test_deterministic(self):
-        admitted = admit_one(parse_tree(M1_TREE_TEXT), "m1")
-        assert gen_tsad(admitted.model, seed=9) == gen_tsad(admitted.model, seed=9)
+        model = admit_one(parse_tree(M1_TREE_TEXT), "m1")
+        assert gen_tsad(model, seed=9) == gen_tsad(model, seed=9)
 
     def test_noise_prob_zero_keeps_everything_valid(self):
-        admitted = admit_one(seq(leaf("a"), leaf("b"), leaf("c")), "m")
-        records = gen_tsad(admitted.model, seed=5, noise_prob=0.0)
+        model = admit_one(seq(leaf("a"), leaf("b"), leaf("c")), "m")
+        records = gen_tsad(model, seed=5, noise_prob=0.0)
         assert all(r.label == LABEL_VALID for r in records)
 
     def test_record_fields(self):
-        admitted = admit_one(seq(leaf("b"), leaf("a")), "m")
-        record = gen_tsad(admitted.model, seed=5)[0]
+        model = admit_one(seq(leaf("b"), leaf("a")), "m")
+        record = gen_tsad(model, seed=5)[0]
         assert record.task is Task.TSAD
         assert record.model_id == "m"
         assert record.activity_set == ("a", "b")
         assert record.pair is None and record.edges is None
 
     def test_records_are_slotted_values(self):
-        admitted = admit_one(seq(leaf("b"), leaf("a")), "m")
-        record = gen_tsad(admitted.model, seed=5)[0]
+        model = admit_one(seq(leaf("b"), leaf("a")), "m")
+        record = gen_tsad(model, seed=5)[0]
         with pytest.raises(TypeError):
             vars(record)
         assert replace(record, label=LABEL_ANOMALOUS).label == LABEL_ANOMALOUS
         assert asdict(record)["trace"] == record.trace
 
     def test_records_share_the_model_values(self):
-        admitted = admit_one(parse_tree(M1_TREE_TEXT), "m1")
-        records = gen_tsad(admitted.model, seed=5)
+        model = admit_one(parse_tree(M1_TREE_TEXT), "m1")
+        records = gen_tsad(model, seed=5)
         assert all(r.activity_set is records[0].activity_set for r in records)
         assert all(r.model_id is records[0].model_id for r in records)
 
 
 class TestGenAsad:
-    def test_m1_positives_are_the_ef_set(self, m1_model, m1_tree):
-        records = gen_asad(m1_model, m1_tree, seed=5)
+    def test_m1_positives_are_the_ef_set(self, m1_model):
+        records = gen_asad(m1_model, seed=5)
         positives = {r.pair for r in records if r.label == LABEL_VALID}
         assert positives == oracle_ef_pairs(m1_model.sequences)
         assert len(positives) == 4
 
-    def test_m1_balance_and_no_overlap(self, m1_model, m1_tree):
-        records = gen_asad(m1_model, m1_tree, seed=5)
+    def test_m1_balance_and_no_overlap(self, m1_model):
+        records = gen_asad(m1_model, seed=5)
         positives = {r.pair for r in records if r.label == LABEL_VALID}
         negatives = {r.pair for r in records if r.label == LABEL_ANOMALOUS}
         assert len(negatives) == 4
@@ -206,8 +210,8 @@ class TestGenAsad:
         assert negatives <= universe - positives
 
     def test_single_sequence_model(self):
-        admitted = admit_one(seq(leaf("a"), leaf("b")), "m")
-        records = gen_asad(admitted.model, admitted.tree, seed=5)
+        model = admit_one(seq(leaf("a"), leaf("b")), "m")
+        records = gen_asad(model, seed=5)
         positives = [r for r in records if r.label == LABEL_VALID]
         negatives = [r for r in records if r.label == LABEL_ANOMALOUS]
         assert [r.pair for r in positives] == [("a", "b")]
@@ -216,16 +220,16 @@ class TestGenAsad:
 
     def test_saturated_ef_gives_no_negatives(self):
         # loop with silent redo: traces ab and abab saturate all four pairs
-        admitted = admit_one(loop(seq(leaf("a"), leaf("b")), tau()), "m")
-        assert eventually_follows(admitted.tree) == {
+        model = admit_one(loop(seq(leaf("a"), leaf("b")), tau()), "m")
+        assert eventually_follows(model.tree) == {
             ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"),
         }
-        records = gen_asad(admitted.model, admitted.tree, seed=5)
+        records = gen_asad(model, seed=5)
         assert all(r.label == LABEL_VALID for r in records)
         assert len(records) == 4
 
-    def test_deterministic(self, m1_model, m1_tree):
-        assert gen_asad(m1_model, m1_tree, seed=3) == gen_asad(m1_model, m1_tree, seed=3)
+    def test_deterministic(self, m1_model):
+        assert gen_asad(m1_model, seed=3) == gen_asad(m1_model, seed=3)
 
 
 class TestGenSnap:
@@ -241,8 +245,8 @@ class TestGenSnap:
     def test_dedup_keeps_first_occurrence(self):
         # traces (a,b) and (a,b,c,a,b) both open with the (a)->b step
         tree = loop(seq(leaf("a"), leaf("b")), leaf("c"))
-        admitted = admit_one(tree, "m")
-        records = gen_snap(admitted.model)
+        model = admit_one(tree, "m")
+        records = gen_snap(model)
         pairs = [(r.prefix, r.next_activity) for r in records]
         assert len(pairs) == len(set(pairs))
         assert set(pairs) == {
@@ -254,9 +258,9 @@ class TestGenSnap:
 
     def test_every_gold_is_continuable(self):
         tree = parse_tree("->('a', X(+('b', 'c'), 'd'))")
-        admitted = admit_one(tree, "m")
+        model = admit_one(tree, "m")
         reference = oracle_language(tree)
-        records = gen_snap(admitted.model)
+        records = gen_snap(model)
         assert records
         for record in records:
             k = len(record.prefix)
@@ -267,13 +271,13 @@ class TestGenSnap:
             )
 
     def test_length_one_sequences_emit_nothing(self):
-        admitted = admit_one(xor(leaf("a"), leaf("b")), "m")
-        assert gen_snap(admitted.model) == []
+        model = admit_one(xor(leaf("a"), leaf("b")), "m")
+        assert gen_snap(model) == []
 
 
 class TestGenSdfdSptd:
-    def test_sdfd_m1_edges(self, m1_model, m1_tree):
-        record = gen_sdfd(m1_model, m1_tree)
+    def test_sdfd_m1_edges(self, m1_model):
+        record = gen_sdfd(m1_model)
         assert record.edges == (
             ("accept order", "deliver package"),
             ("receive order", "accept order"),
@@ -281,19 +285,19 @@ class TestGenSdfdSptd:
         )
 
     def test_sdfd_parallel_pair(self):
-        admitted = admit_one(par(leaf("a"), leaf("b")), "m")
-        assert gen_sdfd(admitted.model, admitted.tree).edges == (("a", "b"), ("b", "a"))
+        model = admit_one(par(leaf("a"), leaf("b")), "m")
+        assert gen_sdfd(model).edges == (("a", "b"), ("b", "a"))
 
     def test_sptd_round_trips(self, m1_tree):
-        admitted = admit_one(m1_tree, "m1")
-        record = gen_sptd(admitted.model, admitted.tree)
-        assert parse_tree(record.tree_text) == admitted.tree
-        assert record.tree_text == render_tree(admitted.tree)
+        model = admit_one(m1_tree, "m1")
+        record = gen_sptd(model)
+        assert parse_tree(record.tree_text) == model.tree
+        assert record.tree_text == render_tree(model.tree)
 
     def test_generate_task_dispatch(self, m1_tree):
-        admitted = admit_one(m1_tree, "m1")
+        model = admit_one(m1_tree, "m1")
         for task in Task:
-            records = generate_task(task, admitted, seed=5)
+            records = generate_task(task, model, seed=5)
             assert records
             assert all(r.task is task for r in records)
 
@@ -311,11 +315,11 @@ _model_ids = st.lists(
 @given(_model_ids, st.randoms(use_true_random=False))
 def test_generate_dataset_yields_record_id_order(model_ids, shuffler):
     tree = par(leaf("x"), xor(leaf("y"), leaf("z")))
-    admitted = [AdmittedModel(playout(tree, model_id=m), tree) for m in model_ids]
-    shuffler.shuffle(admitted)
+    models = [playout(tree, model_id=m) for m in model_ids]
+    shuffler.shuffle(models)
     for task, min_log_size in ((Task.TSAD, 12), (Task.SPTD, 1)):
-        expected = oracle_dataset(task, admitted, 4, min_log_size=min_log_size)
-        assert list(generate_dataset(task, admitted, 4, min_log_size=min_log_size)) == expected
+        expected = oracle_dataset(task, models, 4, min_log_size=min_log_size)
+        assert list(generate_dataset(task, models, 4, min_log_size=min_log_size)) == expected
 
 
 class TestSplitCorpus:
