@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from statistics import fmean, median
 from typing import Any, Callable
@@ -25,6 +28,7 @@ from .evaluation import (
     score_dataset,
 )
 from .fileio import (
+    join_files,
     read_corpus,
     read_dataset,
     read_predictions,
@@ -57,10 +61,12 @@ from .taskgen import (
     TaskRecord,
     ValidationReport,
     check_split_ratios,
+    contiguous_runs,
     generate_dataset,
     split_corpus,
     validate_corpus,
 )
+from .workers import run_in_processes, usable_cpus
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -284,25 +290,64 @@ def _spread(counts: list[int]) -> dict[str, float]:
     }
 
 
+def _part(destination: str, k: int, n_runs: int) -> str:
+    """Where run `k` of `n_runs` writes its share of `destination`: the
+    destination itself when there is one run, else a hidden sibling."""
+    if n_runs == 1:
+        return destination
+    head, name = os.path.split(destination)
+    return os.path.join(head, f".{name}.part{k}")
+
+
 def cmd_gen(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
     report = _validated(args.corpus, config.max_sequences)
     tasks = list(Task) if args.task == "all" else [Task(args.task)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    counts: dict[str, int] = {}
-    for task in tasks:
-        records = generate_dataset(
-            task,
-            report.admitted,
-            config.seed,
-            config.min_log_size,
-            config.noise_prob,
-            config.max_retries,
-        )
-        counts[task.value] = write_dataset(out_dir / f"{task.value}.jsonl", records)
+    destinations = {task: str(out_dir / f"{task.value}.jsonl") for task in tasks}
+    # One contiguous run of models per usable CPU. Cut at batch boundaries,
+    # the runs' records follow one another in `record_id` order, so each
+    # dataset is its runs' parts joined in order.
+    runs = contiguous_runs(report.admitted, usable_cpus())
+
+    def write_run(k: int) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for task, destination in destinations.items():
+            part = _part(destination, k, len(runs))
+            records = generate_dataset(
+                task,
+                runs[k],
+                config.seed,
+                config.min_log_size,
+                config.noise_prob,
+                config.max_retries,
+            )
+            try:
+                counts[task.value] = write_dataset(part, records)
+            except OSError as exc:
+                if exc.filename != part:
+                    raise
+                raise OSError(exc.errno, exc.strerror, destination) from None
+        return counts
+
+    if len(runs) == 1:
+        per_run = [write_run(0)]
+    else:
+        parts = {
+            destination: [_part(destination, k, len(runs)) for k in range(len(runs))]
+            for destination in destinations.values()
+        }
+        try:
+            per_run = run_in_processes(len(runs), write_run)
+            for destination, its_parts in parts.items():
+                join_files(destination, its_parts)
+        finally:
+            for part in chain.from_iterable(parts.values()):
+                with suppress(FileNotFoundError):
+                    os.remove(part)
     return {
         "command": "gen",
-        "records": counts,
+        "records": {task.value: sum(c[task.value] for c in per_run) for task in tasks},
         "models": len(report.admitted),
         "rejected": len(report.rejected),
         "rejection_reasons": _rejection_counts(report),

@@ -19,7 +19,7 @@ from contextlib import suppress
 from json.encoder import encode_basestring as _quote
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator
 
 from .core import ProcessModel, tree_labels
 from .promptgen import FtExample, PromptBundle
@@ -66,20 +66,21 @@ def _read_objects(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
             yield line_number, obj
 
 
-def _write_text(path: str | Path, lines: Iterable[str]) -> None:
-    """Write `lines` to a sibling temp file of the resolved path, then move it
-    over the destination with the destination's mode, so a failed write
-    leaves the old file or none. A destination that exists but is not a
-    regular file, such as a FIFO or `/dev/stdout`, is written in place."""
+def _write_file(path: str | Path, fill: Callable[[IO], None], **how: str) -> None:
+    """Open a sibling temp file of the resolved path with `open(temp, **how)`,
+    fill it, then move it over the destination with the destination's mode,
+    so a failed write leaves the old file or none. A destination that exists
+    but is not a regular file, such as a FIFO or `/dev/stdout`, is written in
+    place. An error in writing names `path`, not the temp file."""
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
+        with open(path, **how) as handle:
+            fill(handle)
         return
     target = os.path.realpath(path)
     temp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.tmp")
     try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
+        with open(temp, **how) as handle:
+            fill(handle)
         with suppress(FileNotFoundError):
             shutil.copymode(target, temp)
         os.replace(temp, target)
@@ -90,6 +91,28 @@ def _write_text(path: str | Path, lines: Iterable[str]) -> None:
             # Name the destination the caller gave, not the temp file.
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
+
+
+def _write_text(path: str | Path, lines: Iterable[str]) -> None:
+    """Write `lines` to `path` by `_write_file`'s rules."""
+    _write_file(path, lambda handle: handle.writelines(lines), mode="w", encoding="utf-8")
+
+
+# Bytes per read when joining files; a small buffer keeps the peak memory of
+# a join that of the caller.
+_COPY_CHUNK = 1 << 16
+
+
+def join_files(path: str | Path, parts: Iterable[str | Path]) -> None:
+    """Write the bytes of `parts`, one after another, to `path` by
+    `_write_file`'s rules. An error in reading a part names the part."""
+
+    def fill(handle: IO[bytes]) -> None:
+        for part in parts:
+            with open(part, "rb") as source:
+                shutil.copyfileobj(source, handle, _COPY_CHUNK)
+
+    _write_file(path, fill, mode="wb")
 
 
 _BY_RECORD_ID = attrgetter("record_id")

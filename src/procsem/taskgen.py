@@ -338,6 +338,50 @@ def _id_prefix(model: ProcessModel) -> str:
     return model.model_id + ":"
 
 
+def id_prefix_batches(models: Iterable[ProcessModel]) -> Iterator[list[ProcessModel]]:
+    """The models in id-prefix order, cut into the batches whose records
+    can interleave.
+
+    Every record id starts with its model's id and ":", the model's id
+    prefix. Two models' records can interleave only when one prefix starts
+    with the other, and in prefix order such models directly follow the
+    shorter one. So each model whose prefix starts with the current batch
+    head's joins that batch. Every record of a batch sorts before every
+    record of the batches after it.
+    """
+    batch: list[ProcessModel] = []
+    for model in sorted(models, key=_id_prefix):
+        if batch and not _id_prefix(model).startswith(_id_prefix(batch[0])):
+            yield batch
+            batch = []
+        batch.append(model)
+    if batch:
+        yield batch
+
+
+def contiguous_runs(
+    models: Iterable[ProcessModel], n_runs: int
+) -> list[list[ProcessModel]]:
+    """The models in id-prefix order, cut at batch boundaries into at most
+    `n_runs` non-empty runs of about equal model count, fewer when there are
+    fewer batches. The datasets of the runs, one after another, are the
+    dataset of all the models."""
+    batches = list(id_prefix_batches(models))
+    n_runs = max(1, min(n_runs, len(batches)))
+    total = sum(map(len, batches))
+    runs: list[list[ProcessModel]] = [[]]
+    placed = 0
+    for i, batch in enumerate(batches):
+        runs[-1] += batch
+        placed += len(batch)
+        to_start, batches_left = n_runs - len(runs), len(batches) - i - 1
+        # Close the run at its share of the models, and early enough that
+        # each run still to start gets a batch.
+        if to_start and (placed * n_runs >= total * len(runs) or batches_left == to_start):
+            runs.append([])
+    return runs
+
+
 def generate_dataset(
     task: Task,
     models: Iterable[ProcessModel],
@@ -347,24 +391,14 @@ def generate_dataset(
     max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> Iterator[TaskRecord]:
     """The records of `task` for every admitted model, in `record_id` order,
-    generated one model at a time.
-
-    Every record id starts with its model's id and ":", the model's id
-    prefix. Two models' records can interleave only when one prefix starts
-    with the other, and in prefix order such models directly follow the
-    shorter one. So each model whose prefix starts with the current batch
-    head's joins that batch, and each batch is sorted by `record_id`, which
-    also places an index past 99,999.
-    """
-    head: str | None = None
-    batch: list[TaskRecord] = []
-    for model in sorted(models, key=_id_prefix):
-        prefix = _id_prefix(model)
-        if head is None or not prefix.startswith(head):
-            yield from sorted(batch, key=_BY_RECORD_ID)
-            head, batch = prefix, []
-        batch += generate_task(task, model, seed, min_log_size, noise_prob, max_retries)
-    yield from sorted(batch, key=_BY_RECORD_ID)
+    generated one `id_prefix_batches` batch at a time. Each batch is sorted
+    by `record_id`, which also places an index past 99,999."""
+    for batch in id_prefix_batches(models):
+        records: list[TaskRecord] = []
+        for model in batch:
+            records += generate_task(task, model, seed, min_log_size, noise_prob, max_retries)
+        records.sort(key=_BY_RECORD_ID)
+        yield from records
 
 
 # ---------------------------------------------------------------------------

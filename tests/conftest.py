@@ -497,6 +497,12 @@ def oracle_record_line(record: TaskRecord) -> str:
     return json.dumps(obj, ensure_ascii=False) + "\n"
 
 
+# Model ids in shuffled file order that extend one another by ":", so that
+# the record ids of one model fall between those of another: the tsad rows of
+# "a:tsad:00001" sort between "a:tsad:00001" and "a:tsad:00002" of model "a".
+EXTENDING_IDS = ("b", "a:tsad:00001", "ab", "a", "a-b", "a:tsad:0", "a:")
+
+
 def oracle_dataset(task: Task, models, seed: int, **settings) -> list[TaskRecord]:
     """Every admitted model's records of `task` built at once and sorted
     together by `record_id`."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
@@ -31,7 +32,7 @@ from procsem.cli import (
     main,
 )
 
-from conftest import oracle_corpus_line, oracle_dataset_bytes
+from conftest import EXTENDING_IDS, oracle_corpus_line, oracle_dataset_bytes
 
 
 def run(argv):
@@ -321,22 +322,20 @@ def test_wide_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert digests == WIDE_GOLDEN_DIGESTS
 
 
-# Model ids in shuffled file order that extend one another by ":", so that
-# the record ids of one model fall between those of another: the tsad rows of
-# "a:tsad:00001" sort between "a:tsad:00001" and "a:tsad:00002" of model "a".
-_EXTENDING_IDS = ("b", "a:tsad:00001", "ab", "a", "a-b", "a:tsad:0", "a:")
+def _extending_corpus(path):
+    path.write_text("".join(
+        json.dumps({"model_id": model_id, "tree": f"->('x{i}', X('y{i}', ->('z{i}', 'w{i}')))"})
+        + "\n"
+        for i, model_id in enumerate(EXTENDING_IDS)
+    ), encoding="utf-8")
+    return str(path)
 
 
 def test_gen_orders_rows_of_ids_that_extend_one_another(tmp_path):
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text("".join(
-        json.dumps({"model_id": model_id, "tree": f"->('x{i}', X('y{i}', ->('z{i}', 'w{i}')))"})
-        + "\n"
-        for i, model_id in enumerate(_EXTENDING_IDS)
-    ), encoding="utf-8")
-    code, summary, err = run(["gen", str(corpus), "--out-dir", str(tmp_path), "--seed", "2"])
+    corpus = _extending_corpus(tmp_path / "corpus.jsonl")
+    code, summary, err = run(["gen", corpus, "--out-dir", str(tmp_path), "--seed", "2"])
     assert code == EXIT_OK, err
-    assert summary["models"] == len(_EXTENDING_IDS)
+    assert summary["models"] == len(EXTENDING_IDS)
     for task in Task:
         written = (tmp_path / f"{task.value}.jsonl").read_bytes()
         assert written == oracle_dataset_bytes(corpus, task, seed=2, min_log_size=100), task
@@ -354,6 +353,119 @@ def test_gen_orders_a_six_digit_record_index(tmp_path):
     assert summary["records"] == {"tsad": 100001}
     written = (tmp_path / "tsad.jsonl").read_bytes()
     assert written == oracle_dataset_bytes(corpus, Task.TSAD, seed=2, min_log_size=100001)
+
+
+def _with_workers(monkeypatch, workers):
+    """Make `gen` see `workers` usable CPUs; the list counts its forks."""
+    monkeypatch.setattr(procsem.cli, "usable_cpus", lambda: workers)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("corpus", ["ws", "extending"])
+def test_gen_bytes_do_not_depend_on_the_worker_count(ws, tmp_path, monkeypatch, corpus):
+    if corpus == "ws":
+        path, settings = ws["corpus"], ["--seed", "7", "--min-log-size", "20"]
+    else:
+        path, settings = _extending_corpus(tmp_path / "corpus.jsonl"), ["--seed", "2"]
+    outputs = {}
+    for workers in (1, 2, 3):
+        forks = _with_workers(monkeypatch, workers)
+        out_dir = tmp_path / f"data{workers}"
+        code, summary, err = run(["gen", path, "--out-dir", str(out_dir), *settings])
+        assert code == EXIT_OK, err
+        # One run per worker here: each corpus has more id-prefix batches.
+        assert len(forks) == workers - 1
+        # Only the datasets are left: no part or temp file.
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert sorted(files) == sorted(f"{task.value}.jsonl" for task in Task)
+        del summary["out_dir"]
+        outputs[workers] = files, summary
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
+    if corpus == "ws":
+        # The fixture's run, at this machine's CPU count, gave the same.
+        expected = dict(ws["summaries"]["gen"])
+        del expected["out_dir"]
+        assert outputs[1][1] == expected
+        assert outputs[1][0] == {
+            name: (Path(ws["data"]) / name).read_bytes() for name in outputs[1][0]
+        }
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_golden_digests_hold_for_any_worker_count(tmp_path, monkeypatch, workers):
+    _with_workers(monkeypatch, workers)
+    for name in ("build", "wide"):
+        (tmp_path / name).mkdir()
+    test_outputs_match_golden_digests(tmp_path / "build")
+    test_wide_outputs_match_golden_digests(tmp_path / "wide", monkeypatch)
+
+
+def _fail_replace_in(monkeypatch, which, part_name):
+    """Make the rename of `part_name`'s temp file fail with a full disk in
+    the parent (`which` "parent") or in any forked child ("child")."""
+    parent, real_replace = os.getpid(), os.replace
+
+    def replace(src, dst, *args, **kwargs):
+        in_child = os.getpid() != parent
+        if os.path.basename(dst) == part_name and in_child == (which == "child"):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src, None, dst)
+        return real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+@pytest.mark.parametrize("which,part", [("child", 1), ("child", 2), ("parent", 0)])
+def test_a_failed_part_write_names_the_destination_and_leaves_nothing(
+    tmp_path, monkeypatch, which, part
+):
+    corpus = _extending_corpus(tmp_path / "corpus.jsonl")
+    out_dir = tmp_path / "data"
+    out_dir.mkdir()
+    (out_dir / "snap.jsonl").write_text("old\n", encoding="utf-8")
+    forks = _with_workers(monkeypatch, 3)
+    _fail_replace_in(monkeypatch, which, f".snap.jsonl.part{part}")
+    code, summary, err = run(["gen", corpus, "--out-dir", str(out_dir), "--seed", "2"])
+    assert len(forks) == 2
+    assert code == EXIT_FATAL
+    assert summary is None
+    destination = str(out_dir / "snap.jsonl")
+    assert err == f"procsem: error: [Errno 28] No space left on device: {destination!r}\n"
+    # No dataset is written, the old one stays, and no part or temp file is left.
+    assert sorted(p.name for p in out_dir.iterdir()) == ["snap.jsonl"]
+    assert (out_dir / "snap.jsonl").read_text("utf-8") == "old\n"
+    # Every child has been reaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_that_dies_without_a_message_is_an_error(tmp_path, monkeypatch):
+    corpus = _extending_corpus(tmp_path / "corpus.jsonl")
+    _with_workers(monkeypatch, 2)
+    parent, real_generate = os.getpid(), procsem.cli.generate_dataset
+
+    def generate(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("a bug in a worker")
+        return real_generate(*args, **kwargs)
+
+    monkeypatch.setattr(procsem.cli, "generate_dataset", generate)
+    code, _, err = run(["gen", corpus, "--out-dir", str(tmp_path / "data"), "--seed", "2"])
+    assert code == EXIT_FATAL
+    assert err.startswith("procsem: error: worker process ")
+    assert err.endswith(" failed with exit status 1\n")
+    assert err.count("\n") == 1
+    assert list((tmp_path / "data").iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestConfigHandling:

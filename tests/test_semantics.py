@@ -24,7 +24,7 @@ from procsem import (
     tau,
     xor,
 )
-from procsem.semantics import MAX_PLAYOUT_LEAVES, tree_relations
+from procsem.semantics import DEFAULT_MAX_SEQUENCES, MAX_PLAYOUT_LEAVES, tree_relations
 
 from conftest import (
     oracle_capped_language,
@@ -41,6 +41,13 @@ from conftest import (
 any_tree = st.one_of(
     tree_strategy(max_leaves=8),
     tree_strategy(max_leaves=8, labels=repeating_label_strategy),
+)
+
+# Eight leaves, at most four children a node, as `tree_strategy(max_leaves=8)`
+# can draw it, and 8! = 40,320 sequences: over the default play-out cap.
+OVER_THE_DEFAULT_CAP = par(
+    par(leaf("a"), leaf("b"), leaf("c"), leaf("d")),
+    par(leaf("e"), leaf("f"), leaf("g"), leaf("h")),
 )
 
 # Loops whose body and redo child share activities, so one activity occurs
@@ -106,8 +113,14 @@ class TestLanguage:
 
     @given(tree_strategy(max_leaves=8))
     @settings(max_examples=150, deadline=None)
+    @example(OVER_THE_DEFAULT_CAP)
     def test_matches_reference_recursion(self, tree):
-        assert language(tree) == oracle_language(tree)
+        expected = oracle_language(tree)
+        if len(expected) > DEFAULT_MAX_SEQUENCES:
+            with pytest.raises(LanguageTooLargeError):
+                language(tree)
+        else:
+            assert language(tree) == expected
 
     @given(any_tree, st.integers(min_value=1, max_value=8))
     @settings(max_examples=400, deadline=None)
@@ -186,8 +199,9 @@ class TestDfg:
     @example(LOOPS_WITH_REPEATS[0])
     @example(LOOPS_WITH_REPEATS[1])
     @example(LOOPS_WITH_REPEATS[2])
+    @example(OVER_THE_DEFAULT_CAP)
     def test_edges_match_oracle(self, tree):
-        model = playout(tree, model_id="t")
+        model = _played_out(tree)
         assert dfg_of_model(model).edges == oracle_dfg_edges(model.sequences)
 
 
@@ -224,8 +238,9 @@ class TestFootprint:
 
     @given(tree_strategy(max_leaves=8))
     @settings(max_examples=100, deadline=None)
+    @example(OVER_THE_DEFAULT_CAP)
     def test_total_and_mirror_consistent(self, tree):
-        model = playout(tree, model_id="t")
+        model = _played_out(tree)
         fp = footprint_of_model(model)
         n = len(model.activity_set)
         assert len(fp.relations) == n * n
@@ -264,8 +279,9 @@ class TestEventuallyFollows:
     @example(LOOPS_WITH_REPEATS[0])
     @example(LOOPS_WITH_REPEATS[1])
     @example(LOOPS_WITH_REPEATS[2])
+    @example(OVER_THE_DEFAULT_CAP)
     def test_matches_oracle_and_contains_dfg(self, tree):
-        model = playout(tree, model_id="t")
+        model = _played_out(tree)
         ef = eventually_follows(tree)
         assert ef == oracle_ef_pairs(model.sequences)
         assert dfg_of_model(model).edges <= ef

@@ -35,7 +35,15 @@ from procsem import (
     xor,
 )
 
-from conftest import M1_TREE_TEXT, oracle_dataset, oracle_ef_pairs, oracle_language
+from procsem.taskgen import contiguous_runs, id_prefix_batches
+
+from conftest import (
+    EXTENDING_IDS,
+    M1_TREE_TEXT,
+    oracle_dataset,
+    oracle_ef_pairs,
+    oracle_language,
+)
 
 
 def admit_one(tree, model_id="m"):
@@ -320,6 +328,49 @@ def test_generate_dataset_yields_record_id_order(model_ids, shuffler):
     for task, min_log_size in ((Task.TSAD, 12), (Task.SPTD, 1)):
         expected = oracle_dataset(task, models, 4, min_log_size=min_log_size)
         assert list(generate_dataset(task, models, 4, min_log_size=min_log_size)) == expected
+
+
+# The ids of models whose record ids interleave, and random ids over the
+# characters that make record ids extend one another.
+_run_model_ids = st.lists(
+    st.one_of(st.sampled_from(EXTENDING_IDS), st.text(alphabet="ab:-0", max_size=6)),
+    max_size=9,
+    unique=True,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_run_model_ids, st.integers(min_value=1, max_value=4), st.randoms(use_true_random=False))
+def test_the_datasets_of_contiguous_runs_join_to_the_whole(model_ids, n_runs, shuffler):
+    tree = par(leaf("x"), xor(leaf("y"), leaf("z")))
+    models = [playout(tree, model_id=m) for m in model_ids]
+    shuffler.shuffle(models)
+    batches = list(id_prefix_batches(models))
+    runs = contiguous_runs(models, n_runs)
+    assert len(runs) == max(1, min(n_runs, len(batches)))
+    assert [m for run in runs for m in run] == [m for batch in batches for m in batch]
+    if models:
+        assert all(runs)
+    for task, min_log_size in ((Task.TSAD, 12), (Task.SPTD, 1)):
+        joined = [
+            record
+            for run in runs
+            for record in generate_dataset(task, run, 4, min_log_size=min_log_size)
+        ]
+        assert joined == list(generate_dataset(task, models, 4, min_log_size=min_log_size))
+
+
+def test_runs_split_the_models_evenly_at_batch_boundaries():
+    # "a" and "a:x" share a batch; every other id is its own batch.
+    tree = par(leaf("x"), leaf("y"))
+    models = [playout(tree, model_id=m) for m in ("a", "a:x", "b", "c", "d", "e")]
+    runs = contiguous_runs(models, 3)
+    assert [[m.model_id for m in run] for run in runs] == [
+        ["a", "a:x"], ["b", "c"], ["d", "e"]
+    ]
+    # More runs than batches: one run per batch.
+    assert contiguous_runs(models, 9) == list(id_prefix_batches(models))
+    assert contiguous_runs([], 4) == [[]]
 
 
 class TestSplitCorpus:
