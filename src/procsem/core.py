@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Union
+from typing import Union
 
 Activity = str
 Trace = tuple[Activity, ...]
@@ -174,45 +174,24 @@ class Relation(str, Enum):
     NONE = "#"
 
 
-# The relation of (y, x) given the relation of (x, y).
-MIRROR = {
-    Relation.FORWARD: Relation.BACKWARD,
-    Relation.BACKWARD: Relation.FORWARD,
-    Relation.PARALLEL: Relation.PARALLEL,
-    Relation.NONE: Relation.NONE,
-}
-
-
 @dataclass(frozen=True)
-class Footprint:
-    """Total map over ordered activity pairs to their behavioral relation."""
+class Footprint(Dfg):
+    """The footprint of a directly-follows graph, read pair by pair.
 
-    activities: frozenset[Activity]
-    relations: Mapping[tuple[Activity, Activity], Relation] = field(hash=False)
-
-    def __post_init__(self) -> None:
-        n = len(self.activities)
-        if len(self.relations) != n * n:
-            raise ValueError(f"footprint must cover all {n * n} ordered pairs")
-        for (x, y), rel in self.relations.items():
-            if x not in self.activities or y not in self.activities:
-                raise ValueError(f"pair ({x!r}, {y!r}) outside activity set")
-            if self.relations[(y, x)] is not MIRROR[rel]:
-                raise ValueError(f"inconsistent mirror for pair ({x!r}, {y!r})")
-        for x in self.activities:
-            if self.relations[(x, x)] not in (Relation.PARALLEL, Relation.NONE):
-                raise ValueError(f"diagonal entry for {x!r} must be PARALLEL or NONE")
+    (x, y) is FORWARD when x is directly followed by y but never the
+    reverse, BACKWARD in the mirrored case, PARALLEL when both directions
+    occur, and NONE when neither does. Read off the edges, the relations
+    mirror by construction, and a diagonal entry is PARALLEL or NONE.
+    """
 
     def relation(self, x: Activity, y: Activity) -> Relation:
-        return self.relations[(x, y)]
+        if x not in self.activities or y not in self.activities:
+            raise KeyError((x, y))
+        if (x, y) in self.edges:
+            return Relation.PARALLEL if (y, x) in self.edges else Relation.FORWARD
+        return Relation.BACKWARD if (y, x) in self.edges else Relation.NONE
 
     @property
-    def follow_edges(self) -> frozenset[Pair]:
-        """The pairs related FORWARD or PARALLEL: the directly-follows edges
-        whose footprint this is."""
-        return frozenset(
-            pair
-            for pair, rel in self.relations.items()
-            if rel is Relation.FORWARD or rel is Relation.PARALLEL
-        )
-
+    def relations(self) -> dict[Pair, Relation]:
+        """The total map over every ordered activity pair, built on each call."""
+        return {(x, y): self.relation(x, y) for x in self.activities for y in self.activities}

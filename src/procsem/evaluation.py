@@ -415,7 +415,7 @@ def random_footprint_predictions(
         if record.task is not Task.SDFD:
             raise ValueError("random footprint predictions apply to DFG records only")
         rng = model_rng(seed, "baseline", record.task.value, record.record_id)
-        edges = random_footprint(record.activity_set, rng).follow_edges
+        edges = random_footprint(record.activity_set, rng).edges
         predictions.append(
             Prediction(
                 record_id=record.record_id, raw_text=render_dfg_edges(tuple(edges))

@@ -16,9 +16,9 @@ with LanguageTooLargeError instead of exhausting memory.
 The directly-follows and eventually-follows relations need no play-out:
 `tree_relations` reads them off the tree bottom-up (van der Aalst, *Process
 Mining*, 2016, footprints; Leemans, Fahland and van der Aalst, Petri Nets
-2013, block-structured trees), so they have no size cap. `eventually_follows`
-reads a tree that way; `dfg_of_model` also takes a played-out model, from its
-sequences.
+2013, block-structured trees), so they have no size cap. `eventually_follows`,
+`dfg_of_model` and so `footprint_of_model` read a tree that way, a played-out
+model through its tree; no relation is read from a model's sequences.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .core import (
     Pair,
     ProcessModel,
     ProcessTree,
-    Relation,
     Silent,
     Trace,
 )
@@ -287,42 +286,18 @@ def tree_relations(
 # Directly-follows, footprints, eventually-follows
 
 
-def _edges_of(sequences: frozenset[Trace]) -> frozenset[Pair]:
-    edges: set[Pair] = set()
-    for s in sequences:
-        edges.update(zip(s, s[1:]))
-    return frozenset(edges)
-
-
 def dfg_of_model(model: ProcessModel | ProcessTree) -> Dfg:
-    """Directly-follows graph over every sequence the model allows.
-
-    A tree is read with `tree_relations`; a played-out model from its
-    sequences.
-    """
-    if isinstance(model, ProcessModel):
-        return Dfg(activities=model.activity_set, edges=_edges_of(model.sequences))
-    relations = tree_relations(model)
+    """Directly-follows graph over every sequence the model allows, read off
+    its tree with `tree_relations`; a played-out model's sequences are not
+    read."""
+    relations = tree_relations(model.tree if isinstance(model, ProcessModel) else model)
     return Dfg(activities=relations.alphabet, edges=relations.df)
 
 
 def footprint(dfg: Dfg) -> Footprint:
-    """Classify every ordered activity pair from the follow edges.
-
-    (x, y) is FORWARD when x is directly followed by y but never the
-    reverse, BACKWARD in the mirrored case, PARALLEL when both directions
-    occur, and NONE when neither does.
-    """
-    edges = dfg.edges
-    relations: dict[Pair, Relation] = {}
-    for x in dfg.activities:
-        for y in dfg.activities:
-            if (x, y) in edges:
-                rel = Relation.PARALLEL if (y, x) in edges else Relation.FORWARD
-            else:
-                rel = Relation.BACKWARD if (y, x) in edges else Relation.NONE
-            relations[(x, y)] = rel
-    return Footprint(activities=dfg.activities, relations=relations)
+    """The footprint of a directly-follows graph; its relations are read
+    from the edges when asked, so no pair is classified here."""
+    return Footprint(activities=dfg.activities, edges=dfg.edges)
 
 
 def footprint_of_model(model: ProcessModel) -> Footprint:

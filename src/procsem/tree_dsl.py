@@ -30,7 +30,10 @@ from .core import (
     normalize_label,
 )
 
-MAX_DEPTH = 500
+# Every stage walks a tree recursively, `render_tree` with about three
+# interpreter frames per level, so a tree this deep stays well inside the
+# default recursion limit of 1,000 frames.
+MAX_DEPTH = 250
 
 _UNICODE_OPS = {
     "\u2192": "->",  # →

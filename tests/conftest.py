@@ -50,7 +50,7 @@ from procsem import (
     render_tree,
     validate_corpus,
 )
-from procsem.core import MIRROR, tree_labels
+from procsem.core import tree_labels
 from procsem.evaluation import fold_label
 from procsem.promptgen import _fill
 from procsem.semantics import MAX_PLAYOUT_LEAVES
@@ -306,6 +306,15 @@ def oracle_relabelled_dfg_edges(sequences, gold_of) -> set[tuple[str, str]]:
     }
 
 
+# The relation of (y, x) given the relation of (x, y).
+ORACLE_MIRROR = {
+    Relation.FORWARD: Relation.BACKWARD,
+    Relation.BACKWARD: Relation.FORWARD,
+    Relation.PARALLEL: Relation.PARALLEL,
+    Relation.NONE: Relation.NONE,
+}
+
+
 def oracle_footprint(activities, edges) -> dict[tuple[str, str], Relation]:
     """Reference footprint: the full map over every ordered pair."""
     relations = {}
@@ -326,18 +335,21 @@ def oracle_footprint(activities, edges) -> dict[tuple[str, str], Relation]:
 
 def oracle_random_footprint(activity_set, rng: random.Random) -> Footprint:
     """Reference random footprint: draw each unordered pair's relation and
-    mirror it, and draw each diagonal entry."""
+    each diagonal entry, then spell the draws as directly-follows edges."""
     offdiag = (Relation.FORWARD, Relation.BACKWARD, Relation.PARALLEL, Relation.NONE)
     diag = (Relation.PARALLEL, Relation.NONE)
     activities = sorted(activity_set)
-    relations = {}
+    edges = set()
     for i, x in enumerate(activities):
-        relations[(x, x)] = rng.choice(diag)
+        if rng.choice(diag) is Relation.PARALLEL:
+            edges.add((x, x))
         for y in activities[i + 1 :]:
             rel = rng.choice(offdiag)
-            relations[(x, y)] = rel
-            relations[(y, x)] = MIRROR[rel]
-    return Footprint(activities=frozenset(activities), relations=relations)
+            if rel in (Relation.FORWARD, Relation.PARALLEL):
+                edges.add((x, y))
+            if rel in (Relation.BACKWARD, Relation.PARALLEL):
+                edges.add((y, x))
+    return Footprint(activities=frozenset(activities), edges=frozenset(edges))
 
 
 def oracle_footprint_fitness(gold_relations, pred_relations, activities, include_diagonal=True):

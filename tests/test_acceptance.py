@@ -137,7 +137,7 @@ def test_c03_random_footprint_baseline_matches_expectation():
     assert expected == 0.3125  # (0.25 * 12 + 0.5 * 4) / 16
     rng = random.Random(2026)
     draws = [
-        edge_fitness(activities, gold, random_footprint(activities, rng).follow_edges)
+        edge_fitness(activities, gold, random_footprint(activities, rng).edges)
         for _ in range(100_000)
     ]
     mean = statistics.fmean(draws)

@@ -31,6 +31,7 @@ from procsem.cli import (
     build_parser,
     main,
 )
+from procsem.tree_dsl import MAX_DEPTH
 
 from conftest import EXTENDING_IDS, oracle_corpus_line, oracle_dataset_bytes
 
@@ -1145,6 +1146,53 @@ class TestFailureModes:
         )
         assert code == EXIT_FATAL
         assert err == f"procsem: error: {templates / 'tsad.desc.txt'}: not UTF-8\n"
+
+
+def _nested_tree(operators: int) -> str:
+    """Tree text whose leaves 'a' and 'b' sit under `operators` nested
+    operators, cycling through ->, X and + with a tau sibling on each level."""
+    text = "->('a', 'b')"
+    for i in range(operators - 1):
+        text = f"{('->', 'X', '+')[i % 3]}({text}, tau)"
+    return text
+
+
+def test_a_tree_at_the_depth_limit_passes_every_stage(tmp_path):
+    deep, deeper = _nested_tree(MAX_DEPTH), _nested_tree(MAX_DEPTH + 1)
+    rows = [
+        {"model_id": "deep", "tree": deep},
+        {"model_id": "deeper", "tree": deeper},
+        {"model_id": "shallow", "tree": "->('c', 'd')"},
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    data = tmp_path / "data"
+    for argv in (
+        ["validate", str(corpus), "--out", str(tmp_path / "admitted.jsonl")],
+        ["playout", str(corpus), "--out", str(tmp_path / "sequences.jsonl")],
+        ["gen", str(corpus), "--out-dir", str(data)],
+        ["split", str(corpus), "--out", str(tmp_path / "split.jsonl")],
+    ):
+        code, summary, err = run(argv)
+        assert (code, summary["rejected"]) == (EXIT_PARTIAL, 1), f"{argv[0]}: {err}"
+        if argv[0] == "validate":
+            assert [(r["model_id"], r["reason"]) for r in summary["rejections"]] == [
+                ("deeper", "parse_error")
+            ]
+    sptd, preds = str(data / "sptd.jsonl"), tmp_path / "preds.jsonl"
+    # The deep tree as gold and as the prediction for both records, then one
+    # level deeper as a prediction, which does not parse.
+    for answer, fitness, failures in ((deep, 1.0, 0), (deeper, 0.0, 1)):
+        write_predictions(
+            preds,
+            [Prediction("deep:sptd:00000", answer), Prediction("shallow:sptd:00000", deep)],
+        )
+        code, summary, err = run(
+            ["score", "--dataset", sptd, "--predictions", str(preds), "--per-record"]
+        )
+        assert code == EXIT_OK, err
+        assert summary["per_record_fitness"]["deep:sptd:00000"] == fitness
+        assert summary["n_parse_failures"] == failures
 
 
 def test_python_dash_m_runs_the_cli():

@@ -28,7 +28,7 @@ from procsem import (
 )
 from procsem.core import collapse_whitespace
 
-from conftest import oracle_collapse_whitespace
+from conftest import ORACLE_MIRROR, oracle_collapse_whitespace, oracle_footprint
 
 
 class TestNormalizeLabel:
@@ -137,39 +137,32 @@ class TestDfg:
 
 
 class TestFootprint:
-    def test_must_cover_all_ordered_pairs(self):
-        with pytest.raises(ValueError):
-            Footprint(
-                activities=frozenset({"a", "b"}),
-                relations={("a", "a"): Relation.NONE},
-            )
+    @given(
+        st.sets(st.sampled_from("abcd")),
+        st.sets(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd"))),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_relations_mirror_and_match_oracle(self, activities, edges):
+        edges = {(x, y) for x, y in edges if x in activities and y in activities}
+        fp = Footprint(activities=frozenset(activities), edges=frozenset(edges))
+        for x in activities:
+            assert fp.relation(x, x) in (Relation.PARALLEL, Relation.NONE)
+            for y in activities:
+                assert fp.relation(y, x) is ORACLE_MIRROR[fp.relation(x, y)]
+        assert fp.relations == oracle_footprint(activities, edges)
 
-    def test_mirror_consistency_enforced(self):
-        relations = {
-            ("a", "a"): Relation.NONE,
-            ("b", "b"): Relation.NONE,
-            ("a", "b"): Relation.FORWARD,
-            ("b", "a"): Relation.FORWARD,
-        }
+    def test_edge_endpoints_must_be_activities(self):
         with pytest.raises(ValueError):
-            Footprint(activities=frozenset({"a", "b"}), relations=relations)
-
-    def test_diagonal_restricted(self):
-        relations = {
-            ("a", "a"): Relation.FORWARD,
-            ("b", "b"): Relation.NONE,
-            ("a", "b"): Relation.NONE,
-            ("b", "a"): Relation.NONE,
-        }
-        with pytest.raises(ValueError):
-            Footprint(activities=frozenset({"a", "b"}), relations=relations)
+            Footprint(activities=frozenset({"a"}), edges=frozenset({("a", "b")}))
 
     def test_valid_footprint(self):
-        relations = {
-            ("a", "a"): Relation.NONE,
-            ("b", "b"): Relation.PARALLEL,
-            ("a", "b"): Relation.FORWARD,
-            ("b", "a"): Relation.BACKWARD,
-        }
-        fp = Footprint(activities=frozenset({"a", "b"}), relations=relations)
+        fp = Footprint(
+            activities=frozenset({"a", "b"}),
+            edges=frozenset({("a", "b"), ("b", "b")}),
+        )
         assert fp.relation("a", "b") is Relation.FORWARD
+        assert fp.relation("b", "a") is Relation.BACKWARD
+        assert fp.relation("a", "a") is Relation.NONE
+        assert fp.relation("b", "b") is Relation.PARALLEL
+        with pytest.raises(KeyError):
+            fp.relation("a", "z")

@@ -177,8 +177,8 @@ class TestFootprintFitness:
         activities = frozenset("abcd")
         rng = random.Random(0)
         for _ in range(20):
-            left = random_footprint(activities, rng).follow_edges
-            right = random_footprint(activities, rng).follow_edges
+            left = random_footprint(activities, rng).edges
+            right = random_footprint(activities, rng).edges
             assert edge_fitness(activities, left, right) == edge_fitness(
                 activities, right, left
             )
@@ -219,7 +219,7 @@ class TestEdgeFitness:
         gold_fp = footprint(Dfg(activities=activities, edges=frozenset(inside)))
         pred_fp = footprint(Dfg(activities=pred_activities, edges=frozenset(pred)))
         assert edge_fitness(
-            activities, gold_fp.follow_edges, pred_fp.follow_edges, include_diagonal
+            activities, gold_fp.edges, pred_fp.edges, include_diagonal
         ) == expected
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(0, 6), st.booleans())
@@ -233,7 +233,7 @@ class TestEdgeFitness:
             gold.relations, pred.relations, activities, include_diagonal
         )
         assert edge_fitness(
-            activities, gold.follow_edges, pred.follow_edges, include_diagonal
+            activities, gold.edges, pred.edges, include_diagonal
         ) == expected
 
 
@@ -553,7 +553,7 @@ class TestRandomBaselines:
         rng = random.Random(7)
         for _ in range(50):
             fp = random_footprint(frozenset("abcde"), rng)
-            assert footprint(Dfg(activities=fp.activities, edges=fp.follow_edges)) == fp
+            assert footprint(Dfg(activities=fp.activities, edges=fp.edges)) == fp
 
     def test_expected_fitness_formula(self):
         assert expected_random_footprint_fitness(4) == pytest.approx(0.3125)

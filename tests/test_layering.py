@@ -65,6 +65,19 @@ def test_runtime_imports_only_stdlib():
     assert outside == set()
 
 
+def attributes_read(module: str) -> set[str]:
+    """Names of the attributes that `module` reads or writes on any object."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text("utf-8"))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_semantics_reads_relations_off_the_tree_alone():
+    # `tree_relations` is the one relation engine: a played-out model is read
+    # through its tree, never through its sequences.
+    attributes = attributes_read("semantics")
+    assert {"tree", "children"} <= attributes
+    assert "sequences" not in attributes
+
 
 def json_names(module: str) -> set[str]:
     """Dotted names that `module` imports from, or reads off, the `json`

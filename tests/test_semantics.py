@@ -27,6 +27,7 @@ from procsem import (
 from procsem.semantics import DEFAULT_MAX_SEQUENCES, MAX_PLAYOUT_LEAVES, tree_relations
 
 from conftest import (
+    ORACLE_MIRROR,
     oracle_capped_language,
     oracle_dfg_edges,
     oracle_ef_pairs,
@@ -242,8 +243,13 @@ class TestFootprint:
     def test_total_and_mirror_consistent(self, tree):
         model = _played_out(tree)
         fp = footprint_of_model(model)
+        relations = fp.relations
         n = len(model.activity_set)
-        assert len(fp.relations) == n * n
+        assert len(relations) == n * n
+        for (x, y), rel in relations.items():
+            assert relations[(y, x)] is ORACLE_MIRROR[rel]
+            if x == y:
+                assert rel in (Relation.PARALLEL, Relation.NONE)
 
     @given(
         st.sets(st.sampled_from("abcd")),
