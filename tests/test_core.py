@@ -151,6 +151,34 @@ class TestFootprint:
                 assert fp.relation(y, x) is ORACLE_MIRROR[fp.relation(x, y)]
         assert fp.relations == oracle_footprint(activities, edges)
 
+    def test_must_cover_all_ordered_pairs(self):
+        acts = frozenset({"a", "b", "c"})
+        for edges in (frozenset(), frozenset({("a", "b"), ("c", "c")})):
+            fp = Footprint(activities=acts, edges=edges)
+            assert set(fp.relations) == {(x, y) for x in acts for y in acts}
+
+    def test_mirror_consistency_enforced(self):
+        fp = Footprint(
+            activities=frozenset({"a", "b", "c"}),
+            edges=frozenset({("a", "b"), ("b", "c"), ("c", "b")}),
+        )
+        assert fp.relation("a", "b") is Relation.FORWARD
+        assert fp.relation("b", "a") is Relation.BACKWARD
+        assert fp.relation("b", "c") is Relation.PARALLEL
+        assert fp.relation("c", "b") is Relation.PARALLEL
+        assert fp.relation("a", "c") is Relation.NONE
+        assert fp.relation("c", "a") is Relation.NONE
+        for (x, y), rel in fp.relations.items():
+            assert fp.relation(y, x) is ORACLE_MIRROR[rel]
+
+    def test_diagonal_restricted(self):
+        fp = Footprint(
+            activities=frozenset({"a", "b"}),
+            edges=frozenset({("a", "a"), ("a", "b"), ("b", "a")}),
+        )
+        assert fp.relation("a", "a") is Relation.PARALLEL
+        assert fp.relation("b", "b") is Relation.NONE
+
     def test_edge_endpoints_must_be_activities(self):
         with pytest.raises(ValueError):
             Footprint(activities=frozenset({"a"}), edges=frozenset({("a", "b")}))
