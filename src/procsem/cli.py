@@ -51,7 +51,6 @@ from .promptgen import (
 from .semantics import DEFAULT_MAX_SEQUENCES
 from .synth import synth_corpus
 from .taskgen import (
-    CLASSIFICATION_TASKS,
     DEFAULT_MAX_RETRIES,
     DEFAULT_MIN_LOG_SIZE,
     DEFAULT_NOISE_PROB,
@@ -413,16 +412,8 @@ def cmd_prompts(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
 def cmd_baseline(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
     task, records = _read_task_dataset(args.dataset)
     if args.kind == "random_class":
-        if task not in (*CLASSIFICATION_TASKS, Task.SNAP):
-            raise ValueError(f"random_class does not apply to task {task.value}")
         predictions = random_classification_baseline(records, config.seed)
     else:
-        if task is not Task.SDFD:
-            raise ValueError(
-                "random_footprint emits directly-follows edge lines; generate "
-                "them for the sdfd dataset of the same corpus (per-model gold "
-                "footprints coincide with sptd)"
-            )
         predictions = random_footprint_predictions(records, config.seed)
     write_predictions(args.out, predictions)
     return {

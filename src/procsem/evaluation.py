@@ -16,19 +16,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import fmean
 
-from .core import (
-    Activity,
-    Dfg,
-    Footprint,
-    Pair,
-    collapse_whitespace,
-    tree_labels,
-)
-from .semantics import dfg_of_model, footprint, tree_relations
+from .core import Activity, Dfg, Footprint, Pair, collapse_whitespace
+from .semantics import dfg_of_model, footprint
 from .taskgen import (
     CLASSIFICATION_TASKS,
     LABEL_ANOMALOUS,
@@ -176,26 +170,30 @@ class RecordScore:
     skipped_lines: int = 0
 
 
-def _gold_map(
-    record: TaskRecord, labels: set[Activity], mode: MatchingMode
-) -> dict[Activity, Activity | None]:
-    """The gold activity each predicted label matches under `mode`, or None."""
-    fold_map: dict[str, Activity] = {}
-    for a in sorted(record.activity_set):
-        fold_map.setdefault(fold_label(a, mode), a)
-    return {a: fold_map.get(fold_label(a, mode)) for a in labels}
-
-
 def _footprint_score(
     record: TaskRecord,
-    pred_edges: frozenset[Pair],
-    gold_of: dict[Activity, Activity | None],
+    labels: Iterable[Activity],
+    pred_edges: Iterable[Pair],
+    mode: MatchingMode,
     include_diagonal: bool,
     skipped_lines: int = 0,
 ) -> RecordScore:
-    """Fitness of predicted edges, already mapped onto gold activities,
-    against the record's gold edges; labels with no gold match are
-    tallied as hallucinated."""
+    """Fitness of predicted edges over the predicted `labels` against the
+    record's gold edges.
+
+    Each label is mapped onto the gold activity it matches under `mode`;
+    an edge with an unmatched end is dropped, and the unmatched labels are
+    tallied as hallucinated.
+    """
+    fold_map: dict[str, Activity] = {}
+    for a in sorted(record.activity_set):
+        fold_map.setdefault(fold_label(a, mode), a)
+    gold_of = {a: fold_map.get(fold_label(a, mode)) for a in labels}
+    edges = frozenset(
+        (gold_of[x], gold_of[y])
+        for x, y in pred_edges
+        if gold_of[x] is not None and gold_of[y] is not None
+    )
     if record.task is Task.SDFD:
         gold_edges = frozenset(record.edges)
     else:
@@ -203,7 +201,7 @@ def _footprint_score(
     return RecordScore(
         record_id=record.record_id,
         fitness=edge_fitness(
-            frozenset(record.activity_set), gold_edges, pred_edges, include_diagonal
+            frozenset(record.activity_set), gold_edges, edges, include_diagonal
         ),
         hallucinated=tuple(sorted(a for a, g in gold_of.items() if g is None)),
         skipped_lines=skipped_lines,
@@ -230,13 +228,10 @@ def score_sdfd(
             parse_failure=True,
             skipped_lines=len(parsed.skipped),
         )
-    gold_of = _gold_map(record, {a for edge in parsed.edges for a in edge}, mode)
-    edges = frozenset(
-        (gold_of[x], gold_of[y])
-        for x, y in parsed.edges
-        if gold_of[x] is not None and gold_of[y] is not None
+    labels = {a for edge in parsed.edges for a in edge}
+    return _footprint_score(
+        record, labels, parsed.edges, mode, include_diagonal, len(parsed.skipped)
     )
-    return _footprint_score(record, edges, gold_of, include_diagonal, len(parsed.skipped))
 
 
 def score_sptd(
@@ -247,22 +242,19 @@ def score_sptd(
 ) -> RecordScore:
     """Footprint fitness of a predicted tree against a gold tree record.
 
-    Both trees' directly-follows edges are read off the trees, with no
-    play-out, so a valid tree of any language size gets its fitness. The
-    predicted leaves are mapped onto gold activities first; a leaf with no
-    match stays a step that joins no edge. Only a tree that does not parse
+    The predicted tree's directly-follows graph is read off it as the
+    gold's is, with no play-out, so a valid tree of any language size gets
+    its fitness. A leaf that matches no gold activity still separates its
+    neighbours, and its edges are dropped. Only a tree that does not parse
     is a parse failure, and it scores 0.
     """
     try:
-        pred_tree = parse_tree(pred_text)
+        dfg = dfg_of_model(parse_tree(pred_text))
     except TreeSyntaxError:
         return RecordScore(
             record_id=record.record_id, fitness=0.0, parse_failure=True
         )
-    gold_of = _gold_map(record, set(tree_labels(pred_tree)), mode)
-    return _footprint_score(
-        record, tree_relations(pred_tree, gold_of).df, gold_of, include_diagonal
-    )
+    return _footprint_score(record, dfg.activities, dfg.edges, mode, include_diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +376,7 @@ def random_classification_baseline(
         elif record.task is Task.SNAP:
             text = rng.choice(sorted(record.activity_set))
         else:
-            raise ValueError(f"no classification baseline for task {record.task.value}")
+            raise ValueError(f"random_class does not apply to task {record.task.value}")
         predictions.append(Prediction(record_id=record.record_id, raw_text=text))
     return predictions
 
@@ -413,7 +405,11 @@ def random_footprint_predictions(
     predictions: list[Prediction] = []
     for record in records:
         if record.task is not Task.SDFD:
-            raise ValueError("random footprint predictions apply to DFG records only")
+            raise ValueError(
+                "random_footprint emits directly-follows edge lines; generate "
+                "them for the sdfd dataset of the same corpus (per-model gold "
+                "footprints coincide with sptd)"
+            )
         rng = model_rng(seed, "baseline", record.task.value, record.record_id)
         edges = random_footprint(record.activity_set, rng).edges
         predictions.append(

@@ -18,6 +18,7 @@ from typing import Any
 
 from .core import Activity, Trace
 from .taskgen import (
+    CLASSIFICATION_TASKS,
     GENERATION_TASKS,
     LABEL_ANOMALOUS,
     Task,
@@ -113,7 +114,7 @@ def instance_text(record: TaskRecord) -> str:
 
 def answer_text(record: TaskRecord) -> str:
     """The gold answer exactly as the scoring parser for the task reads it."""
-    if record.task in (Task.TSAD, Task.ASAD):
+    if record.task in CLASSIFICATION_TASKS:
         return "true" if record.label == LABEL_ANOMALOUS else "false"
     if record.task is Task.SNAP:
         return _field(record, "next_activity")
@@ -263,7 +264,7 @@ def render_icl(
         raise ValueError("shots must be >= 1")
     tpl = templates if templates is not None else load_templates(task)
     rng = model_rng(seed, "icl", task.value, query.record_id)
-    if task in (Task.TSAD, Task.ASAD):
+    if task in CLASSIFICATION_TASKS:
         shot_records = _sample_binary_shots(query, pool, shots, rng)
     else:
         shot_records = _sample_model_shots(query, pool, shots, rng)

@@ -16,14 +16,15 @@ with LanguageTooLargeError instead of exhausting memory.
 The directly-follows and eventually-follows relations need no play-out:
 `tree_relations` reads them off the tree bottom-up (van der Aalst, *Process
 Mining*, 2016, footprints; Leemans, Fahland and van der Aalst, Petri Nets
-2013, block-structured trees), so they have no size cap. `eventually_follows`,
-`dfg_of_model` and so `footprint_of_model` read a tree that way, a played-out
-model through its tree; no relation is read from a model's sequences.
+2013, block-structured trees), so they have no size cap. `eventually_follows`
+and `dfg_of_model` read a bare tree that way, and `footprint_of_model` a
+played-out model through its tree; no relation is read from a model's
+sequences.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .core import (
     Activity,
@@ -198,9 +199,6 @@ class TreeRelations(NamedTuple):
 
 _NONE: frozenset = frozenset()
 _SILENT = TreeRelations(True, _NONE, _NONE, _NONE, _NONE, _NONE)
-# A step that happens but carries no activity of interest: it is never
-# skipped, and it separates its neighbours.
-_BLANK = TreeRelations(False, _NONE, _NONE, _NONE, _NONE, _NONE)
 
 
 def _pairs(left: frozenset[Activity], right: frozenset[Activity]) -> set[Pair]:
@@ -252,26 +250,17 @@ def _and_relations(parts: list[TreeRelations]) -> TreeRelations:
     )
 
 
-def tree_relations(
-    tree: ProcessTree, rename: Mapping[Activity, Activity | None] | None = None
-) -> TreeRelations:
+def tree_relations(tree: ProcessTree) -> TreeRelations:
     """The relations of a tree's language, read bottom-up with no play-out.
 
-    With `rename`, each leaf label is replaced by its image first; a leaf
-    whose image is None stays a step of the sequence that shows no
-    activity, so no pair involves it and it still separates its
-    neighbours. The bounded loop `*(B, R1, …, Rk)` is the choice of B and
-    every B·Ri·B.
+    The bounded loop `*(B, R1, …, Rk)` is the choice of B and every B·Ri·B.
     """
     if isinstance(tree, Leaf):
-        label = tree.label if rename is None else rename[tree.label]
-        if label is None:
-            return _BLANK
-        one = frozenset((label,))
+        one = frozenset((tree.label,))
         return TreeRelations(False, one, one, one, _NONE, _NONE)
     if isinstance(tree, Silent):
         return _SILENT
-    parts = [tree_relations(child, rename) for child in tree.children]
+    parts = [tree_relations(child) for child in tree.children]
     if tree.kind is OpKind.SEQ:
         return _seq_relations(parts)
     if tree.kind is OpKind.XOR:
@@ -286,11 +275,10 @@ def tree_relations(
 # Directly-follows, footprints, eventually-follows
 
 
-def dfg_of_model(model: ProcessModel | ProcessTree) -> Dfg:
-    """Directly-follows graph over every sequence the model allows, read off
-    its tree with `tree_relations`; a played-out model's sequences are not
-    read."""
-    relations = tree_relations(model.tree if isinstance(model, ProcessModel) else model)
+def dfg_of_model(tree: ProcessTree) -> Dfg:
+    """Directly-follows graph over every sequence the tree allows, read off
+    it with `tree_relations`."""
+    relations = tree_relations(tree)
     return Dfg(activities=relations.alphabet, edges=relations.df)
 
 
@@ -301,7 +289,7 @@ def footprint(dfg: Dfg) -> Footprint:
 
 
 def footprint_of_model(model: ProcessModel) -> Footprint:
-    return footprint(dfg_of_model(model))
+    return footprint(dfg_of_model(model.tree))
 
 
 def eventually_follows(tree: ProcessTree) -> frozenset[Pair]:

@@ -363,23 +363,16 @@ def contiguous_runs(
     models: Iterable[ProcessModel], n_runs: int
 ) -> list[list[ProcessModel]]:
     """The models in id-prefix order, cut at batch boundaries into at most
-    `n_runs` non-empty runs of about equal model count, fewer when there are
+    `n_runs` non-empty runs of about equal batch count, fewer when there are
     fewer batches. The datasets of the runs, one after another, are the
     dataset of all the models."""
     batches = list(id_prefix_batches(models))
-    n_runs = max(1, min(n_runs, len(batches)))
-    total = sum(map(len, batches))
-    runs: list[list[ProcessModel]] = [[]]
-    placed = 0
-    for i, batch in enumerate(batches):
-        runs[-1] += batch
-        placed += len(batch)
-        to_start, batches_left = n_runs - len(runs), len(batches) - i - 1
-        # Close the run at its share of the models, and early enough that
-        # each run still to start gets a batch.
-        if to_start and (placed * n_runs >= total * len(runs) or batches_left == to_start):
-            runs.append([])
-    return runs
+    n = max(1, min(n_runs, len(batches)))
+    cuts = [len(batches) * k // n for k in range(n + 1)]
+    return [
+        [model for batch in batches[start:end] for model in batch]
+        for start, end in zip(cuts, cuts[1:])
+    ]
 
 
 def generate_dataset(

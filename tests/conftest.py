@@ -296,16 +296,6 @@ def oracle_ef_pairs(sequences) -> set[tuple[str, str]]:
     return pairs
 
 
-def oracle_relabelled_dfg_edges(sequences, gold_of) -> set[tuple[str, str]]:
-    """Directly-follows edges of played-out sequences, mapped label by label
-    through `gold_of`; an edge with an unmapped endpoint is dropped."""
-    return {
-        (gold_of[x], gold_of[y])
-        for x, y in oracle_dfg_edges(sequences)
-        if gold_of[x] is not None and gold_of[y] is not None
-    }
-
-
 # The relation of (y, x) given the relation of (x, y).
 ORACLE_MIRROR = {
     Relation.FORWARD: Relation.BACKWARD,

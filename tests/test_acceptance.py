@@ -74,7 +74,7 @@ def test_c01_worked_example_exact_semantics():
         }
     )
 
-    dfg = dfg_of_model(model)
+    dfg = dfg_of_model(model.tree)
     forward = {
         ("receive order", "accept order"),
         ("accept order", "deliver package"),
@@ -342,9 +342,9 @@ def test_c08_fitness_identities():
                 task=Task.SDFD,
                 model_id="g",
                 activity_set=activities,
-                edges=tuple(sorted(dfg_of_model(gold_model).edges)),
+                edges=tuple(sorted(dfg_of_model(gold_model.tree).edges)),
             ),
-            render_dfg_edges(tuple(dfg_of_model(playout(pred, model_id="p")).edges)),
+            render_dfg_edges(tuple(dfg_of_model(playout(pred, model_id="p").tree).edges)),
         )
         assert via_tree.fitness == via_edges.fitness
         checked += 1

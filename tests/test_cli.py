@@ -852,7 +852,11 @@ class TestFailureModes:
              "--kind", "random_footprint", "--out", str(tmp_path / "p.jsonl")]
         )
         assert code == EXIT_FATAL
-        assert "sdfd" in err
+        assert err == (
+            "procsem: error: random_footprint emits directly-follows edge lines; "
+            "generate them for the sdfd dataset of the same corpus (per-model "
+            "gold footprints coincide with sptd)\n"
+        )
 
     def test_class_baseline_rejects_generation_dataset(self, ws, tmp_path):
         code, _, err = run(
@@ -860,7 +864,7 @@ class TestFailureModes:
              "--kind", "random_class", "--out", str(tmp_path / "p.jsonl")]
         )
         assert code == EXIT_FATAL
-        assert "random_class" in err
+        assert err == "procsem: error: random_class does not apply to task sdfd\n"
 
     def test_prompts_require_split_coverage(self, ws, tmp_path):
         partial_split = tmp_path / "partial.jsonl"

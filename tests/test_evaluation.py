@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from procsem import (
@@ -356,10 +356,10 @@ class TestScoreSptd:
             return
         gold_sptd = sptd_record(render_tree(gold_tree), gold_model.activity_set)
         gold_sdfd = sdfd_record(
-            dfg_of_model(gold_model).edges, gold_model.activity_set
+            dfg_of_model(gold_model.tree).edges, gold_model.activity_set
         )
         pred_model = playout(pred_tree, model_id="p")
-        pred_edge_text = render_dfg_edges(tuple(dfg_of_model(pred_model).edges))
+        pred_edge_text = render_dfg_edges(tuple(dfg_of_model(pred_model.tree).edges))
         via_tree = score_sptd(gold_sptd, render_tree(pred_tree))
         via_edges = score_sdfd(gold_sdfd, pred_edge_text)
         assert not via_tree.parse_failure
@@ -371,6 +371,17 @@ class TestScoreSptd:
 # ones that match no gold activity.
 gold_labels = st.sampled_from(["A", "a", "b", "c d"])
 pred_labels = st.sampled_from(["a", "A", "B", "b", "C  D", "c d", "e"])
+DEFAULT_SCORING = (MatchingMode.CASE_INSENSITIVE, True)
+# A hallucinated leaf between two gold leaves, one under X(·, tau), and two
+# labels that fold onto one gold activity.
+GOLD_AND_PREDICTED = [
+    (parse_tree(gold), parse_tree(pred))
+    for gold, pred in [
+        ("->('a', 'b')", "->('a', 'e', 'b')"),
+        ("->('a', 'b')", "->('a', X('e', tau), 'b')"),
+        ("->('a', 'b')", "+('a', 'A', 'b')"),
+    ]
+]
 
 
 class TestScoreAgainstPlayoutOracle:
@@ -381,6 +392,9 @@ class TestScoreAgainstPlayoutOracle:
         st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
+    @example(*GOLD_AND_PREDICTED[0], *DEFAULT_SCORING)
+    @example(*GOLD_AND_PREDICTED[1], *DEFAULT_SCORING)
+    @example(*GOLD_AND_PREDICTED[2], *DEFAULT_SCORING)
     def test_sptd(self, gold_tree, pred_tree, mode, include_diagonal):
         gold_model = playout(gold_tree, model_id="g")
         record = sptd_record(render_tree(gold_tree), gold_model.activity_set)

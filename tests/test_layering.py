@@ -79,6 +79,21 @@ def test_semantics_reads_relations_off_the_tree_alone():
     assert "sequences" not in attributes
 
 
+def module_functions(module: str) -> dict[str, ast.FunctionDef]:
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text("utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_relations_are_read_off_a_bare_tree():
+    # Mapping predicted labels onto gold activities is scoring's, so the
+    # relation engine takes the tree and nothing else.
+    functions = module_functions("semantics")
+    for name in ("tree_relations", "dfg_of_model", "eventually_follows"):
+        arguments = functions[name].args
+        assert [a.arg for a in arguments.args] == ["tree"], name
+        assert not (arguments.kwonlyargs or arguments.vararg or arguments.kwarg), name
+
+
 def json_names(module: str) -> set[str]:
     """Dotted names that `module` imports from, or reads off, the `json`
     package and its C accelerator `_json`."""
@@ -116,11 +131,6 @@ def test_fileio_spells_rows_one_way():
     assert not json_names("fileio") & second_paths
 
 
-def cli_functions() -> dict[str, ast.FunctionDef]:
-    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text("utf-8"))
-    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-
-
 def called_names(function: ast.FunctionDef) -> set[str]:
     return {
         node.func.id
@@ -132,7 +142,7 @@ def called_names(function: ast.FunctionDef) -> set[str]:
 def test_every_subcommand_has_one_shape():
     # A handler takes (args, config) and returns its summary; reading the
     # config, printing the summary and choosing the exit code are `main`'s.
-    handlers = {name: f for name, f in cli_functions().items() if name.startswith("cmd_")}
+    handlers = {name: f for name, f in module_functions("cli").items() if name.startswith("cmd_")}
     assert len(handlers) == 8
     for name, function in handlers.items():
         assert [a.arg for a in function.args.args] == ["args", "config"], name
@@ -148,7 +158,19 @@ def test_every_subcommand_has_one_shape():
 def test_main_alone_reads_the_config_and_emits_the_summary():
     callers = {
         name
-        for name, function in cli_functions().items()
+        for name, function in module_functions("cli").items()
         if called_names(function) & {"_emit", "build_config"}
     }
     assert callers == {"main"}
+
+
+def test_baseline_leaves_the_task_check_to_the_baselines():
+    # The baselines reject a task they cannot answer, with the message the
+    # CLI prints, so `cmd_baseline` only picks one.
+    task_names = {
+        ast.unparse(node)
+        for node in ast.walk(module_functions("cli")["cmd_baseline"])
+        if (isinstance(node, ast.Attribute) and ast.unparse(node.value) == "Task")
+        or (isinstance(node, ast.Name) and node.id.endswith("_TASKS"))
+    }
+    assert task_names == set()

@@ -33,7 +33,6 @@ from conftest import (
     oracle_ef_pairs,
     oracle_footprint,
     oracle_language,
-    oracle_relabelled_dfg_edges,
     repeating_label_strategy,
     tree_strategy,
 )
@@ -189,7 +188,7 @@ class TestPlayout:
 
 class TestDfg:
     def test_worked_example_edges(self, m1_model):
-        assert dfg_of_model(m1_model).edges == {
+        assert dfg_of_model(m1_model.tree).edges == {
             ("receive order", "accept order"),
             ("accept order", "deliver package"),
             ("receive order", "reject order"),
@@ -203,7 +202,7 @@ class TestDfg:
     @example(OVER_THE_DEFAULT_CAP)
     def test_edges_match_oracle(self, tree):
         model = _played_out(tree)
-        assert dfg_of_model(model).edges == oracle_dfg_edges(model.sequences)
+        assert dfg_of_model(model.tree).edges == oracle_dfg_edges(model.sequences)
 
 
 class TestFootprint:
@@ -290,7 +289,7 @@ class TestEventuallyFollows:
         model = _played_out(tree)
         ef = eventually_follows(tree)
         assert ef == oracle_ef_pairs(model.sequences)
-        assert dfg_of_model(model).edges <= ef
+        assert dfg_of_model(model.tree).edges <= ef
 
 
 # Three labels over deeper trees: repeats, tau and loops inside loops.
@@ -341,30 +340,15 @@ class TestTreeRelations:
     def test_match_playout(self, tree):
         model = _played_out(tree)
         relations = tree_relations(tree)
-        assert dfg_of_model(tree) == dfg_of_model(model)
+        assert dfg_of_model(tree) == Dfg(
+            activities=frozenset().union(*model.sequences),
+            edges=frozenset(oracle_dfg_edges(model.sequences)),
+        )
         assert relations.df == oracle_dfg_edges(model.sequences)
         assert relations.ef == oracle_ef_pairs(model.sequences)
         assert relations.nullable == (() in model.sequences)
         assert relations.first == {s[0] for s in model.sequences if s}
         assert relations.last == {s[-1] for s in model.sequences if s}
-
-    @given(
-        three_label_tree,
-        st.fixed_dictionaries({a: st.sampled_from(["x", "y", None]) for a in "abc"}),
-    )
-    @settings(max_examples=300, deadline=None)
-    @example(seq(leaf("a"), leaf("b"), leaf("c")), {"a": "x", "b": None, "c": "y"})
-    @example(seq(leaf("a"), xor(leaf("b"), tau()), leaf("c")), {"a": "x", "b": None, "c": "x"})
-    @example(par(leaf("a"), leaf("b")), {"a": "x", "b": "x", "c": None})
-    def test_renamed_match_relabelled_playout(self, tree, gold_of):
-        # Several labels may share an image, and a label mapped to None is a
-        # step whose edges are dropped, never skipped.
-        model = _played_out(tree)
-        relations = tree_relations(tree, gold_of)
-        assert relations.df == oracle_relabelled_dfg_edges(model.sequences, gold_of)
-        assert relations.alphabet == {
-            gold_of[a] for a in model.activity_set if gold_of[a] is not None
-        }
 
 
 class TestTreeTextIntegration:
