@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Callable, Iterator, TypeVar, Union
 
 Activity = str
 Trace = tuple[Activity, ...]
@@ -111,15 +111,40 @@ def loop(*children: ProcessTree) -> Operator:
     return Operator(OpKind.LOOP, tuple(children))
 
 
+R = TypeVar("R")
+
+
+def fold_tree(
+    tree: ProcessTree, leaf: Callable[[Activity], R], silent: R,
+    operator: Callable[[OpKind, list[R]], R],
+) -> R:
+    """Fold a tree bottom-up, children left to right: a leaf is `leaf(label)`,
+    a silent step `silent`, an operator `operator(kind, children's values)`.
+    The open operators wait on a stack, not in recursive calls, so a tree
+    of any depth folds; no leaf is pushed, which keeps a node cheap."""
+    if not isinstance(tree, Operator):
+        return leaf(tree.label) if isinstance(tree, Leaf) else silent
+    kind, children, parts = tree.kind, iter(tree.children), []
+    stack: list[tuple[OpKind, Iterator[ProcessTree], list[R]]] = []
+    while True:
+        for child in children:
+            if isinstance(child, Operator):
+                stack.append((kind, children, parts))
+                kind, children, parts = child.kind, iter(child.children), []
+                break
+            parts.append(leaf(child.label) if isinstance(child, Leaf) else silent)
+        else:
+            value = operator(kind, parts)
+            if not stack:
+                return value
+            kind, children, parts = stack.pop()
+            parts.append(value)
+
+
 def tree_labels(tree: ProcessTree) -> list[Activity]:
     """All leaf labels in left-to-right order, with multiplicity."""
-    if isinstance(tree, Leaf):
-        return [tree.label]
-    if isinstance(tree, Silent):
-        return []
     out: list[Activity] = []
-    for child in tree.children:
-        out.extend(tree_labels(child))
+    fold_tree(tree, out.append, None, lambda kind, parts: None)
     return out
 
 

@@ -21,7 +21,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 from statistics import fmean
 
-from .core import Activity, Dfg, Footprint, Pair, collapse_whitespace
+from .core import (
+    Activity,
+    Dfg,
+    Footprint,
+    Leaf,
+    Operator,
+    Pair,
+    Silent,
+    collapse_whitespace,
+    fold_tree,
+    tree_labels,
+)
 from .semantics import dfg_of_model, footprint
 from .taskgen import (
     CLASSIFICATION_TASKS,
@@ -170,38 +181,27 @@ class RecordScore:
     skipped_lines: int = 0
 
 
-def _footprint_score(
-    record: TaskRecord,
-    labels: Iterable[Activity],
-    pred_edges: Iterable[Pair],
-    mode: MatchingMode,
-    include_diagonal: bool,
-    skipped_lines: int = 0,
-) -> RecordScore:
-    """Fitness of predicted edges over the predicted `labels` against the
-    record's gold edges.
-
-    Each label is mapped onto the gold activity it matches under `mode`;
-    an edge with an unmatched end is dropped, and the unmatched labels are
-    tallied as hallucinated.
-    """
+def _gold_map(
+    record: TaskRecord, labels: Iterable[Activity], mode: MatchingMode
+) -> dict[Activity, Activity | None]:
+    """Each predicted label mapped onto the gold activity it matches under
+    `mode`, or None; of gold activities that fold alike, the first sorted."""
     fold_map: dict[str, Activity] = {}
     for a in sorted(record.activity_set):
         fold_map.setdefault(fold_label(a, mode), a)
-    gold_of = {a: fold_map.get(fold_label(a, mode)) for a in labels}
-    edges = frozenset(
-        (gold_of[x], gold_of[y])
-        for x, y in pred_edges
-        if gold_of[x] is not None and gold_of[y] is not None
-    )
-    if record.task is Task.SDFD:
-        gold_edges = frozenset(record.edges)
-    else:
-        gold_edges = dfg_of_model(parse_tree(record.tree_text)).edges
+    return {a: fold_map.get(fold_label(a, mode)) for a in labels}
+
+
+def _footprint_score(
+    record: TaskRecord, gold_edges: frozenset[Pair], gold_of: dict[Activity, Activity | None],
+    pred_edges: Iterable[Pair], include_diagonal: bool, skipped_lines: int = 0,
+) -> RecordScore:
+    """Fitness of predicted edges, mapped onto gold activities by `gold_of`,
+    whose unmatched labels are tallied as hallucinated."""
     return RecordScore(
         record_id=record.record_id,
         fitness=edge_fitness(
-            frozenset(record.activity_set), gold_edges, edges, include_diagonal
+            frozenset(record.activity_set), gold_edges, frozenset(pred_edges), include_diagonal
         ),
         hallucinated=tuple(sorted(a for a, g in gold_of.items() if g is None)),
         skipped_lines=skipped_lines,
@@ -228,10 +228,10 @@ def score_sdfd(
             parse_failure=True,
             skipped_lines=len(parsed.skipped),
         )
-    labels = {a for edge in parsed.edges for a in edge}
-    return _footprint_score(
-        record, labels, parsed.edges, mode, include_diagonal, len(parsed.skipped)
-    )
+    gold_of = _gold_map(record, (a for edge in parsed.edges for a in edge), mode)
+    edges = [(gold_of[x], gold_of[y]) for x, y in parsed.edges]
+    gold_edges, skipped = frozenset(record.edges), len(parsed.skipped)
+    return _footprint_score(record, gold_edges, gold_of, edges, include_diagonal, skipped)
 
 
 def score_sptd(
@@ -242,19 +242,27 @@ def score_sptd(
 ) -> RecordScore:
     """Footprint fitness of a predicted tree against a gold tree record.
 
-    The predicted tree's directly-follows graph is read off it as the
-    gold's is, with no play-out, so a valid tree of any language size gets
-    its fitness. A leaf that matches no gold activity still separates its
-    neighbours, and its edges are dropped. Only a tree that does not parse
-    is a parse failure, and it scores 0.
+    Each leaf is renamed to the gold activity it matches, or to one label
+    longer than any gold one, before the relations are read off the tree
+    with no play-out: the walk meets at most one label more than the gold
+    has, and the edges between gold activities stay. Only a tree that does
+    not parse is a parse failure, and it scores 0.
     """
     try:
-        dfg = dfg_of_model(parse_tree(pred_text))
+        tree = parse_tree(pred_text)
     except TreeSyntaxError:
         return RecordScore(
             record_id=record.record_id, fitness=0.0, parse_failure=True
         )
-    return _footprint_score(record, dfg.activities, dfg.edges, mode, include_diagonal)
+    gold_of = _gold_map(record, tree_labels(tree), mode)
+    unmatched = "?" * (1 + max(map(len, record.activity_set), default=0))
+    renamed = fold_tree(
+        tree, lambda label: Leaf(gold_of[label] or unmatched), Silent(),
+        lambda kind, parts: Operator(kind, tuple(parts)),
+    )
+    pred_edges = dfg_of_model(renamed).edges
+    gold_edges = dfg_of_model(parse_tree(record.tree_text)).edges
+    return _footprint_score(record, gold_edges, gold_of, pred_edges, include_diagonal)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ Play-out unfolds a tree into the set of execution sequences it allows:
     sequence;
   - sequence concatenates child languages, choice unions them, parallel
     takes the shuffle product;
-  - a loop runs its first child once, optionally followed by one redo child
-    and the first child again (each loop body executes at most once, keeping
-    the language finite).
+  - a loop `*(B, R1, …, Rk)` is the choice of B and every B·Ri·B: its body
+    runs once, or twice around one redo child, so the language is finite.
+    `_combine` writes this rule once, for the language and the relations.
 
 Every intermediate language is size-capped so adversarial inputs fail fast
 with LanguageTooLargeError instead of exhausting memory.
@@ -24,21 +24,24 @@ sequences.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import cache, partial, reduce
+from typing import Callable, NamedTuple, TypeVar
 
 from .core import (
     Activity,
     Dfg,
     Footprint,
-    Leaf,
-    Operator,
     OpKind,
     Pair,
     ProcessModel,
     ProcessTree,
-    Silent,
     Trace,
+    fold_tree,
+    tree_labels,
 )
+
+R = TypeVar("R")
+_Rule = Callable[[list[R]], R]
 
 DEFAULT_MAX_SEQUENCES = 32_768
 
@@ -114,56 +117,39 @@ def _shuffle_languages(left: set[Trace], right: set[Trace], limit: int) -> set[T
     return out
 
 
-def _more_leaves_than(tree: ProcessTree, limit: int) -> bool:
-    """Whether the tree has over `limit` leaves; stops counting past it."""
-    count = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Operator):
-            stack.extend(node.children)
-        elif isinstance(node, Leaf):
-            count += 1
-            if count > limit:
-                return True
-    return False
+def _combine(seq: _Rule, xor: _Rule, par: _Rule, kind: OpKind, parts: list[R]) -> R:
+    """An operator's value from its children's under the rules for sequence,
+    choice and parallel, with the bounded loop as a choice of sequences."""
+    if kind is OpKind.SEQ:
+        return seq(parts)
+    if kind is OpKind.XOR:
+        return xor(parts)
+    if kind is OpKind.AND:
+        return par(parts)
+    body = parts[0]
+    return xor([body, *(seq([body, redo, body]) for redo in parts[1:])])
+
+
+@cache
+def _language_operator(limit: int) -> Callable[[OpKind, list[set[Trace]]], set[Trace]]:
+    """The operator part of the language fold under a cap of `limit`. No
+    language is empty, so no intermediate one outgrows the result (in a
+    loop, |B·R| <= |B·R·B|): a cap check trips only on an over-cap result."""
+
+    def xor(parts: list[set[Trace]]) -> set[Trace]:
+        return _check(set().union(*parts), limit)
+
+    seq = partial(reduce, partial(_concat_pair, limit=limit))
+    par = partial(reduce, partial(_shuffle_languages, limit=limit))
+    return partial(_combine, seq, xor, par)
 
 
 def language(tree: ProcessTree, max_sequences: int = DEFAULT_MAX_SEQUENCES) -> set[Trace]:
     """The finite language of a tree under bounded loop unrolling."""
-    if _more_leaves_than(tree, MAX_PLAYOUT_LEAVES):
+    if len(tree_labels(tree)) > MAX_PLAYOUT_LEAVES:
         raise LanguageTooLargeError(max_sequences)
-    return _language(tree, max_sequences)
-
-
-def _language(tree: ProcessTree, limit: int) -> set[Trace]:
-    if isinstance(tree, Leaf):
-        return {(tree.label,)}
-    if isinstance(tree, Silent):
-        return {()}
-    if tree.kind is OpKind.SEQ:
-        out: set[Trace] = {()}
-        for child in tree.children:
-            out = _concat_pair(out, _language(child, limit), limit)
-        return out
-    if tree.kind is OpKind.XOR:
-        out = set()
-        for child in tree.children:
-            out |= _language(child, limit)
-        return _check(out, limit)
-    if tree.kind is OpKind.AND:
-        out = {()}
-        for child in tree.children:
-            out = _shuffle_languages(out, _language(child, limit), limit)
-        return out
-    # LOOP: do-child once, or do, one redo-child, do again. No language is
-    # empty, so |B·R| <= |B·R·B| <= |out|: each cap check trips only when
-    # the whole language is over the cap.
-    body = _language(tree.children[0], limit)
-    out = set(body)
-    for redo_child in tree.children[1:]:
-        out |= _concat_pair(_concat_pair(body, _language(redo_child, limit), limit), body, limit)
-    return _check(out, limit)
+    # No language is changed in place, so one new silent one serves the call.
+    return fold_tree(tree, lambda label: {(label,)}, {()}, _language_operator(max_sequences))
 
 
 def playout(
@@ -225,14 +211,8 @@ def _seq_relations(parts: list[TreeRelations]) -> TreeRelations:
 
 
 def _xor_relations(parts: list[TreeRelations]) -> TreeRelations:
-    return TreeRelations(
-        any(p.nullable for p in parts),
-        _NONE.union(*(p.alphabet for p in parts)),
-        _NONE.union(*(p.first for p in parts)),
-        _NONE.union(*(p.last for p in parts)),
-        _NONE.union(*(p.df for p in parts)),
-        _NONE.union(*(p.ef for p in parts)),
-    )
+    nullable, *sets = zip(*parts)
+    return TreeRelations(any(nullable), *(_NONE.union(*column) for column in sets))
 
 
 def _and_relations(parts: list[TreeRelations]) -> TreeRelations:
@@ -250,25 +230,17 @@ def _and_relations(parts: list[TreeRelations]) -> TreeRelations:
     )
 
 
-def tree_relations(tree: ProcessTree) -> TreeRelations:
-    """The relations of a tree's language, read bottom-up with no play-out.
+def _leaf_relations(label: Activity) -> TreeRelations:
+    one = frozenset((label,))
+    return TreeRelations(False, one, one, one, _NONE, _NONE)
 
-    The bounded loop `*(B, R1, …, Rk)` is the choice of B and every B·Ri·B.
-    """
-    if isinstance(tree, Leaf):
-        one = frozenset((tree.label,))
-        return TreeRelations(False, one, one, one, _NONE, _NONE)
-    if isinstance(tree, Silent):
-        return _SILENT
-    parts = [tree_relations(child) for child in tree.children]
-    if tree.kind is OpKind.SEQ:
-        return _seq_relations(parts)
-    if tree.kind is OpKind.XOR:
-        return _xor_relations(parts)
-    if tree.kind is OpKind.AND:
-        return _and_relations(parts)
-    body = parts[0]
-    return _xor_relations([body, *(_seq_relations([body, redo, body]) for redo in parts[1:])])
+
+_operator_relations = partial(_combine, _seq_relations, _xor_relations, _and_relations)
+
+
+def tree_relations(tree: ProcessTree) -> TreeRelations:
+    """The relations of a tree's language, read bottom-up with no play-out."""
+    return fold_tree(tree, _leaf_relations, _SILENT, _operator_relations)
 
 
 # ---------------------------------------------------------------------------

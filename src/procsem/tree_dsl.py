@@ -27,12 +27,12 @@ from .core import (
     Operator,
     ProcessTree,
     Silent,
+    fold_tree,
     normalize_label,
 )
 
-# Every stage walks a tree recursively, `render_tree` with about three
-# interpreter frames per level, so a tree this deep stays well inside the
-# default recursion limit of 1,000 frames.
+# The parser descends one call per nesting level, so this bound keeps the
+# parsing of untrusted text well inside the default recursion limit of 1,000.
 MAX_DEPTH = 250
 
 _UNICODE_OPS = {
@@ -207,12 +207,7 @@ def _quote(label: str) -> str:
 
 def render_tree(tree: ProcessTree) -> str:
     """Canonical ASCII rendering; parse_tree(render_tree(t)) == t."""
-    if isinstance(tree, Leaf):
-        return _quote(tree.label)
-    if isinstance(tree, Silent):
-        return "tau"
-    inner = ", ".join(render_tree(c) for c in tree.children)
-    return f"{tree.kind.value}({inner})"
+    return fold_tree(tree, _quote, "tau", lambda kind, parts: f"{kind.value}({', '.join(parts)})")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 import sys
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from procsem import (
     ArityError,
+    CorpusEntry,
     Dfg,
     EmptyLabelError,
     Footprint,
@@ -16,17 +18,34 @@ from procsem import (
     OpKind,
     Operator,
     ProcessModel,
+    Rejection,
     Relation,
     Silent,
+    dfg_of_model,
+    eventually_follows,
+    footprint_of_model,
+    gen_asad,
+    gen_sdfd,
+    gen_snap,
+    gen_sptd,
+    gen_tsad,
+    language,
     leaf,
     loop,
     normalize_label,
     par,
+    playout,
+    read_corpus,
+    render_tree,
     seq,
     tau,
+    validate_corpus,
+    write_corpus,
     xor,
 )
-from procsem.core import collapse_whitespace
+from procsem.core import collapse_whitespace, fold_tree, tree_labels
+from procsem.semantics import tree_relations
+from procsem.tree_dsl import MAX_DEPTH
 
 from conftest import ORACLE_MIRROR, oracle_collapse_whitespace, oracle_footprint
 
@@ -104,6 +123,57 @@ class TestTreeNodes:
 
     def test_nodes_are_hashable(self):
         assert len({par(leaf("a"), leaf("b")), par(leaf("a"), leaf("b"))}) == 1
+
+
+def _deep_tree(operators: int) -> tuple[Operator, str]:
+    """A tree whose leaves 'a' and 'b' sit under `operators` nested
+    operators, cycling through ->, X and + with a tau sibling on each level,
+    and its canonical text."""
+    tree, text = seq(leaf("a"), leaf("b")), "->('a', 'b')"
+    for i in range(operators - 1):
+        tree = (seq, xor, par)[i % 3](tree, tau())
+        text = f"{('->', 'X', '+')[i % 3]}({text}, tau)"
+    return tree, text
+
+
+class TestFoldTree:
+    def test_children_fold_left_to_right(self):
+        tree = seq(leaf("a"), xor(leaf("b"), tau()), loop(leaf("c"), leaf("d")))
+        folded = fold_tree(tree, str.upper, "-", lambda kind, parts: f"{kind.name}{parts}")
+        assert folded == "SEQ['A', \"XOR['B', '-']\", \"LOOP['C', 'D']\"]"
+        assert fold_tree(leaf("a"), str.upper, "-", None) == "A"
+        assert fold_tree(tau(), str.upper, "-", None) == "-"
+
+    def test_a_deep_code_built_tree_passes_every_entry_point(self, tmp_path):
+        # Far deeper than the recursion limit allows a recursive walk. The
+        # tree's own ==, hash and repr still recurse, so none is used here.
+        tree, text = _deep_tree(3_000)
+        assert tree_labels(tree) == ["a", "b"]
+        assert render_tree(tree) == text
+        assert language(tree) == {(), ("a", "b")}
+        relations = tree_relations(tree)
+        assert relations.nullable and relations.df == relations.ef == {("a", "b")}
+        assert dfg_of_model(tree).edges == eventually_follows(tree) == {("a", "b")}
+        model = playout(tree, model_id="deep")
+        assert model.sequences == {(), ("a", "b")}
+        assert footprint_of_model(model).relation("a", "b") is Relation.FORWARD
+        report = validate_corpus([CorpusEntry("deep", tree)])
+        assert report.rejected == () and [m.model_id for m in report.admitted] == ["deep"]
+        admitted = report.admitted[0]
+        assert {r.label for r in gen_tsad(admitted, seed=0)} <= {"Valid", "Anomalous"}
+        assert {r.pair for r in gen_asad(admitted, seed=0) if r.label == "Valid"} == {
+            ("a", "b")
+        }
+        assert [(r.prefix, r.next_activity) for r in gen_snap(admitted)] == [(("a",), "b")]
+        assert gen_sdfd(admitted).edges == (("a", "b"),)
+        assert gen_sptd(admitted).tree_text == text
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, [admitted])
+        assert json.loads(corpus.read_text("utf-8")) == {"model_id": "deep", "tree": text}
+        # Text this deep is refused by the parser, which alone recurses.
+        [row] = read_corpus(corpus)
+        assert isinstance(row, Rejection)
+        assert f"nesting deeper than {MAX_DEPTH}" in row.detail
 
 
 class TestProcessModel:

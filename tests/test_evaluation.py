@@ -40,6 +40,7 @@ from procsem import (
     synth_corpus,
     validate_corpus,
 )
+from procsem.core import tree_labels
 from procsem.evaluation import (
     LengthMismatchError,
     UnknownRecordError,
@@ -346,6 +347,26 @@ class TestScoreSptd:
     def test_behaviorally_equal_trees_score_one(self):
         record = sptd_record("->('a', 'b')", "ab")
         assert score_sptd(record, "->('a', ->('b'))").fitness == 1.0
+
+    def test_the_walk_sees_at_most_one_label_beyond_the_gold(self, monkeypatch):
+        # Every unmatched leaf is renamed to one label before the relation
+        # walk, so 200 unknown labels cost no more than the gold allows; the
+        # score and the tally are those of the answer as written.
+        walked = []
+
+        def spy(tree):
+            walked.append(set(tree_labels(tree)))
+            return dfg_of_model(tree)
+
+        monkeypatch.setattr("procsem.evaluation.dfg_of_model", spy)
+        record = sptd_record("->('a', X('b', 'c'))", "abc")
+        unknown = ", ".join(f"'x{i}'" for i in range(200))
+        answer = f"->('A', {unknown}, X('b', 'C'), 'x7')"
+        result = score_sptd(record, answer)
+        assert len(walked) == 2
+        assert max(map(len, walked)) <= len(record.activity_set) + 1
+        assert result == oracle_footprint_score(record, answer)
+        assert result.hallucinated == tuple(sorted(f"x{i}" for i in range(200)))
 
     @given(tree_strategy(max_leaves=6), tree_strategy(max_leaves=6))
     @settings(max_examples=80, deadline=None)

@@ -73,10 +73,11 @@ def attributes_read(module: str) -> set[str]:
 
 def test_semantics_reads_relations_off_the_tree_alone():
     # `tree_relations` is the one relation engine: a played-out model is read
-    # through its tree, never through its sequences.
+    # through its tree, never through its sequences, and the tree is walked
+    # by `core.fold_tree`, never by hand.
     attributes = attributes_read("semantics")
-    assert {"tree", "children"} <= attributes
-    assert "sequences" not in attributes
+    assert "tree" in attributes and "children" in attributes_read("core")
+    assert not {"sequences", "children"} & attributes
 
 
 def module_functions(module: str) -> dict[str, ast.FunctionDef]:
@@ -92,6 +93,54 @@ def test_relations_are_read_off_a_bare_tree():
         arguments = functions[name].args
         assert [a.arg for a in arguments.args] == ["tree"], name
         assert not (arguments.kwonlyargs or arguments.vararg or arguments.kwarg), name
+
+
+def calls_itself(function: ast.FunctionDef, method: bool) -> bool:
+    """Whether `function` calls itself: by its bare name, or as
+    `self.<name>` when it is a method; a `super()` call does not count."""
+    for node in ast.walk(function):
+        if not isinstance(node, ast.Call):
+            continue
+        target = node.func
+        if method:
+            if (
+                isinstance(target, ast.Attribute)
+                and target.attr == function.name
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ):
+                return True
+        elif isinstance(target, ast.Name) and target.id == function.name:
+            return True
+    return False
+
+
+def self_calling_functions(module: str) -> set[str]:
+    """Dotted names of the functions and methods of `module`, nested ones
+    included, that call themselves."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, prefix: str, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+            elif isinstance(child, ast.FunctionDef):
+                if calls_itself(child, in_class):
+                    found.add(f"{prefix}{child.name}")
+                visit(child, f"{prefix}{child.name}.", False)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(ast.parse((PACKAGE_DIR / f"{module}.py").read_text("utf-8")), f"{module}.", False)
+    return found
+
+
+def test_no_function_calls_itself():
+    # Every tree walk is `core.fold_tree`, which keeps its own stack. Only
+    # the parser recurses, at most `tree_dsl.MAX_DEPTH` deep, and synth's
+    # builder, at most six levels deep.
+    found = set().union(*(self_calling_functions(p.stem) for p in PACKAGE_DIR.glob("*.py")))
+    assert found == {"tree_dsl._Parser.parse_tree", "synth._build"}
 
 
 def json_names(module: str) -> set[str]:
