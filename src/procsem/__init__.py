@@ -78,6 +78,7 @@ from .semantics import (
     footprint,
     footprint_of_model,
     language,
+    language_size,
     playout,
 )
 from .synth import synth_corpus
@@ -100,6 +101,7 @@ from .taskgen import (
     gen_tsad,
     generate_dataset,
     generate_task,
+    played_out,
     split_corpus,
     validate_corpus,
 )

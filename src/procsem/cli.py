@@ -20,6 +20,7 @@ from pathlib import Path
 from statistics import fmean, median
 from typing import Any, Callable
 
+from .core import ProcessModel, Trace
 from .evaluation import (
     MatchingMode,
     ScoreReport,
@@ -62,6 +63,7 @@ from .taskgen import (
     check_split_ratios,
     contiguous_runs,
     generate_dataset,
+    played_out,
     split_corpus,
     validate_corpus,
 )
@@ -261,11 +263,19 @@ def cmd_validate(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
 def cmd_playout(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
     report = _validated(args.corpus, config.max_sequences)
     models = report.admitted
-    write_sequences(args.out, models)
+    sequence_counts: list[int] = []
+    all_sequences: set[Trace] = set()
+
+    def counted(model: ProcessModel) -> ProcessModel:
+        # Each model is played out once, for its row, and counted there.
+        played = played_out(model)
+        sequence_counts.append(len(played.sequences))
+        all_sequences.update(played.sequences)
+        return played
+
+    write_sequences(args.out, models, counted)
     activity_counts = [len(m.activity_set) for m in models]
-    sequence_counts = [len(m.sequences) for m in models]
     all_activities = set().union(*(m.activity_set for m in models)) if models else set()
-    all_sequences = set().union(*(m.sequences for m in models)) if models else set()
     return {
         "command": "playout",
         "models": len(models),

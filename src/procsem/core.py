@@ -7,7 +7,7 @@ footprints) is an immutable value that is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, TypeVar, Union
 
@@ -154,24 +154,32 @@ def tree_labels(tree: ProcessTree) -> list[Activity]:
 
 @dataclass(frozen=True)
 class ProcessModel:
-    """A process tree and the set of execution sequences it allows.
+    """A process tree under a model id, and its language when it holds one.
 
+    `sequences` is the tree's language on a model from `semantics.playout`,
+    and None on a model that holds none, such as an admitted one.
     `activity_set` is the tree's leaf labels: every leaf occurs in some
-    sequence of a played-out tree, so it is also the sequences' union.
+    sequence of the language, so it is also the sequences' union. It is
+    read off the tree, or taken from `labels` when the caller has just
+    read them there.
     """
 
     model_id: str
     tree: ProcessTree
-    sequences: frozenset[Trace]
+    sequences: frozenset[Trace] | None = None
     activity_set: frozenset[Activity] = field(init=False)
     name: str | None = None
+    labels: InitVar[list[Activity] | None] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "activity_set", frozenset(tree_labels(self.tree)))
+    def __post_init__(self, labels: list[Activity] | None) -> None:
+        object.__setattr__(
+            self, "activity_set", frozenset(tree_labels(self.tree) if labels is None else labels)
+        )
 
     @property
     def nonempty_sequences(self) -> list[Trace]:
-        """Non-empty sequences in a canonical (sorted) order."""
+        """Non-empty sequences, of a model that holds its language, in a
+        canonical (sorted) order."""
         return sorted(s for s in self.sequences if s)
 
 

@@ -228,7 +228,7 @@ def score_sdfd(
             parse_failure=True,
             skipped_lines=len(parsed.skipped),
         )
-    gold_of = _gold_map(record, (a for edge in parsed.edges for a in edge), mode)
+    gold_of = _gold_map(record, dict.fromkeys(a for edge in parsed.edges for a in edge), mode)
     edges = [(gold_of[x], gold_of[y]) for x, y in parsed.edges]
     gold_edges, skipped = frozenset(record.edges), len(parsed.skipped)
     return _footprint_score(record, gold_edges, gold_of, edges, include_diagonal, skipped)

@@ -33,6 +33,7 @@ from .taskgen import (
     Split,
     Task,
     TaskRecord,
+    played_out,
 )
 from .tree_dsl import TreeSyntaxError, parse_tree, render_tree
 
@@ -236,8 +237,20 @@ def _field(
     path: str | Path, line_number: int,
 ) -> Any:
     """The value of field `key`, checked and converted by `spec`, as the one
-    copy of an equal value that `seen` holds."""
+    copy of an equal value that `seen` holds.
+
+    Only checked values enter `seen`, so a value equal to one of them is
+    that copy with no second check. A list is looked up as the tuple it
+    converts to, no string equals a tuple, and a value that cannot be
+    hashed is looked up nowhere.
+    """
     value = _require(obj, key, path, line_number)
+    try:
+        known = seen.get(tuple(value) if isinstance(value, list) else value)
+    except TypeError:
+        known = None
+    if known is not None:
+        return known
     is_valid, shape, convert, _ = spec
     if not is_valid(value):
         raise FileFormatError(path, line_number, f"{key!r} must be {shape}")
@@ -355,10 +368,14 @@ def write_dataset(path: str | Path, records: Iterable[TaskRecord]) -> int:
 # Sequence files: {"model_id", "sequences"}
 
 
-def write_sequences(path: str | Path, models: Iterable[Any]) -> None:
-    """One row per model with its full played-out language, sorted."""
+def write_sequences(
+    path: str | Path, models: Iterable[Any], played: Callable[[Any], Any] = played_out
+) -> None:
+    """One row per model, in id order, with the sorted sequences of
+    `played(model)`: by default the model when it holds its language, or
+    else a copy played out for its row alone."""
     _write_text(path, (
-        _row(model_id=_quote(m.model_id), sequences=_string_lists(sorted(m.sequences)))
+        _row(model_id=_quote(m.model_id), sequences=_string_lists(sorted(played(m).sequences)))
         for m in sorted(models, key=lambda m: m.model_id)
     ))
 

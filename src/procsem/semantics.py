@@ -11,7 +11,9 @@ Play-out unfolds a tree into the set of execution sequences it allows:
     `_combine` writes this rule once, for the language and the relations.
 
 Every intermediate language is size-capped so adversarial inputs fail fast
-with LanguageTooLargeError instead of exhausting memory.
+with LanguageTooLargeError instead of exhausting memory. `language_size`
+counts a language instead of playing it out, for trees whose leaf labels
+are distinct, and raises where `language` would: admission needs no more.
 
 The directly-follows and eventually-follows relations need no play-out:
 `tree_relations` reads them off the tree bottom-up (van der Aalst, *Process
@@ -24,7 +26,10 @@ sequences.
 
 from __future__ import annotations
 
+import sys
 from functools import cache, partial, reduce
+from itertools import count
+from math import comb
 from typing import Callable, NamedTuple, TypeVar
 
 from .core import (
@@ -48,6 +53,11 @@ DEFAULT_MAX_SEQUENCES = 32_768
 # Shuffle products blow up combinatorially long before the sequence cap can
 # notice, so reject grossly oversized trees up front.
 MAX_PLAYOUT_LEAVES = 512
+
+# A cap no language reaches, for a tree whose language is known to be
+# bounded, such as an admitted model's: `language` refuses nothing under
+# it, so it counts nothing first.
+NO_CAP = sys.maxsize
 
 
 class LanguageTooLargeError(ValueError):
@@ -145,11 +155,24 @@ def _language_operator(limit: int) -> Callable[[OpKind, list[set[Trace]]], set[T
 
 
 def language(tree: ProcessTree, max_sequences: int = DEFAULT_MAX_SEQUENCES) -> set[Trace]:
-    """The finite language of a tree under bounded loop unrolling."""
-    if len(tree_labels(tree)) > MAX_PLAYOUT_LEAVES:
+    """The finite language of a tree under bounded loop unrolling.
+
+    Under a cap, a tree whose leaf labels are distinct is counted first:
+    over the cap, it is refused with no play-out, and within it, no cap
+    check can trip.
+    """
+    labels = tree_labels(tree)
+    if len(labels) > MAX_PLAYOUT_LEAVES:
         raise LanguageTooLargeError(max_sequences)
+    limit = max_sequences
+    if (
+        max_sequences < NO_CAP
+        and len(set(labels)) == len(labels)
+        and _counted(tree, max_sequences) is not None
+    ):
+        limit = NO_CAP
     # No language is changed in place, so one new silent one serves the call.
-    return fold_tree(tree, lambda label: {(label,)}, {()}, _language_operator(max_sequences))
+    return fold_tree(tree, lambda label: {(label,)}, {()}, _language_operator(limit))
 
 
 def playout(
@@ -161,6 +184,102 @@ def playout(
 ) -> ProcessModel:
     """Unfold a tree into a process model holding its full language."""
     return ProcessModel(model_id, tree, frozenset(language(tree, max_sequences)), name)
+
+
+# ---------------------------------------------------------------------------
+# Language sizes, counted by length
+
+# A language's size by sequence length: counts[n] sequences of n activities.
+_Counts = list[int]
+
+
+class _RepeatedBody(Exception):
+    """A loop whose redo child is nullable: its body can run twice back to
+    back, and sequences of B·B can coincide, so lengths do not count them."""
+
+
+def _convolve(left: _Counts, right: _Counts, shuffled: bool) -> _Counts:
+    """The counts of concatenating, or shuffling, two languages over
+    disjoint alphabets: each pair of sequences of lengths a and b gives one
+    sequence, or C(a+b, a) interleavings, none shared with another pair."""
+    out = [0] * (len(left) + len(right) - 1)
+    for a, x in enumerate(left):
+        if x:
+            for b, y in enumerate(right):
+                if y:
+                    out[a + b] += x * y * comb(a + b, a) if shuffled else x * y
+    return out
+
+
+def _count_xor(parts: list[_Counts]) -> _Counts:
+    """Choice over disjoint alphabets: only the empty sequence can be shared."""
+    out = [0] * max(map(len, parts))
+    for part in parts:
+        for n, x in enumerate(part):
+            out[n] += x
+    out[0] = min(out[0], 1)
+    return out
+
+
+@cache
+def _count_operator(limit: int) -> Callable[[OpKind, list[_Counts]], _Counts]:
+    """The operator part of the count fold under a cap of `limit`. With
+    distinct labels no language is smaller than a part of it, so a count
+    over the cap anywhere is one over the cap at the root."""
+
+    seq = partial(reduce, partial(_convolve, shuffled=False))
+    par = partial(reduce, partial(_convolve, shuffled=True))
+    combine = partial(_combine, seq, _count_xor, par)
+
+    def operator(kind: OpKind, parts: list[_Counts]) -> _Counts:
+        if kind is OpKind.LOOP and any(redo[0] for redo in parts[1:]):
+            raise _RepeatedBody
+        counts = combine(kind, parts)
+        if sum(counts) > limit:
+            raise LanguageTooLargeError(limit)
+        return counts
+
+    return operator
+
+
+_LEAF_COUNTS: _Counts = [0, 1]
+_SILENT_COUNTS: _Counts = [1]
+
+
+def _counted(tree: ProcessTree, limit: int) -> int | None:
+    """The size of a distinct-labelled tree's language, or None when the
+    tree holds a loop that repeats its body; raises LanguageTooLargeError
+    over `limit` or past `MAX_PLAYOUT_LEAVES` leaves."""
+    leaves = count(1)
+
+    def leaf(label: Activity) -> _Counts:
+        if next(leaves) > MAX_PLAYOUT_LEAVES:
+            raise LanguageTooLargeError(limit)
+        return _LEAF_COUNTS
+
+    try:
+        return sum(fold_tree(tree, leaf, _SILENT_COUNTS, _count_operator(limit)))
+    except _RepeatedBody:
+        return None
+
+
+def language_size(tree: ProcessTree, max_sequences: int = DEFAULT_MAX_SEQUENCES) -> int:
+    """`len(language(tree, max_sequences))` for a tree whose leaf labels are
+    distinct, counted by sequence length, and raising LanguageTooLargeError
+    exactly when `language` does.
+
+    Disjoint alphabets make concatenation and shuffle injective, so each
+    operator's counts follow from its children's. Only a loop with a
+    nullable redo child escapes this; a tree holding one is played out.
+    A tree over the cap is refused by `language`, whose count refuses it
+    before any play-out: every refusal, and the bench's count of them as
+    `semantics.language.too_large`, goes through that one function.
+    """
+    try:
+        size = _counted(tree, max_sequences)
+    except LanguageTooLargeError:
+        size = None
+    return len(language(tree, max_sequences)) if size is None else size
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Every generated tree uses each activity label exactly once across its
 leaves, has at least two activities, a unique activity set within the
-corpus, and a play-out language within the sequence budget, so the whole
-corpus passes validation unchanged.
+corpus, and a language within the sequence budget (counted, not played
+out), so the whole corpus passes validation unchanged.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .core import Leaf, OpKind, Operator, ProcessTree, Silent
-from .semantics import DEFAULT_MAX_SEQUENCES, LanguageTooLargeError, language
+from .semantics import DEFAULT_MAX_SEQUENCES, LanguageTooLargeError, language_size
 from .taskgen import CorpusEntry, model_rng
 
 _VERBS = (
@@ -96,7 +96,7 @@ def _build_model_tree(
         else:
             tree = _build(labels, rng, tau_prob, 0)
         try:
-            language(tree, max_sequences)
+            language_size(tree, max_sequences)
         except LanguageTooLargeError:
             continue
         return tree

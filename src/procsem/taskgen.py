@@ -36,9 +36,11 @@ from .core import (
 )
 from .semantics import (
     DEFAULT_MAX_SEQUENCES,
+    NO_CAP,
     LanguageTooLargeError,
     eventually_follows,
     dfg_of_model,
+    language_size,
     playout,
 )
 from .tree_dsl import render_tree
@@ -138,15 +140,16 @@ def validate_corpus(
     entries: Iterable[CorpusEntry | Rejection],
     max_sequences: int = DEFAULT_MAX_SEQUENCES,
 ) -> ValidationReport:
-    """Play out each row and admit only models fit for task generation.
+    """Admit only models fit for task generation, from their trees alone.
 
     Rejects duplicate model ids, trees reusing an activity label across
-    leaves, play-out overflow, empty-only languages, fewer than two
-    activities, and repeats of an already-admitted activity set (first
-    occurrence wins). A row rejected upstream is passed through in its
-    place, and its id counts as seen. Rejections keep row order, and each
-    carries its row's `line`; a duplicate id's detail names the first line
-    of that id when it is known.
+    leaves, languages over `max_sequences` (counted by `language_size`,
+    not played out), empty-only languages, fewer than two activities, and
+    repeats of an already-admitted activity set (first occurrence wins).
+    A row rejected upstream is passed through in its place, and its id
+    counts as seen. Rejections keep row order, and each carries its row's
+    `line`; a duplicate id's detail names the first line of that id when
+    it is known. An admitted model holds no language.
     """
     admitted: list[ProcessModel] = []
     rejected: list[Rejection] = []
@@ -169,7 +172,8 @@ def validate_corpus(
             rejected.append(entry)
             continue
         labels = tree_labels(entry.tree)
-        if len(labels) != len(set(labels)):
+        activity_set = frozenset(labels)
+        if len(labels) != len(activity_set):
             reject(
                 entry,
                 RejectionReason.DUPLICATE_ACTIVITY_LABELS,
@@ -177,24 +181,36 @@ def validate_corpus(
             )
             continue
         try:
-            model = playout(
-                entry.tree, max_sequences, model_id=entry.model_id, name=entry.name
-            )
+            language_size(entry.tree, max_sequences)
         except LanguageTooLargeError as exc:
             reject(entry, RejectionReason.LANGUAGE_TOO_LARGE, str(exc))
             continue
-        if not any(model.sequences):
+        # Every leaf occurs in some sequence, so a language holds only the
+        # empty sequence exactly when its tree has no leaf.
+        if not labels:
             reject(entry, RejectionReason.EMPTY_LANGUAGE)
             continue
-        if len(model.activity_set) < 2:
+        if len(activity_set) < 2:
             reject(entry, RejectionReason.TOO_FEW_ACTIVITIES)
             continue
-        if model.activity_set in seen_activity_sets:
+        if activity_set in seen_activity_sets:
             reject(entry, RejectionReason.DUPLICATE_ACTIVITY_SET)
             continue
-        seen_activity_sets.add(model.activity_set)
-        admitted.append(model)
+        seen_activity_sets.add(activity_set)
+        admitted.append(
+            ProcessModel(entry.model_id, entry.tree, name=entry.name, labels=labels)
+        )
     return ValidationReport(admitted=tuple(admitted), rejected=tuple(rejected))
+
+
+def played_out(model: ProcessModel) -> ProcessModel:
+    """The model holding its language: itself when it holds one, or else a
+    copy with its tree played out, for the caller to read and drop. An
+    admitted model's language is within the cap that admitted it, so the
+    play-out sets no cap of its own."""
+    if model.sequences is not None:
+        return model
+    return playout(model.tree, NO_CAP, model_id=model.model_id, name=model.name)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +223,10 @@ def _records(
     """The model's records of `task`, numbered in payload order; each payload
     holds the task's own fields."""
     activities = tuple(sorted(model.activity_set))
+    prefix = f"{model.model_id}:{task.value}:"
     return [
         TaskRecord(
-            record_id=f"{model.model_id}:{task.value}:{i:05d}",
+            record_id=f"{prefix}{i:05d}",
             task=task,
             model_id=model.model_id,
             activity_set=activities,
@@ -236,7 +253,8 @@ def gen_tsad(
     trace is emitted as Valid.
     """
     rng = model_rng(seed, Task.TSAD.value, model.model_id)
-    base = model.nonempty_sequences
+    played = played_out(model)
+    base = played.nonempty_sequences
     log: list[Trace] = list(base)
     while len(log) < min_log_size:
         log.append(rng.choice(base))
@@ -249,7 +267,7 @@ def gen_tsad(
                 candidate = list(trace)
                 candidate[a], candidate[b] = candidate[b], candidate[a]
                 swapped = tuple(candidate)
-                if swapped not in model.sequences:
+                if swapped not in played.sequences:
                     noised = swapped
                     break
         if noised is None:
@@ -288,7 +306,7 @@ def gen_snap(model: ProcessModel) -> list[TaskRecord]:
     """
     seen: set[tuple[Trace, Activity]] = set()
     payloads: list[dict[str, Any]] = []
-    for sequence in model.nonempty_sequences:
+    for sequence in played_out(model).nonempty_sequences:
         for k in range(1, len(sequence)):
             item = (sequence[:k], sequence[k])
             if item in seen:
@@ -478,7 +496,7 @@ def split_corpus(
     uf = _UnionFind(len(ordered))
     first_owner: dict[Trace, int] = {}
     for i, model in enumerate(ordered):
-        for sequence in model.sequences:
+        for sequence in played_out(model).sequences:
             if sequence in first_owner:
                 uf.union(first_owner[sequence], i)
             else:

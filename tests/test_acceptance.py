@@ -36,6 +36,7 @@ from procsem import (
     gen_sptd,
     gen_tsad,
     parse_tree,
+    played_out,
     playout,
     random_classification_baseline,
     random_footprint,
@@ -268,7 +269,7 @@ def test_c07_split_leakage_and_stratum_balance():
         assignment = split_corpus(models, seed=seed)
         pools = {split: set() for split in Split}
         for model_id, split in assignment.assignment.items():
-            pools[split] |= by_id[model_id].sequences
+            pools[split] |= played_out(by_id[model_id]).sequences
         assert not pools[Split.TRAIN] & (pools[Split.VALIDATION] | pools[Split.TEST])
         assert not pools[Split.VALIDATION] & pools[Split.TEST]
         # models built to share a sequence (including the empty one) co-locate

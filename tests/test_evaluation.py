@@ -40,6 +40,7 @@ from procsem import (
     synth_corpus,
     validate_corpus,
 )
+from procsem import evaluation
 from procsem.core import tree_labels
 from procsem.evaluation import (
     LengthMismatchError,
@@ -270,6 +271,21 @@ class TestScoreSdfd:
         result = score_sdfd(record, "'a' -> 'b'\n'a' -> 'ghost'")
         assert result.fitness == 1.0
         assert result.hallucinated == ("ghost",)
+
+    def test_repeated_edges_score_as_listed_once(self, monkeypatch):
+        record = sdfd_record({("a", "b"), ("b", "c")}, "abc")
+        edges = ["'a' -> 'b'", "'B' -> 'ghost'", "'c' -> 'a'"]
+        once = score_sdfd(record, "\n".join([*edges, "no edge here"]))
+        folded: list[str] = []
+        monkeypatch.setattr(
+            evaluation, "fold_label", lambda label, mode: folded.append(label) or fold_label(label, mode)
+        )
+        repeated = score_sdfd(record, "\n".join([*edges * 50, "no edge here"]))
+        assert repeated.fitness == once.fitness == 5 / 9
+        assert repeated.hallucinated == once.hallucinated == ("ghost",)
+        assert repeated.skipped_lines == once.skipped_lines == 1
+        # Each gold activity and each distinct predicted label is folded once.
+        assert sorted(folded) == sorted([*"abc", "a", "b", "B", "ghost", "c"])
 
     def test_case_insensitive_default(self):
         record = sdfd_record({("pay order", "ship item")}, {"pay order", "ship item"})

@@ -303,6 +303,24 @@ def test_foreign_payload_key_is_fatal(tmp_path):
     assert str(exc_info.value) == f"{path}:2: 'edges' is not a tsad field"
 
 
+
+@pytest.mark.parametrize(
+    "activity_set", [["a", "b", "a"], ["a", "b", 1], ["a", ["b"]], ["a", {"b": 1}]]
+)
+def test_value_near_an_accepted_one_is_still_checked(tmp_path, activity_set):
+    # The second row differs from the first, which passed, by a repeat or a
+    # value that is no string; it is checked, not taken for the first.
+    record = TaskRecord("r1", Task.TSAD, "m1", ("a", "b"), trace=("a", "b"), label=LABEL_VALID)
+    path = tmp_path / "tsad.jsonl"
+    write_dataset(path, [record])
+    row = json.loads(path.read_text("utf-8"))
+    bad = {**row, "record_id": "r2", "activity_set": activity_set}
+    path.write_text(json.dumps(row) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(FileFormatError) as exc_info:
+        read_dataset(path)
+    assert str(exc_info.value) == f"{path}:2: 'activity_set' must be a list of distinct strings"
+
+
 @st.composite
 def records_with_foreign_fields(draw) -> tuple[TaskRecord, TaskRecord]:
     """A record every reader check accepts, and a copy that also carries

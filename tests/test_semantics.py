@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -9,12 +10,16 @@ from hypothesis import strategies as st
 from procsem import (
     Dfg,
     LanguageTooLargeError,
+    Leaf,
+    Operator,
+    Silent,
     Relation,
     dfg_of_model,
     eventually_follows,
     footprint,
     footprint_of_model,
     language,
+    language_size,
     leaf,
     loop,
     par,
@@ -24,6 +29,8 @@ from procsem import (
     tau,
     xor,
 )
+from procsem import semantics
+from procsem.core import fold_tree
 from procsem.semantics import DEFAULT_MAX_SEQUENCES, MAX_PLAYOUT_LEAVES, tree_relations
 
 from conftest import (
@@ -156,6 +163,85 @@ class TestLanguage:
         with pytest.raises(LanguageTooLargeError):
             language(tree, max_sequences=20)
 
+
+
+def _distinct_labels(tree):
+    """The tree with its leaves renamed a0, a1, … from left to right."""
+    names = (f"a{i}" for i in itertools.count())
+    return fold_tree(
+        tree, lambda label: Leaf(next(names)), Silent(),
+        lambda kind, parts: Operator(kind, tuple(parts)),
+    )
+
+
+# Trees as `tree_strategy` draws them, all-silent ones among them, with
+# every leaf label distinct: the trees `language_size` is defined for.
+distinct_tree = tree_strategy(max_leaves=8).map(_distinct_labels)
+
+# A loop whose redo child is nullable runs its body twice back to back:
+# X('a', 'b', tau) · X('a', 'b', tau) has 7 distinct sequences, not 3 · 3.
+REPEATED_BODY = loop(xor(leaf("a"), leaf("b"), tau()), tau())
+
+
+def _size_or_refusal(size_of, tree, cap):
+    try:
+        return size_of(tree, cap)
+    except LanguageTooLargeError as exc:
+        return f"refused: {exc}"
+
+
+class TestLanguageSize:
+    @given(distinct_tree, st.integers(min_value=1, max_value=64))
+    @settings(max_examples=500, deadline=None)
+    # all-silent trees
+    @example(tau(), 1)
+    @example(seq(tau(), tau()), 1)
+    @example(loop(tau(), tau()), 1)
+    # |+('a', 'b', 'c')| = 6: at the cap and one over it
+    @example(par(leaf("a"), leaf("b"), leaf("c")), 6)
+    @example(par(leaf("a"), leaf("b"), leaf("c")), 5)
+    # nullable redo children, at the cap and one over it
+    @example(REPEATED_BODY, 7)
+    @example(REPEATED_BODY, 6)
+    @example(loop(seq(xor(leaf("a"), tau()), xor(leaf("b"), tau())), leaf("c"), tau()), 64)
+    @example(seq(leaf("c"), loop(par(leaf("a"), leaf("b")), xor(leaf("d"), tau()))), 16)
+    # a nullable body with a redo child that is not
+    @example(loop(xor(leaf("a"), tau()), leaf("b")), 5)
+    @example(loop(xor(leaf("a"), tau()), leaf("b")), 4)
+    @example(OVER_THE_DEFAULT_CAP, 64)
+    def test_matches_play_out_and_capped_oracle(self, tree, cap):
+        size = _size_or_refusal(language_size, tree, cap)
+        assert size == _size_or_refusal(lambda t, c: len(language(t, c)), tree, cap)
+        assert size == _size_or_refusal(lambda t, c: len(oracle_capped_language(t, c)), tree, cap)
+
+    def test_default_cap(self):
+        assert language_size(par(*(leaf(f"a{i}") for i in range(7)))) == 5_040
+        with pytest.raises(LanguageTooLargeError, match=f"exceeds {DEFAULT_MAX_SEQUENCES} "):
+            language_size(OVER_THE_DEFAULT_CAP)
+
+    def test_leaf_count_guard(self):
+        labels = [f"a{i}" for i in range(MAX_PLAYOUT_LEAVES + 1)]
+        assert language_size(seq(*map(leaf, labels[:MAX_PLAYOUT_LEAVES]))) == 1
+        for over in (
+            seq(*map(leaf, labels)),
+            # the repeated body comes before the 513th leaf
+            seq(loop(xor(leaf("x"), tau()), tau()), *map(leaf, labels)),
+        ):
+            with pytest.raises(LanguageTooLargeError, match="exceeds 7 sequences"):
+                language_size(over, 7)
+            with pytest.raises(LanguageTooLargeError, match="exceeds 7 sequences"):
+                language(over, 7)
+
+    def test_counts_without_play_out(self, monkeypatch):
+        # With no operator part to fold a language with, any play-out fails.
+        monkeypatch.setattr(semantics, "_language_operator", None)
+        assert language_size(OVER_THE_DEFAULT_CAP, 40_320) == 40_320
+        for refuse in (language_size, language):
+            with pytest.raises(LanguageTooLargeError, match="exceeds 40319 sequences"):
+                refuse(OVER_THE_DEFAULT_CAP, 40_319)
+        # Only a loop that repeats its body is played out.
+        with pytest.raises(TypeError):
+            language_size(REPEATED_BODY)
 
 class TestPlayout:
     def test_worked_example_sequences(self, m1_model):

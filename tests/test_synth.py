@@ -4,7 +4,7 @@ from statistics import median
 
 import pytest
 
-from procsem import synth_corpus, validate_corpus
+from procsem import played_out, synth_corpus, validate_corpus
 from procsem.core import tree_labels
 
 
@@ -46,7 +46,7 @@ class TestSynthCorpus:
         report = validate_corpus(entries)
         assert not report.rejected
         for model in report.admitted:
-            assert all(len(s) >= 3 for s in model.sequences)
+            assert all(len(s) >= 3 for s in played_out(model).sequences)
 
     def test_min_trace_len_requires_enough_activities(self):
         with pytest.raises(ValueError):

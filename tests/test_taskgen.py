@@ -26,6 +26,7 @@ from procsem import (
     loop,
     par,
     parse_tree,
+    played_out,
     playout,
     render_tree,
     seq,
@@ -35,6 +36,8 @@ from procsem import (
     xor,
 )
 
+from procsem import semantics, taskgen
+from procsem.core import tree_labels
 from procsem.taskgen import contiguous_runs, id_prefix_batches
 
 from conftest import (
@@ -55,7 +58,8 @@ def admit_one(tree, model_id="m"):
 class TestValidateCorpus:
     def test_m1_admitted_with_two_sequences(self):
         model = admit_one(parse_tree(M1_TREE_TEXT), "m1")
-        assert len(model.sequences) == 2
+        assert model.sequences is None
+        assert len(played_out(model).sequences) == 2
 
     def test_duplicate_model_id(self):
         report = validate_corpus(
@@ -90,6 +94,37 @@ class TestValidateCorpus:
         # One activity, and two sequences over a cap of one.
         report = validate_corpus([CorpusEntry("m", xor(leaf("a"), tau()))], max_sequences=1)
         assert report.rejected[0].reason is RejectionReason.LANGUAGE_TOO_LARGE
+
+    def test_admits_from_the_tree_alone(self, monkeypatch):
+        # Every rejection reason after parsing, in row order, with no play-out.
+        def no_play_out(*args, **kwargs):
+            raise AssertionError("played out")
+
+        monkeypatch.setattr(semantics, "_language_operator", no_play_out)
+        monkeypatch.setattr(taskgen, "playout", no_play_out)
+        over = par(*(leaf(f"o{i}") for i in range(4)))
+        report = validate_corpus(
+            [
+                CorpusEntry("dup", seq(leaf("a"), leaf("a"))),
+                CorpusEntry("big", over),
+                CorpusEntry("empty", seq(tau(), tau())),
+                CorpusEntry("one", leaf("a")),
+                CorpusEntry("m1", parse_tree(M1_TREE_TEXT), name="orders"),
+                CorpusEntry("again", parse_tree(M1_TREE_TEXT)),
+            ],
+            max_sequences=23,
+        )
+        assert [(r.model_id, r.reason) for r in report.rejected] == [
+            ("dup", RejectionReason.DUPLICATE_ACTIVITY_LABELS),
+            ("big", RejectionReason.LANGUAGE_TOO_LARGE),
+            ("empty", RejectionReason.EMPTY_LANGUAGE),
+            ("one", RejectionReason.TOO_FEW_ACTIVITIES),
+            ("again", RejectionReason.DUPLICATE_ACTIVITY_SET),
+        ]
+        assert report.rejected[1].detail == "language exceeds 23 sequences"
+        [model] = report.admitted
+        assert (model.model_id, model.name, model.sequences) == ("m1", "orders", None)
+        assert model.activity_set == frozenset(tree_labels(model.tree))
 
     def test_empty_language(self):
         report = validate_corpus([CorpusEntry("m", xor(tau(), tau()))])
@@ -133,7 +168,7 @@ class TestGenTsad:
 
     def test_no_padding_when_log_is_large(self):
         model = admit_one(par(*[leaf(x) for x in "abcde"]), "m")
-        assert len(model.sequences) == 120
+        assert len(played_out(model).sequences) == 120
         records = gen_tsad(model, seed=5)
         assert len(records) == 120
 
@@ -153,7 +188,7 @@ class TestGenTsad:
         model = admit_one(par(leaf("a"), leaf("b")), "m")
         records = gen_tsad(model, seed=5)
         assert all(r.label == LABEL_VALID for r in records)
-        assert all(r.trace in model.sequences for r in records)
+        assert all(r.trace in played_out(model).sequences for r in records)
 
     def test_short_traces_never_anomalous(self):
         model = admit_one(xor(leaf("a"), seq(leaf("b"), leaf("c"))), "m")
