@@ -56,6 +56,7 @@ from .taskgen import (
     DEFAULT_MIN_LOG_SIZE,
     DEFAULT_NOISE_PROB,
     DEFAULT_SPLIT_RATIOS,
+    SequenceSharing,
     Split,
     Task,
     TaskRecord,
@@ -264,13 +265,21 @@ def cmd_playout(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
     report = _validated(args.corpus, config.max_sequences)
     models = report.admitted
     sequence_counts: list[int] = []
-    all_sequences: set[Trace] = set()
+    # A sequence no two models can share lies in one language alone, so it
+    # is counted, not kept; the shareable ones are kept, to count each once
+    # however many languages hold it.
+    sharing = SequenceSharing(models)
+    shared: set[Trace] = set()
+    alone = 0
 
     def counted(model: ProcessModel) -> ProcessModel:
         # Each model is played out once, for its row, and counted there.
+        nonlocal alone
         played = played_out(model)
+        kept = sharing.shareable(played.sequences)
         sequence_counts.append(len(played.sequences))
-        all_sequences.update(played.sequences)
+        alone += len(played.sequences) - len(kept)
+        shared.update(kept)
         return played
 
     write_sequences(args.out, models, counted)
@@ -281,7 +290,7 @@ def cmd_playout(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
         "models": len(models),
         "unique_activities": len(all_activities),
         "activities_per_model": _spread(activity_counts),
-        "unique_sequences": len(all_sequences),
+        "unique_sequences": alone + len(shared),
         "sequences_per_model": _spread(sequence_counts),
         "rejected": len(report.rejected),
         "out": args.out,

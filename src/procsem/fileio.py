@@ -368,6 +368,21 @@ def write_dataset(path: str | Path, records: Iterable[TaskRecord]) -> int:
 # Sequence files: {"model_id", "sequences"}
 
 
+# Sequences per piece of a sequence row, so that no row of a large language
+# is spelled as one string.
+_SEQUENCES_PER_PIECE = 256
+
+
+def _sequence_row(model_id: str, sequences: list[tuple[str, ...]]) -> Iterator[str]:
+    """The `_row` of a model's sorted sequences, in pieces of at most
+    `_SEQUENCES_PER_PIECE` sequences."""
+    yield f'{{"model_id": {_quote(model_id)}, "sequences": ['
+    for start in range(0, len(sequences), _SEQUENCES_PER_PIECE):
+        piece = ", ".join(map(_strings, sequences[start:start + _SEQUENCES_PER_PIECE]))
+        yield piece if start == 0 else ", " + piece
+    yield "]}\n"
+
+
 def write_sequences(
     path: str | Path, models: Iterable[Any], played: Callable[[Any], Any] = played_out
 ) -> None:
@@ -375,8 +390,9 @@ def write_sequences(
     `played(model)`: by default the model when it holds its language, or
     else a copy played out for its row alone."""
     _write_text(path, (
-        _row(model_id=_quote(m.model_id), sequences=_string_lists(sorted(played(m).sequences)))
+        piece
         for m in sorted(models, key=lambda m: m.model_id)
+        for piece in _sequence_row(m.model_id, sorted(played(m).sequences))
     ))
 
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, itemgetter
 from typing import Any
 
 from .core import (
@@ -218,22 +219,34 @@ def played_out(model: ProcessModel) -> ProcessModel:
 
 
 def _records(
-    model: ProcessModel, task: Task, payloads: Iterable[dict[str, Any]]
+    model: ProcessModel, task: Task, payloads: Iterable[tuple[Any, ...]]
 ) -> list[TaskRecord]:
-    """The model's records of `task`, numbered in payload order; each payload
-    holds the task's own fields."""
+    """The model's records of `task`, numbered in payload order. A payload
+    lists the record's fields after `activity_set`, in field order (trace,
+    pair, prefix, label, next_activity, edges, tree_text), up to the last
+    one the task sets."""
     activities = tuple(sorted(model.activity_set))
     prefix = f"{model.model_id}:{task.value}:"
+    model_id = model.model_id
     return [
-        TaskRecord(
-            record_id=f"{prefix}{i:05d}",
-            task=task,
-            model_id=model.model_id,
-            activity_set=activities,
-            **payload,
-        )
+        TaskRecord(f"{prefix}{i:05d}", task, model_id, activities, *payload)
         for i, payload in enumerate(payloads)
     ]
+
+
+def _two_positions(rng: random.Random, n: int) -> tuple[int, int]:
+    """`rng.sample(range(n), 2)` for n >= 2: the same draws, without the
+    call's checks and pool. CPython's `sample` picks two of at most 21
+    items from a pool whose picked slot the last item fills, and of more
+    by drawing again until the second pick differs from the first."""
+    a = rng.randrange(n)
+    if n <= 21:
+        j = rng.randrange(n - 1)
+        return a, n - 1 if j == a else j
+    b = rng.randrange(n)
+    while b == a:
+        b = rng.randrange(n)
+    return a, b
 
 
 def gen_tsad(
@@ -258,12 +271,12 @@ def gen_tsad(
     log: list[Trace] = list(base)
     while len(log) < min_log_size:
         log.append(rng.choice(base))
-    payloads: list[dict[str, Any]] = []
+    payloads: list[tuple[Trace, None, None, str]] = []
     for trace in log:
         noised: Trace | None = None
         if rng.random() < noise_prob and len(trace) >= 2:
             for _ in range(max_retries):
-                a, b = rng.sample(range(len(trace)), 2)
+                a, b = _two_positions(rng, len(trace))
                 candidate = list(trace)
                 candidate[a], candidate[b] = candidate[b], candidate[a]
                 swapped = tuple(candidate)
@@ -271,9 +284,9 @@ def gen_tsad(
                     noised = swapped
                     break
         if noised is None:
-            payloads.append({"trace": trace, "label": LABEL_VALID})
+            payloads.append((trace, None, None, LABEL_VALID))
         else:
-            payloads.append({"trace": noised, "label": LABEL_ANOMALOUS})
+            payloads.append((noised, None, None, LABEL_ANOMALOUS))
     return _records(model, Task.TSAD, payloads)
 
 
@@ -293,8 +306,8 @@ def gen_asad(model: ProcessModel, seed: int) -> list[TaskRecord]:
         (x, y) for x in ordered for y in ordered if (x, y) not in ef
     ]
     negatives = sorted(rng.sample(complement, min(len(positives), len(complement))))
-    payloads = [{"pair": p, "label": LABEL_VALID} for p in positives]
-    payloads += [{"pair": n, "label": LABEL_ANOMALOUS} for n in negatives]
+    payloads = [(None, p, None, LABEL_VALID) for p in positives]
+    payloads += [(None, n, None, LABEL_ANOMALOUS) for n in negatives]
     return _records(model, Task.ASAD, payloads)
 
 
@@ -305,14 +318,14 @@ def gen_snap(model: ProcessModel) -> list[TaskRecord]:
     occurrence.
     """
     seen: set[tuple[Trace, Activity]] = set()
-    payloads: list[dict[str, Any]] = []
+    payloads: list[tuple[None, None, Trace, None, Activity]] = []
     for sequence in played_out(model).nonempty_sequences:
         for k in range(1, len(sequence)):
             item = (sequence[:k], sequence[k])
             if item in seen:
                 continue
             seen.add(item)
-            payloads.append({"prefix": item[0], "next_activity": item[1]})
+            payloads.append((None, None, item[0], None, item[1]))
     return _records(model, Task.SNAP, payloads)
 
 
@@ -320,12 +333,12 @@ def gen_sdfd(model: ProcessModel) -> TaskRecord:
     """One record per model: gold is the model's directly-follows edges,
     read off its tree."""
     dfg = dfg_of_model(model.tree)
-    return _records(model, Task.SDFD, [{"edges": tuple(sorted(dfg.edges))}])[0]
+    return _records(model, Task.SDFD, [(None,) * 5 + (tuple(sorted(dfg.edges)),)])[0]
 
 
 def gen_sptd(model: ProcessModel) -> TaskRecord:
     """One record per model: gold is the model's canonical tree text."""
-    return _records(model, Task.SPTD, [{"tree_text": render_tree(model.tree)}])[0]
+    return _records(model, Task.SPTD, [(None,) * 6 + (render_tree(model.tree),)])[0]
 
 
 def generate_task(
@@ -462,6 +475,70 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
+class _HeldTwice(dict):
+    """Label tuple or set -> whether two models or more hold each label in
+    it, looked up on a miss in `holders`, the bit mask of the models whose
+    activity set holds a label; `everyone` sets every model's bit."""
+
+    __slots__ = ("holders", "everyone")
+
+    def __init__(self, holders: dict[Activity, int], everyone: int) -> None:
+        self.holders = holders
+        self.everyone = everyone
+
+    def __missing__(self, labels: Iterable[Activity]) -> bool:
+        mask = self.everyone
+        holders = self.holders
+        for label in labels:
+            mask &= holders[label]
+        # A mask with two bits set or more loses a bit to `mask - 1`.
+        held = self[labels] = mask & (mask - 1) != 0
+        return held
+
+
+_FIRST_TWO = itemgetter(slice(2))
+
+
+class SequenceSharing:
+    """Which sequences of a corpus's languages two of its models can share.
+
+    A sequence lies in two models' languages only if both activity sets
+    hold each of its labels. A model's own activity set holds each of its
+    sequences, so a sequence is shareable when two activity sets of the
+    corpus hold all its labels; any other sequence lies in one language
+    alone, links no models and is counted once. The test reads the
+    sequence and the activity sets alone, not the model the sequence came
+    from, so a sequence two languages hold is kept from both.
+    """
+
+    def __init__(self, models: Iterable[ProcessModel]) -> None:
+        holders: dict[Activity, int] = {}
+        everyone = 0
+        for position, model in enumerate(models):
+            bit = 1 << position
+            everyone |= bit
+            for label in model.activity_set:
+                holders[label] = holders.get(label, 0) | bit
+        # The first two labels of a sequence recur across models, so their
+        # answers are kept for the whole corpus.
+        self._pairs = _HeldTwice(holders, everyone)
+
+    def shareable(self, sequences: Collection[Trace]) -> list[Trace]:
+        """The shareable ones of one model's `sequences`, in their order.
+
+        A sequence whose first two labels no two models hold is dropped at
+        once; for a sequence of at most two labels that test is the whole
+        one. The longer ones left are checked on all their labels, once per
+        label set: the sequences of one language share few label sets.
+        """
+        pairs = self._pairs
+        candidates = list(compress(sequences, map(pairs.__getitem__, map(_FIRST_TWO, sequences))))
+        if not candidates:
+            return candidates
+        label_sets = _HeldTwice(pairs.holders, pairs.everyone)
+        return [s for s in candidates if len(s) < 3 or label_sets[frozenset(s)]]
+
+
 def _bin_index(activity_count: int) -> int:
     for idx, (low, high) in enumerate(ACTIVITY_BINS):
         if activity_count >= low and (high is None or activity_count <= high):
@@ -490,13 +567,20 @@ def split_corpus(
     and within each stratum a seeded greedy pass hands each component to the
     split furthest below its target share, tie-breaking toward the larger
     ratio.
+
+    Only the sequences two models can share are mapped to their first
+    owner. A sequence lies in two models' languages only if both activity
+    sets hold each of its labels, so a sequence whose labels are not all
+    held by two models lies in one language alone and links no models;
+    leaving it out of the map changes no component (`SequenceSharing`).
     """
     check_split_ratios(ratios)
     ordered = sorted(models, key=lambda m: m.model_id)
+    sharing = SequenceSharing(ordered)
     uf = _UnionFind(len(ordered))
     first_owner: dict[Trace, int] = {}
     for i, model in enumerate(ordered):
-        for sequence in played_out(model).sequences:
+        for sequence in sharing.shareable(played_out(model).sequences):
             if sequence in first_owner:
                 uf.union(first_owner[sequence], i)
             else:

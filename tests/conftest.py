@@ -7,8 +7,9 @@ capped play-out, the character-loop tokenizer and the `\\s+` whitespace
 rule are step-by-step references for the package's faster kernels, the
 play-out-and-footprint record score is the reference for scoring from
 edge sets and tree relations, the relation-drawing random footprint is
-the reference for drawing edges, and the `json.dumps` rows are the
-references for every file writer.
+the reference for drawing edges, the `json.dumps` rows are the
+references for every file writer, and the split over every sequence's
+first owner is the reference for the split over shareable sequences.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from procsem import (
     RecordScore,
     Relation,
     Silent,
+    Split,
+    SplitAssignment,
     Task,
     TaskRecord,
     TreeSyntaxError,
@@ -54,7 +57,7 @@ from procsem.core import tree_labels
 from procsem.evaluation import fold_label
 from procsem.promptgen import _fill
 from procsem.semantics import MAX_PLAYOUT_LEAVES
-from procsem.taskgen import model_rng
+from procsem.taskgen import ACTIVITY_BINS, DEFAULT_SPLIT_RATIOS, model_rng
 from procsem.tree_dsl import _TAU_SPELLINGS, _UNICODE_OPS, _Parser
 
 M1_TREE_TEXT = (
@@ -568,6 +571,50 @@ def oracle_prediction_line(prediction) -> str:
     return json.dumps(obj, ensure_ascii=False) + "\n"
 
 
+def oracle_split_corpus(models, ratios=DEFAULT_SPLIT_RATIOS, seed: int = 0) -> SplitAssignment:
+    """Reference split: every sequence of every model is mapped to its first
+    owner in id order, and a later owner joins that owner's component; the
+    components are then dealt out by stratum as `split_corpus` deals them."""
+    ordered = sorted(models, key=lambda m: m.model_id)
+    parent = list(range(len(ordered)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    first_owner: dict[tuple, int] = {}
+    for i, model in enumerate(ordered):
+        for sequence in oracle_language(model.tree):
+            owner = first_owner.setdefault(sequence, i)
+            a, b = root(owner), root(i)
+            parent[max(a, b)] = min(a, b)
+    members: dict[int, list[int]] = {}
+    for i in range(len(ordered)):
+        members.setdefault(root(i), []).append(i)
+    components = [tuple(ordered[i].model_id for i in group) for _, group in sorted(members.items())]
+    bins = []
+    for group in sorted(members.items()):
+        largest = max(len(ordered[i].activity_set) for i in group[1])
+        bins.append(next(
+            (k for k, (low, high) in enumerate(ACTIVITY_BINS)
+             if largest >= low and (high is None or largest <= high)),
+            0,
+        ))
+    rng = random.Random(seed)
+    assignment = {}
+    for stratum in sorted(set(bins)):
+        comps = sorted(c for c, b in zip(components, bins) if b == stratum)
+        rng.shuffle(comps)
+        counts = [0, 0, 0]
+        for step, comp in enumerate(comps, start=1):
+            best = max(range(3), key=lambda k: (ratios[k] * step - counts[k], ratios[k]))
+            counts[best] += 1
+            for model_id in comp:
+                assignment[model_id] = list(Split)[best]
+    return SplitAssignment(assignment, tuple(components), tuple(bins))
+
+
 # ---------------------------------------------------------------------------
 # Random tree strategies and generators
 
@@ -638,3 +685,46 @@ def random_tree(rng: random.Random, max_leaves: int) -> ProcessTree:
         return Operator(kind, tuple(build(s) for s in sizes))
 
     return build(budget)
+
+
+# Corpora of tree texts whose models share activities, and some of them
+# sequences. Each tree uses each of its labels once, so `validate` admits
+# every model but the repeats of an activity set.
+SHARING_CORPORA = {
+    "only the empty sequence": ["X(->('a', 'b'), tau)", "X(->('c', 'd'), tau)"],
+    "only a one-activity sequence": ["X('a', 'b')", "X('a', 'c')"],
+    "a loop that repeats a label": ["*('a', 'b')", "*(X('a', 'c'), 'b')"],
+    "a loop that repeats the first label": [
+        "->(*('a', tau), 'b')", "X(->(*('a', tau), 'b'), 'c')",
+    ],
+    "equal alphabets": [
+        "->('a', 'b')", "->('b', 'a')", "+('c', 'd')", "X(->('c', 'd'), 'e')",
+        "X(->('d', 'c'), 'e')",
+    ],
+    "first two labels shared, the third not": ["->('a', 'b', 'c')", "->('a', 'b', 'd')"],
+    "one model": ["->('a', 'b')"],
+}
+
+
+def _relabelled(tree: ProcessTree, labels) -> ProcessTree:
+    """The tree with its leaves labelled by `labels` in leaf order."""
+    if isinstance(tree, Leaf):
+        return Leaf(next(labels))
+    if isinstance(tree, Silent):
+        return tree
+    return Operator(tree.kind, tuple(_relabelled(child, labels) for child in tree.children))
+
+
+def shared_vocabulary_corpora(
+    max_models: int = 6, distinct_labels: bool = False
+) -> st.SearchStrategy[list[ProcessTree]]:
+    """Trees of at most five leaves over six labels, so that models share
+    activities and often sequences. A label may sit on several leaves of
+    one tree, unless `distinct_labels`, which keeps each tree admissible
+    as far as its labels go."""
+    trees = tree_strategy(max_leaves=5, labels=st.sampled_from("abcdef"))
+    if distinct_labels:
+        trees = st.builds(
+            lambda tree, order: _relabelled(tree, iter(order)), trees, st.permutations("abcdef")
+        )
+    return st.lists(trees, min_size=1, max_size=max_models)

@@ -7,19 +7,24 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import procsem
 from procsem import (
+    CorpusEntry,
     MatchingMode,
     Prediction,
     Task,
     answer_text,
     parse_tree,
     read_dataset,
+    validate_corpus,
+    write_corpus,
     write_predictions,
 )
 from procsem.cli import (
@@ -33,7 +38,14 @@ from procsem.cli import (
 )
 from procsem.tree_dsl import MAX_DEPTH
 
-from conftest import EXTENDING_IDS, oracle_corpus_line, oracle_dataset_bytes
+from conftest import (
+    EXTENDING_IDS,
+    SHARING_CORPORA,
+    oracle_corpus_line,
+    oracle_dataset_bytes,
+    oracle_language,
+    shared_vocabulary_corpora,
+)
 
 
 def run(argv):
@@ -1208,3 +1220,29 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "prompts" in proc.stdout
+
+
+def _unique_sequences(trees) -> tuple[int, int]:
+    """`playout`'s `unique_sequences` on a corpus of the trees, and the size
+    of the union of the admitted models' languages."""
+    entries = [CorpusEntry(f"m{i}", tree) for i, tree in enumerate(trees)]
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = str(Path(tmp) / "corpus.jsonl")
+        write_corpus(corpus, entries)
+        code, summary, _ = run(["playout", corpus, "--out", str(Path(tmp) / "s.jsonl")])
+    assert code in (EXIT_OK, EXIT_PARTIAL)
+    admitted = validate_corpus(entries).admitted
+    return summary["unique_sequences"], len(set().union(*(oracle_language(m.tree) for m in admitted)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_vocabulary_corpora(distinct_labels=True))
+def test_playout_counts_each_distinct_sequence_once(trees):
+    counted, expected = _unique_sequences(trees)
+    assert counted == expected
+
+
+@pytest.mark.parametrize("texts", SHARING_CORPORA.values(), ids=SHARING_CORPORA.keys())
+def test_playout_counts_each_distinct_sequence_once_on_edge_cases(texts):
+    counted, expected = _unique_sequences(map(parse_tree, texts))
+    assert counted == expected

@@ -42,6 +42,7 @@ from procsem import (
     write_sequences,
     write_split,
 )
+from procsem import fileio
 from procsem.core import tree_labels
 
 from conftest import (
@@ -129,6 +130,26 @@ def test_sequence_rows_match_json_dumps(models):
     ordered = sorted(models, key=lambda m: m.model_id)
     expected = "".join(map(oracle_sequences_line, ordered)).encode("utf-8")
     assert _written(write_sequences, models) == expected
+
+
+@pytest.mark.parametrize(
+    "size",
+    [0, 1, fileio._SEQUENCES_PER_PIECE, fileio._SEQUENCES_PER_PIECE + 1],
+)
+def test_sequence_rows_are_spelled_whole_at_the_piece_boundaries(size):
+    # A row is written in pieces; its bytes are those of the one-string row.
+    models = [
+        SimpleNamespace(model_id="m", sequences=frozenset((f"a{i}", '"') for i in range(size))),
+        SimpleNamespace(model_id="n", sequences=frozenset({("b",)})),
+    ]
+    expected = "".join(map(oracle_sequences_line, models)).encode("utf-8")
+    assert _written(write_sequences, models) == expected
+
+
+def test_sequence_row_of_a_seven_leaf_shuffle():
+    model = playout(parse_tree("+('a', 'b', 'c', 'd', 'e', 'f', 'g')"), model_id="m")
+    assert len(model.sequences) == 5040
+    assert _written(write_sequences, [model]) == oracle_sequences_line(model).encode("utf-8")
 
 
 def _expected(oracle, rows, key) -> bytes:

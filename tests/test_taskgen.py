@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from dataclasses import asdict, replace
 
 import pytest
@@ -38,14 +39,17 @@ from procsem import (
 
 from procsem import semantics, taskgen
 from procsem.core import tree_labels
-from procsem.taskgen import contiguous_runs, id_prefix_batches
+from procsem.taskgen import SequenceSharing, contiguous_runs, id_prefix_batches
 
 from conftest import (
     EXTENDING_IDS,
     M1_TREE_TEXT,
+    SHARING_CORPORA,
     oracle_dataset,
     oracle_ef_pairs,
     oracle_language,
+    oracle_split_corpus,
+    shared_vocabulary_corpora,
 )
 
 
@@ -160,6 +164,16 @@ class TestValidateCorpus:
 
 
 class TestGenTsad:
+    def test_swap_positions_are_the_draws_of_random_sample(self):
+        # gen_tsad draws its swap positions as `rng.sample(range(n), 2)`
+        # would; a change to CPython's `sample` fails here, not in the bytes.
+        for n in range(2, 65):
+            for seed in range(60):
+                reference, drawn = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    assert tuple(reference.sample(range(n), 2)) == taskgen._two_positions(drawn, n)
+                assert reference.random() == drawn.random()
+
     def test_pads_to_min_log_size(self):
         model = admit_one(parse_tree(M1_TREE_TEXT), "m1")
         records = gen_tsad(model, seed=5)
@@ -485,3 +499,55 @@ class TestSplitCorpus:
                     1 for m in bin_models if assignment.assignment[m.model_id] is split
                 )
                 assert abs(count - ratios[split] * n) <= 1
+
+
+def _played_corpus(trees) -> list:
+    return [playout(tree, model_id=f"m{i}") for i, tree in enumerate(trees)]
+
+
+class TestSequenceSharing:
+    """`split_corpus` maps only the sequences two models can share; these
+    tests hold it to the split over every sequence's first owner."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_vocabulary_corpora(), st.integers(0, 3))
+    def test_split_matches_the_full_sequence_map(self, trees, seed):
+        models = _played_corpus(trees)
+        assert split_corpus(models, seed=seed) == oracle_split_corpus(models, seed=seed)
+
+    @pytest.mark.parametrize("texts", SHARING_CORPORA.values(), ids=SHARING_CORPORA.keys())
+    def test_split_matches_the_full_sequence_map_on_edge_cases(self, texts):
+        models = _played_corpus(map(parse_tree, texts))
+        for seed in range(3):
+            assert split_corpus(models, seed=seed) == oracle_split_corpus(models, seed=seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_vocabulary_corpora())
+    def test_keeps_exactly_the_sequences_two_alphabets_hold(self, trees):
+        models = _played_corpus(trees)
+        sharing = SequenceSharing(models)
+        for model in models:
+            expected = {
+                s for s in model.sequences
+                if sum(set(s) <= other.activity_set for other in models) >= 2
+            }
+            kept = sharing.shareable(model.sequences)
+            assert len(kept) == len(expected) and set(kept) == expected
+            # A sequence another language holds is always kept.
+            for other in models:
+                if other is not model:
+                    assert model.sequences & other.sequences <= expected
+
+    @pytest.mark.parametrize(
+        "texts, kept",
+        [
+            (SHARING_CORPORA["only the empty sequence"], [{()}, {()}]),
+            (SHARING_CORPORA["only a one-activity sequence"], [{("a",)}, {("a",)}]),
+            (SHARING_CORPORA["first two labels shared, the third not"], [set(), set()]),
+            (SHARING_CORPORA["one model"], [set()]),
+        ],
+    )
+    def test_drops_what_one_alphabet_alone_holds(self, texts, kept):
+        models = _played_corpus(map(parse_tree, texts))
+        sharing = SequenceSharing(models)
+        assert [set(sharing.shareable(m.sequences)) for m in models] == kept
