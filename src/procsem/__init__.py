@@ -83,7 +83,6 @@ from .semantics import (
 )
 from .synth import synth_corpus
 from .taskgen import (
-    CorpusEntry,
     LABEL_ANOMALOUS,
     LABEL_VALID,
     Prediction,

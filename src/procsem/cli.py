@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 from statistics import fmean, median
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .core import ProcessModel, Trace
 from .evaluation import (
@@ -232,7 +232,7 @@ def _rejection_counts(report: ValidationReport) -> dict[str, int]:
 
 
 def cmd_synth(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
-    entries = synth_corpus(
+    models = synth_corpus(
         n_models=args.n_models,
         seed=config.seed,
         min_activities=args.min_activities,
@@ -241,8 +241,8 @@ def cmd_synth(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
         min_trace_len=args.min_trace_len,
         max_sequences=config.max_sequences,
     )
-    write_corpus(args.out, entries)
-    return {"command": "synth", "models": len(entries), "out": args.out}
+    write_corpus(args.out, models)
+    return {"command": "synth", "models": len(models), "out": args.out}
 
 
 def cmd_validate(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
@@ -263,7 +263,7 @@ def cmd_validate(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
 
 def cmd_playout(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
     report = _validated(args.corpus, config.max_sequences)
-    models = report.admitted
+    models = sorted(report.admitted, key=lambda m: m.model_id)
     sequence_counts: list[int] = []
     # A sequence no two models can share lies in one language alone, so it
     # is counted, not kept; the shareable ones are kept, to count each once
@@ -272,17 +272,18 @@ def cmd_playout(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
     shared: set[Trace] = set()
     alone = 0
 
-    def counted(model: ProcessModel) -> ProcessModel:
+    def played_in_order() -> Iterator[ProcessModel]:
         # Each model is played out once, for its row, and counted there.
         nonlocal alone
-        played = played_out(model)
-        kept = sharing.shareable(played.sequences)
-        sequence_counts.append(len(played.sequences))
-        alone += len(played.sequences) - len(kept)
-        shared.update(kept)
-        return played
+        for model in models:
+            played = played_out(model)
+            kept = sharing.shareable(played.sequences)
+            sequence_counts.append(len(played.sequences))
+            alone += len(played.sequences) - len(kept)
+            shared.update(kept)
+            yield played
 
-    write_sequences(args.out, models, counted)
+    write_sequences(args.out, played_in_order())
     activity_counts = [len(m.activity_set) for m in models]
     all_activities = set().union(*(m.activity_set for m in models)) if models else set()
     return {

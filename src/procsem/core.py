@@ -7,8 +7,9 @@ footprints) is an immutable value that is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterator, TypeVar, Union
 
 Activity = str
@@ -156,25 +157,24 @@ def tree_labels(tree: ProcessTree) -> list[Activity]:
 class ProcessModel:
     """A process tree under a model id, and its language when it holds one.
 
-    `sequences` is the tree's language on a model from `semantics.playout`,
-    and None on a model that holds none, such as an admitted one.
-    `activity_set` is the tree's leaf labels: every leaf occurs in some
-    sequence of the language, so it is also the sequences' union. It is
-    read off the tree, or taken from `labels` when the caller has just
-    read them there.
+    A corpus row is one, with the row's `line` in the file it was read
+    from; validation admits the row itself. `sequences` is the tree's
+    language on a model from `semantics.playout`, and None on a model that
+    holds none, such as a corpus row or an admitted one.
     """
 
     model_id: str
     tree: ProcessTree
     sequences: frozenset[Trace] | None = None
-    activity_set: frozenset[Activity] = field(init=False)
     name: str | None = None
-    labels: InitVar[list[Activity] | None] = None
+    line: int | None = field(default=None, compare=False)
 
-    def __post_init__(self, labels: list[Activity] | None) -> None:
-        object.__setattr__(
-            self, "activity_set", frozenset(tree_labels(self.tree) if labels is None else labels)
-        )
+    @cached_property
+    def activity_set(self) -> frozenset[Activity]:
+        """The tree's leaf labels, read off the tree when first asked. Every
+        leaf occurs in some sequence of the language, so it is also the
+        sequences' union."""
+        return frozenset(tree_labels(self.tree))
 
     @property
     def nonempty_sequences(self) -> list[Trace]:

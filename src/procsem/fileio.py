@@ -2,10 +2,10 @@
 
 One JSON object per line throughout; writers emit keys in a fixed order and
 rows in a canonical sort so identical inputs produce identical bytes. Dataset
-rows are written in the order given, which must be `record_id` order. Every
-value written is a string, a list of strings or a list of string lists, so
-each row is spelled straight from its fields, with the string quoting of the
-stdlib `json` encoder, into the bytes it gives with `ensure_ascii=False`.
+and sequence rows are written in the order given, which must be id order.
+Every value written is a string, a list of strings or a list of string lists,
+so each row is spelled straight from its fields, with the string quoting of
+the stdlib `json` encoder, into the bytes it gives with `ensure_ascii=False`.
 """
 
 from __future__ import annotations
@@ -26,14 +26,12 @@ from .promptgen import FtExample, PromptBundle
 from .taskgen import (
     LABEL_ANOMALOUS,
     LABEL_VALID,
-    CorpusEntry,
     Prediction,
     Rejection,
     RejectionReason,
     Split,
     Task,
     TaskRecord,
-    played_out,
 )
 from .tree_dsl import TreeSyntaxError, parse_tree, render_tree
 
@@ -117,6 +115,7 @@ def join_files(path: str | Path, parts: Iterable[str | Path]) -> None:
 
 
 _BY_RECORD_ID = attrgetter("record_id")
+_BY_MODEL_ID = attrgetter("model_id")
 
 
 def _row(**spelled: str) -> str:
@@ -160,10 +159,10 @@ def _check_new_id(
 # Corpus files: {"model_id", "name"?, "tree"}
 
 
-def read_corpus(path: str | Path) -> list[CorpusEntry | Rejection]:
-    """The rows of a corpus file in file order, each with its line; a row
-    whose tree does not parse stands as its `parse_error` rejection."""
-    rows: list[CorpusEntry | Rejection] = []
+def read_corpus(path: str | Path) -> list[ProcessModel | Rejection]:
+    """The rows of a corpus file in file order, each a model with its line;
+    a row whose tree does not parse stands as its `parse_error` rejection."""
+    rows: list[ProcessModel | Rejection] = []
     for line_number, obj in _read_objects(path):
         model_id = _require_str(obj, "model_id", path, line_number)
         tree_text = _require_str(obj, "tree", path, line_number)
@@ -177,16 +176,16 @@ def read_corpus(path: str | Path) -> list[CorpusEntry | Rejection]:
                 Rejection(model_id, RejectionReason.PARSE_ERROR, str(exc), line_number)
             )
             continue
-        rows.append(CorpusEntry(model_id=model_id, tree=tree, name=name, line=line_number))
+        rows.append(ProcessModel(model_id, tree, name=name, line=line_number))
     return rows
 
 
-def write_corpus(path: str | Path, entries: Iterable[CorpusEntry | ProcessModel]) -> None:
-    def row(entry: CorpusEntry | ProcessModel) -> str:
-        name = {} if entry.name is None else {"name": _quote(entry.name)}
-        return _row(model_id=_quote(entry.model_id), **name, tree=_quote(render_tree(entry.tree)))
+def write_corpus(path: str | Path, models: Iterable[ProcessModel]) -> None:
+    def row(model: ProcessModel) -> str:
+        name = {} if model.name is None else {"name": _quote(model.name)}
+        return _row(model_id=_quote(model.model_id), **name, tree=_quote(render_tree(model.tree)))
 
-    _write_text(path, map(row, sorted(entries, key=lambda e: e.model_id)))
+    _write_text(path, map(row, sorted(models, key=_BY_MODEL_ID)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +319,18 @@ _SPELLINGS = {
 }
 
 
+def _in_id_order(items: Iterable[Any], kind: str, id_of: Callable[[Any], str]) -> Iterator[Any]:
+    """`items` in the order given, each of whose ids must be greater than
+    the one before it; an item out of that order is a ValueError naming it."""
+    previous: str | None = None
+    for item in items:
+        current = id_of(item)
+        if previous is not None and current <= previous:
+            raise ValueError(f"{kind} {current!r} follows {previous!r}; ids must increase")
+        previous = current
+        yield item
+
+
 def write_dataset(path: str | Path, records: Iterable[TaskRecord]) -> int:
     """Write `records` as dataset rows in the order given and return how many
     were written. Each row is the bytes the `json` encoder gives for the
@@ -334,13 +345,9 @@ def write_dataset(path: str | Path, records: Iterable[TaskRecord]) -> int:
 
     def lines() -> Iterator[str]:
         nonlocal written
-        previous: str | None = None
         last_key: tuple[Task, str, tuple[str, ...]] | None = None
-        for record in records:
+        for record in _in_id_order(records, "record", _BY_RECORD_ID):
             record_id = record.record_id
-            if previous is not None and record_id <= previous:
-                raise ValueError(f"record {record_id!r} follows {previous!r}; ids must increase")
-            previous = record_id
             # A model's rows come together, so its task, model and
             # activity-set part is spelled once per run of them.
             key = (record.task, record.model_id, record.activity_set)
@@ -383,17 +390,21 @@ def _sequence_row(model_id: str, sequences: list[tuple[str, ...]]) -> Iterator[s
     yield "]}\n"
 
 
-def write_sequences(
-    path: str | Path, models: Iterable[Any], played: Callable[[Any], Any] = played_out
-) -> None:
-    """One row per model, in id order, with the sorted sequences of
-    `played(model)`: by default the model when it holds its language, or
-    else a copy played out for its row alone."""
-    _write_text(path, (
-        piece
-        for m in sorted(models, key=lambda m: m.model_id)
-        for piece in _sequence_row(m.model_id, sorted(played(m).sequences))
-    ))
+def write_sequences(path: str | Path, models: Iterable[ProcessModel]) -> None:
+    """Write one row per model, in the order given, with the model's sorted
+    sequences; nothing is played out here.
+
+    As with `write_dataset`, each `model_id` must be greater than the one
+    before it. A model out of that order, or holding no language, is a
+    ValueError naming the model, and the old file stays."""
+
+    def lines() -> Iterator[str]:
+        for model in _in_id_order(models, "model", _BY_MODEL_ID):
+            if model.sequences is None:
+                raise ValueError(f"model {model.model_id!r} holds no language")
+            yield from _sequence_row(model.model_id, sorted(model.sequences))
+
+    _write_text(path, lines())
 
 
 # ---------------------------------------------------------------------------

@@ -51,20 +51,23 @@ _Rule = Callable[[list[R]], R]
 DEFAULT_MAX_SEQUENCES = 32_768
 
 # Shuffle products blow up combinatorially long before the sequence cap can
-# notice, so reject grossly oversized trees up front.
+# notice, so under a cap, grossly oversized trees are refused up front.
 MAX_PLAYOUT_LEAVES = 512
 
 # A cap no language reaches, for a tree whose language is known to be
 # bounded, such as an admitted model's: `language` refuses nothing under
-# it, so it counts nothing first.
+# it, so it neither counts the leaves nor the language first.
 NO_CAP = sys.maxsize
 
 
 class LanguageTooLargeError(ValueError):
-    """Raised when play-out would exceed the configured sequence budget."""
+    """Raised when play-out would exceed the configured sequence budget, or
+    the tree has more leaves than `MAX_PLAYOUT_LEAVES`; `limit` is the
+    sequence budget either way."""
 
-    def __init__(self, limit: int) -> None:
-        super().__init__(f"language exceeds {limit} sequences")
+    def __init__(self, limit: int, too_many_leaves: bool = False) -> None:
+        leaves = f"tree exceeds the play-out limit of {MAX_PLAYOUT_LEAVES} leaves"
+        super().__init__(leaves if too_many_leaves else f"language exceeds {limit} sequences")
         self.limit = limit
 
 
@@ -157,20 +160,18 @@ def _language_operator(limit: int) -> Callable[[OpKind, list[set[Trace]]], set[T
 def language(tree: ProcessTree, max_sequences: int = DEFAULT_MAX_SEQUENCES) -> set[Trace]:
     """The finite language of a tree under bounded loop unrolling.
 
-    Under a cap, a tree whose leaf labels are distinct is counted first:
-    over the cap, it is refused with no play-out, and within it, no cap
-    check can trip.
+    Under a cap, a tree of more than `MAX_PLAYOUT_LEAVES` leaves is refused,
+    and a tree whose leaf labels are distinct is counted first: over the
+    cap, it is refused with no play-out, and within it, no cap check can
+    trip. Under `NO_CAP` the tree is only played out.
     """
-    labels = tree_labels(tree)
-    if len(labels) > MAX_PLAYOUT_LEAVES:
-        raise LanguageTooLargeError(max_sequences)
     limit = max_sequences
-    if (
-        max_sequences < NO_CAP
-        and len(set(labels)) == len(labels)
-        and _counted(tree, max_sequences) is not None
-    ):
-        limit = NO_CAP
+    if max_sequences < NO_CAP:
+        labels = tree_labels(tree)
+        if len(labels) > MAX_PLAYOUT_LEAVES:
+            raise LanguageTooLargeError(max_sequences, too_many_leaves=True)
+        if len(set(labels)) == len(labels) and _counted(tree, max_sequences) is not None:
+            limit = NO_CAP
     # No language is changed in place, so one new silent one serves the call.
     return fold_tree(tree, lambda label: {(label,)}, {()}, _language_operator(limit))
 
@@ -183,7 +184,7 @@ def playout(
     name: str | None = None,
 ) -> ProcessModel:
     """Unfold a tree into a process model holding its full language."""
-    return ProcessModel(model_id, tree, frozenset(language(tree, max_sequences)), name)
+    return ProcessModel(model_id, tree, frozenset(language(tree, max_sequences)), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,7 @@ def _counted(tree: ProcessTree, limit: int) -> int | None:
 
     def leaf(label: Activity) -> _Counts:
         if next(leaves) > MAX_PLAYOUT_LEAVES:
-            raise LanguageTooLargeError(limit)
+            raise LanguageTooLargeError(limit, too_many_leaves=True)
         return _LEAF_COUNTS
 
     try:

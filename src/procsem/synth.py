@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 
-from .core import Leaf, OpKind, Operator, ProcessTree, Silent
+from .core import Leaf, OpKind, Operator, ProcessModel, ProcessTree, Silent
 from .semantics import DEFAULT_MAX_SEQUENCES, LanguageTooLargeError, language_size
-from .taskgen import CorpusEntry, model_rng
+from .taskgen import model_rng
 
 _VERBS = (
     "create", "review", "approve", "reject", "submit", "archive", "assign",
@@ -111,8 +111,8 @@ def synth_corpus(
     tau_prob: float = 0.15,
     min_trace_len: int = 0,
     max_sequences: int = DEFAULT_MAX_SEQUENCES,
-) -> list[CorpusEntry]:
-    """Generate n_models random tree entries, deterministically per seed.
+) -> list[ProcessModel]:
+    """Generate n_models random tree models, deterministically per seed.
 
     min_trace_len > 0 forces every execution sequence to contain at least
     that many events (and requires min_activities >= min_trace_len).
@@ -128,7 +128,7 @@ def synth_corpus(
     pool = [f"{v} {n}" for v in _VERBS for n in _NOUNS]
     if max_activities > len(pool):
         raise ValueError(f"max_activities cannot exceed {len(pool)}")
-    entries: list[CorpusEntry] = []
+    models: list[ProcessModel] = []
     seen_sets: set[frozenset[str]] = set()
     serial = 0
     for i in range(n_models):
@@ -145,5 +145,5 @@ def synth_corpus(
             labels[-1] = f"{labels[-1]} {serial}"
         seen_sets.add(frozenset(labels))
         tree = _build_model_tree(labels, rng, tau_prob, min_trace_len, max_sequences)
-        entries.append(CorpusEntry(model_id=model_id, tree=tree))
-    return entries
+        models.append(ProcessModel(model_id, tree))
+    return models

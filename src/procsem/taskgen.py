@@ -28,13 +28,7 @@ from itertools import compress
 from operator import attrgetter, itemgetter
 from typing import Any
 
-from .core import (
-    Activity,
-    ProcessModel,
-    ProcessTree,
-    Trace,
-    tree_labels,
-)
+from .core import Activity, ProcessModel, Trace, tree_labels
 from .semantics import (
     DEFAULT_MAX_SEQUENCES,
     NO_CAP,
@@ -103,16 +97,6 @@ def model_rng(seed: int, *parts: str) -> random.Random:
 # Corpus validation
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    """A corpus row; `line` is its line in the file it was read from."""
-
-    model_id: str
-    tree: ProcessTree
-    name: str | None = None
-    line: int | None = field(default=None, compare=False)
-
-
 class RejectionReason(str, Enum):
     PARSE_ERROR = "parse_error"
     DUPLICATE_MODEL_ID = "duplicate_model_id"
@@ -138,7 +122,7 @@ class ValidationReport:
 
 
 def validate_corpus(
-    entries: Iterable[CorpusEntry | Rejection],
+    entries: Iterable[ProcessModel | Rejection],
     max_sequences: int = DEFAULT_MAX_SEQUENCES,
 ) -> ValidationReport:
     """Admit only models fit for task generation, from their trees alone.
@@ -150,7 +134,8 @@ def validate_corpus(
     A row rejected upstream is passed through in its place, and its id
     counts as seen. Rejections keep row order, and each carries its row's
     `line`; a duplicate id's detail names the first line of that id when
-    it is known. An admitted model holds no language.
+    it is known. An admitted model is its row itself, not a copy, and a
+    corpus row holds no language.
     """
     admitted: list[ProcessModel] = []
     rejected: list[Rejection] = []
@@ -158,7 +143,7 @@ def validate_corpus(
     seen_activity_sets: set[frozenset[Activity]] = set()
 
     def reject(
-        entry: CorpusEntry | Rejection, reason: RejectionReason, detail: str = ""
+        entry: ProcessModel | Rejection, reason: RejectionReason, detail: str = ""
     ) -> None:
         rejected.append(Rejection(entry.model_id, reason, detail, entry.line))
 
@@ -198,9 +183,7 @@ def validate_corpus(
             reject(entry, RejectionReason.DUPLICATE_ACTIVITY_SET)
             continue
         seen_activity_sets.add(activity_set)
-        admitted.append(
-            ProcessModel(entry.model_id, entry.tree, name=entry.name, labels=labels)
-        )
+        admitted.append(entry)
     return ValidationReport(admitted=tuple(admitted), rejected=tuple(rejected))
 
 

@@ -163,7 +163,7 @@ def oracle_capped_language(tree: ProcessTree, limit: int) -> set[tuple]:
     """Reference capped play-out: every operator grows its language one
     sequence at a time and checks the cap after each addition."""
     if len(tree_labels(tree)) > MAX_PLAYOUT_LEAVES:
-        raise LanguageTooLargeError(limit)
+        raise LanguageTooLargeError(limit, too_many_leaves=True)
     return _oracle_capped(tree, limit)
 
 

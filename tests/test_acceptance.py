@@ -16,10 +16,10 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 from procsem import (
-    CorpusEntry,
     LABEL_ANOMALOUS,
     LABEL_VALID,
     Prediction,
+    ProcessModel,
     Relation,
     Split,
     Task,
@@ -190,7 +190,7 @@ def test_c05_pair_anomaly_exactness():
     Exhaustive over models with at most six activities."""
     entries = list(synth_corpus(n_models=50, seed=19, max_activities=6)) + [
         # saturated case: every ordered pair eventually follows
-        CorpusEntry(model_id="sat", tree=parse_tree("*(->('y1', 'y2'), tau)"))
+        ProcessModel(model_id="sat", tree=parse_tree("*(->('y1', 'y2'), tau)"))
     ]
     admitted = validate_corpus(entries).admitted
     assert admitted and all(len(m.activity_set) <= 6 for m in admitted)
@@ -222,7 +222,7 @@ def test_c06_next_activity_coverage_and_continuability():
     gold answer extends its prefix into the oracle language."""
     entries = list(synth_corpus(n_models=40, seed=23, max_activities=6)) + [
         # two sequences sharing their first step, to force deduplication
-        CorpusEntry(model_id="dup", tree=parse_tree("*(->('z1', 'z2'), 'z3')"))
+        ProcessModel(model_id="dup", tree=parse_tree("*(->('z1', 'z2'), 'z3')"))
     ]
     for model in validate_corpus(entries).admitted:
         language = oracle_language(model.tree)
@@ -259,7 +259,7 @@ def test_c07_split_leakage_and_stratum_balance():
         ("h05", "X(->('p', 'q', 'r'), ->('s', 't'))"),
     ]
     entries = list(synth_corpus(n_models=60, seed=21)) + [
-        CorpusEntry(model_id=mid, tree=parse_tree(text)) for mid, text in hand
+        ProcessModel(model_id=mid, tree=parse_tree(text)) for mid, text in hand
     ]
     models = validate_corpus(entries).admitted
     assert len(models) == 66

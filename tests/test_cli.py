@@ -16,9 +16,9 @@ from hypothesis import given, settings
 
 import procsem
 from procsem import (
-    CorpusEntry,
     MatchingMode,
     Prediction,
+    ProcessModel,
     Task,
     answer_text,
     parse_tree,
@@ -777,7 +777,7 @@ class TestFailureModes:
             ("again", "duplicate_activity_set"),
         ]
         admitted = [
-            procsem.CorpusEntry(r["model_id"], parse_tree(r["tree"]), r.get("name"))
+            procsem.ProcessModel(r["model_id"], parse_tree(r["tree"]), name=r.get("name"))
             for r in sorted(rows, key=lambda r: r["model_id"])
             if r["model_id"] in {"z9", "m\u00e9", "a1", "b2"}
         ]
@@ -1225,7 +1225,7 @@ def test_python_dash_m_runs_the_cli():
 def _unique_sequences(trees) -> tuple[int, int]:
     """`playout`'s `unique_sequences` on a corpus of the trees, and the size
     of the union of the admitted models' languages."""
-    entries = [CorpusEntry(f"m{i}", tree) for i, tree in enumerate(trees)]
+    entries = [ProcessModel(f"m{i}", tree) for i, tree in enumerate(trees)]
     with tempfile.TemporaryDirectory() as tmp:
         corpus = str(Path(tmp) / "corpus.jsonl")
         write_corpus(corpus, entries)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from procsem import (
     ArityError,
-    CorpusEntry,
     Dfg,
     EmptyLabelError,
     Footprint,
@@ -43,6 +43,7 @@ from procsem import (
     write_corpus,
     xor,
 )
+from procsem import core
 from procsem.core import collapse_whitespace, fold_tree, tree_labels
 from procsem.semantics import tree_relations
 from procsem.tree_dsl import MAX_DEPTH
@@ -157,7 +158,7 @@ class TestFoldTree:
         model = playout(tree, model_id="deep")
         assert model.sequences == {(), ("a", "b")}
         assert footprint_of_model(model).relation("a", "b") is Relation.FORWARD
-        report = validate_corpus([CorpusEntry("deep", tree)])
+        report = validate_corpus([ProcessModel("deep", tree)])
         assert report.rejected == () and [m.model_id for m in report.admitted] == ["deep"]
         admitted = report.admitted[0]
         assert {r.label for r in gen_tsad(admitted, seed=0)} <= {"Valid", "Anomalous"}
@@ -181,6 +182,19 @@ class TestProcessModel:
         model = ProcessModel("m", xor(tau(), leaf("a")), frozenset({(), ("a",)}))
         assert () in model.sequences
         assert model.nonempty_sequences == [("a",)]
+
+    def test_activity_set_is_read_off_the_tree_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(core, "tree_labels", lambda tree: calls.append(tree) or tree_labels(tree))
+        tree = xor(tau(), seq(leaf("a"), leaf("b")))
+        model = ProcessModel("m", tree, line=5)
+        assert calls == []
+        assert model.activity_set == frozenset({"a", "b"}) == frozenset(tree_labels(tree))
+        assert model.activity_set is model.activity_set
+        assert calls == [tree]
+        # Derived from the tree, it is no field: equality and the line leave it out.
+        assert "activity_set" not in {f.name for f in fields(ProcessModel)}
+        assert model == ProcessModel("m", tree, line=9)
 
     def test_activity_set_must_match(self):
         # The set is derived from the tree's leaves and cannot be passed in.

@@ -20,17 +20,18 @@ from hypothesis import strategies as st
 from procsem import (
     LABEL_ANOMALOUS,
     LABEL_VALID,
-    CorpusEntry,
     FileFormatError,
     FtExample,
     Leaf,
     Prediction,
+    ProcessModel,
     PromptBundle,
     Split,
     Task,
     TaskRecord,
     gen_tsad,
     parse_tree,
+    played_out,
     playout,
     read_dataset,
     render_tree,
@@ -124,12 +125,40 @@ def test_dataset_rows_match_json_dumps(records):
             sequences=st.frozensets(strings, max_size=4),
         ),
         max_size=4,
+        unique_by=attrgetter("model_id"),
     )
 )
 def test_sequence_rows_match_json_dumps(models):
-    ordered = sorted(models, key=lambda m: m.model_id)
+    ordered = sorted(models, key=attrgetter("model_id"))
     expected = "".join(map(oracle_sequences_line, ordered)).encode("utf-8")
-    assert _written(write_sequences, models) == expected
+    assert _written(write_sequences, ordered) == expected
+
+
+@pytest.mark.parametrize("second", ["m1", "m0"])
+def test_sequence_rows_need_increasing_model_ids(tmp_path, second):
+    # The order rule of `write_dataset`: a model whose id does not follow
+    # the one before it is refused, and the old file stays.
+    path = tmp_path / "sequences.jsonl"
+    path.write_bytes(b"old\n")
+    models = [
+        SimpleNamespace(model_id="m1", sequences=frozenset({("a",)})),
+        SimpleNamespace(model_id=second, sequences=frozenset({("b",)})),
+    ]
+    with pytest.raises(ValueError, match=f"model '{second}' follows 'm1'; ids must increase"):
+        write_sequences(path, models)
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["sequences.jsonl"]
+
+
+def test_sequence_rows_need_a_played_out_model(tmp_path):
+    # An admitted model holds no language, and `write_sequences` plays none out.
+    model = ProcessModel("m", parse_tree("->('a', 'b')"))
+    with pytest.raises(ValueError, match="model 'm' holds no language"):
+        write_sequences(tmp_path / "sequences.jsonl", [model])
+    write_sequences(tmp_path / "sequences.jsonl", [played_out(model)])
+    assert json.loads((tmp_path / "sequences.jsonl").read_text("utf-8")) == {
+        "model_id": "m", "sequences": [["a", "b"]]
+    }
 
 
 @pytest.mark.parametrize(
@@ -160,7 +189,7 @@ def _expected(oracle, rows, key) -> bytes:
 @given(
     st.lists(
         st.builds(
-            CorpusEntry,
+            ProcessModel,
             model_id=text,
             tree=tree_strategy(max_leaves=4),
             name=st.none() | text,
@@ -168,7 +197,7 @@ def _expected(oracle, rows, key) -> bytes:
         max_size=4,
     )
 )
-@example([CorpusEntry("m2", Leaf("a"), name='"x"'), CorpusEntry("m1", Leaf("b"))])
+@example([ProcessModel("m2", Leaf("a"), name='"x"'), ProcessModel("m1", Leaf("b"))])
 def test_corpus_rows_match_json_dumps(entries):
     expected = _expected(oracle_corpus_line, entries, attrgetter("model_id"))
     assert _written(write_corpus, entries) == expected

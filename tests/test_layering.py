@@ -34,6 +34,26 @@ def test_fileio_imports_neither_scoring_nor_cli():
     assert not procsem_imports("fileio") & {"evaluation", "cli"}
 
 
+def procsem_names(module: str) -> set[str]:
+    """Names that `module` imports from other procsem modules."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text("utf-8"))
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("procsem"))
+        for alias in node.names
+    }
+
+
+def test_reader_sees_the_imported_names():
+    assert {"parse_tree", "ProcessModel", "TaskRecord"} <= procsem_names("fileio")
+
+
+def test_fileio_plays_nothing_out():
+    # Only `taskgen` plays a model out; the writers take what they are given.
+    assert not procsem_names("fileio") & {"played_out", "playout", "language"}
+
+
 def test_core_imports_no_other_procsem_module():
     assert procsem_imports("core") == set()
 

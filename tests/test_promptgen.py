@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import oracle_render_icl
 from procsem import (
-    CorpusEntry,
     LABEL_ANOMALOUS,
     LABEL_VALID,
     PoolExhaustedError,

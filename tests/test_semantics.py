@@ -227,9 +227,11 @@ class TestLanguageSize:
             # the repeated body comes before the 513th leaf
             seq(loop(xor(leaf("x"), tau()), tau()), *map(leaf, labels)),
         ):
-            with pytest.raises(LanguageTooLargeError, match="exceeds 7 sequences"):
+            # The refusal names the limit the tree passes, not the cap.
+            leaf_limit = f"play-out limit of {MAX_PLAYOUT_LEAVES} leaves"
+            with pytest.raises(LanguageTooLargeError, match=leaf_limit):
                 language_size(over, 7)
-            with pytest.raises(LanguageTooLargeError, match="exceeds 7 sequences"):
+            with pytest.raises(LanguageTooLargeError, match=leaf_limit):
                 language(over, 7)
 
     def test_counts_without_play_out(self, monkeypatch):

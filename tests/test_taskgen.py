@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procsem import (
-    CorpusEntry,
     EmptyLabelError,
     LABEL_ANOMALOUS,
     LABEL_VALID,
+    ProcessModel,
     RejectionReason,
     Split,
     Task,
@@ -32,12 +32,13 @@ from procsem import (
     render_tree,
     seq,
     split_corpus,
+    synth_corpus,
     tau,
     validate_corpus,
     xor,
 )
 
-from procsem import semantics, taskgen
+from procsem import core, semantics, taskgen
 from procsem.core import tree_labels
 from procsem.taskgen import SequenceSharing, contiguous_runs, id_prefix_batches
 
@@ -54,7 +55,7 @@ from conftest import (
 
 
 def admit_one(tree, model_id="m"):
-    report = validate_corpus([CorpusEntry(model_id=model_id, tree=tree)])
+    report = validate_corpus([ProcessModel(model_id=model_id, tree=tree)])
     assert not report.rejected, report.rejected
     return report.admitted[0]
 
@@ -68,8 +69,8 @@ class TestValidateCorpus:
     def test_duplicate_model_id(self):
         report = validate_corpus(
             [
-                CorpusEntry("m", seq(leaf("a"), leaf("b"))),
-                CorpusEntry("m", seq(leaf("c"), leaf("d"))),
+                ProcessModel("m", seq(leaf("a"), leaf("b"))),
+                ProcessModel("m", seq(leaf("c"), leaf("d"))),
             ]
         )
         assert len(report.admitted) == 1
@@ -80,23 +81,23 @@ class TestValidateCorpus:
             leaf(" ")
 
     def test_duplicate_activity_labels(self):
-        report = validate_corpus([CorpusEntry("m", seq(leaf("a"), leaf("a")))])
+        report = validate_corpus([ProcessModel("m", seq(leaf("a"), leaf("a")))])
         assert report.rejected[0].reason is RejectionReason.DUPLICATE_ACTIVITY_LABELS
 
     def test_labels_deduplicated_after_normalization(self):
         report = validate_corpus(
-            [CorpusEntry("m", seq(leaf("a  b"), leaf("a b")))]
+            [ProcessModel("m", seq(leaf("a  b"), leaf("a b")))]
         )
         assert report.rejected[0].reason is RejectionReason.DUPLICATE_ACTIVITY_LABELS
 
     def test_language_too_large(self):
         wide = par(*[leaf(f"a{i}") for i in range(8)])
-        report = validate_corpus([CorpusEntry("m", wide)], max_sequences=100)
+        report = validate_corpus([ProcessModel("m", wide)], max_sequences=100)
         assert report.rejected[0].reason is RejectionReason.LANGUAGE_TOO_LARGE
 
     def test_play_out_cap_is_checked_before_the_activity_count(self):
         # One activity, and two sequences over a cap of one.
-        report = validate_corpus([CorpusEntry("m", xor(leaf("a"), tau()))], max_sequences=1)
+        report = validate_corpus([ProcessModel("m", xor(leaf("a"), tau()))], max_sequences=1)
         assert report.rejected[0].reason is RejectionReason.LANGUAGE_TOO_LARGE
 
     def test_admits_from_the_tree_alone(self, monkeypatch):
@@ -109,12 +110,12 @@ class TestValidateCorpus:
         over = par(*(leaf(f"o{i}") for i in range(4)))
         report = validate_corpus(
             [
-                CorpusEntry("dup", seq(leaf("a"), leaf("a"))),
-                CorpusEntry("big", over),
-                CorpusEntry("empty", seq(tau(), tau())),
-                CorpusEntry("one", leaf("a")),
-                CorpusEntry("m1", parse_tree(M1_TREE_TEXT), name="orders"),
-                CorpusEntry("again", parse_tree(M1_TREE_TEXT)),
+                ProcessModel("dup", seq(leaf("a"), leaf("a"))),
+                ProcessModel("big", over),
+                ProcessModel("empty", seq(tau(), tau())),
+                ProcessModel("one", leaf("a")),
+                ProcessModel("m1", parse_tree(M1_TREE_TEXT), name="orders"),
+                ProcessModel("again", parse_tree(M1_TREE_TEXT)),
             ],
             max_sequences=23,
         )
@@ -131,22 +132,22 @@ class TestValidateCorpus:
         assert model.activity_set == frozenset(tree_labels(model.tree))
 
     def test_empty_language(self):
-        report = validate_corpus([CorpusEntry("m", xor(tau(), tau()))])
+        report = validate_corpus([ProcessModel("m", xor(tau(), tau()))])
         assert report.rejected[0].reason is RejectionReason.EMPTY_LANGUAGE
 
     def test_too_few_activities(self):
-        report = validate_corpus([CorpusEntry("m", leaf("a"))])
+        report = validate_corpus([ProcessModel("m", leaf("a"))])
         assert report.rejected[0].reason is RejectionReason.TOO_FEW_ACTIVITIES
 
     def test_optional_single_activity_still_too_few(self):
-        report = validate_corpus([CorpusEntry("m", xor(leaf("a"), tau()))])
+        report = validate_corpus([ProcessModel("m", xor(leaf("a"), tau()))])
         assert report.rejected[0].reason is RejectionReason.TOO_FEW_ACTIVITIES
 
     def test_duplicate_activity_set_keeps_first(self):
         report = validate_corpus(
             [
-                CorpusEntry("m1", seq(leaf("a"), leaf("b"))),
-                CorpusEntry("m2", xor(leaf("a"), leaf("b"))),
+                ProcessModel("m1", seq(leaf("a"), leaf("b"))),
+                ProcessModel("m2", xor(leaf("a"), leaf("b"))),
             ]
         )
         assert [a.model_id for a in report.admitted] == ["m1"]
@@ -156,11 +157,32 @@ class TestValidateCorpus:
     def test_batch_never_aborts(self):
         report = validate_corpus(
             [
-                CorpusEntry("bad", leaf("a")),
-                CorpusEntry("good", seq(leaf("a"), leaf("b"))),
+                ProcessModel("bad", leaf("a")),
+                ProcessModel("good", seq(leaf("a"), leaf("b"))),
             ]
         )
         assert [a.model_id for a in report.admitted] == ["good"]
+
+    def test_admits_the_rows_themselves(self):
+        rows = [
+            ProcessModel("m1", parse_tree(M1_TREE_TEXT), name="orders", line=3),
+            ProcessModel("one", leaf("a"), line=4),
+            ProcessModel("m2", seq(leaf("x"), leaf("y")), line=7),
+        ]
+        report = validate_corpus(rows)
+        assert len(report.admitted) == 2
+        assert report.admitted[0] is rows[0] and report.admitted[1] is rows[2]
+        assert [m.line for m in report.admitted] == [3, 7]
+
+    def test_a_tree_past_the_leaf_limit_is_refused_for_its_leaves(self):
+        # One sequence, far within the cap: the refusal names the leaf limit.
+        long = seq(*(leaf(f"a{i}") for i in range(600)))
+        report = validate_corpus([ProcessModel("long", long)])
+        [rejection] = report.rejected
+        assert rejection.reason is RejectionReason.LANGUAGE_TOO_LARGE
+        assert rejection.detail == (
+            f"tree exceeds the play-out limit of {semantics.MAX_PLAYOUT_LEAVES} leaves"
+        )
 
 
 class TestGenTsad:
@@ -499,6 +521,38 @@ class TestSplitCorpus:
                     1 for m in bin_models if assignment.assignment[m.model_id] is split
                 )
                 assert abs(count - ratios[split] * n) <= 1
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """The number of `fold_tree` calls so far, through `core` and `semantics`."""
+    calls = [0]
+    fold = core.fold_tree
+
+    def counted(*args):
+        calls[0] += 1
+        return fold(*args)
+
+    monkeypatch.setattr(core, "fold_tree", counted)
+    monkeypatch.setattr(semantics, "fold_tree", counted)
+    return lambda: calls[0]
+
+
+class TestTreeWalks:
+    def test_a_play_out_folds_the_tree_once(self, fold_calls):
+        model = admit_one(parse_tree(M1_TREE_TEXT), "m1")
+        before = fold_calls()
+        played = played_out(model)
+        assert fold_calls() == before + 1
+        assert len(played.sequences) == 2
+
+    def test_split_folds_each_tree_at_most_twice(self, fold_calls):
+        corpus = synth_corpus(n_models=60, seed=5, max_sequences=512)
+        admitted = validate_corpus(corpus, max_sequences=512).admitted
+        before = fold_calls()
+        split_corpus(admitted)
+        # Once for its activity set, once for its play-out.
+        assert fold_calls() - before <= 2 * len(admitted)
 
 
 def _played_corpus(trees) -> list:
