@@ -85,7 +85,6 @@ from .synth import synth_corpus
 from .taskgen import (
     LABEL_ANOMALOUS,
     LABEL_VALID,
-    Prediction,
     Rejection,
     RejectionReason,
     Split,

@@ -24,11 +24,14 @@ from .core import ProcessModel, Trace
 from .evaluation import (
     MatchingMode,
     ScoreReport,
+    UnknownRecordError,
     random_classification_baseline,
     random_footprint_predictions,
     score_dataset,
 )
 from .fileio import (
+    FileFormatError,
+    first_line,
     join_files,
     read_corpus,
     read_dataset,
@@ -448,12 +451,16 @@ def cmd_baseline(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
 def cmd_score(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
     _, records = _read_task_dataset(args.dataset)
     predictions = read_predictions(args.predictions)
-    report = score_dataset(
-        records,
-        predictions,
-        mode=config.matching_mode,
-        include_diagonal=config.include_diagonal,
-    )
+    try:
+        report = score_dataset(
+            records,
+            predictions,
+            mode=config.matching_mode,
+            include_diagonal=config.include_diagonal,
+        )
+    except UnknownRecordError as exc:
+        line = first_line(args.predictions, "record_id", exc.record_id)
+        raise FileFormatError(args.predictions, line, str(exc)) from None
     return _report_summary(report, include_per_record=args.per_record)
 
 

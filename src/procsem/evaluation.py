@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
+from itertools import pairwise
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import fmean
@@ -38,7 +39,6 @@ from .taskgen import (
     CLASSIFICATION_TASKS,
     LABEL_ANOMALOUS,
     LABEL_VALID,
-    Prediction,
     Task,
     TaskRecord,
     model_rng,
@@ -59,6 +59,10 @@ class LengthMismatchError(ValueError):
 
 class UnknownRecordError(ValueError):
     """Raised when a prediction references no record in the dataset."""
+
+    def __init__(self, record_id: str) -> None:
+        super().__init__(f"prediction for unknown record {record_id!r}")
+        self.record_id = record_id
 
 
 def fold_label(label: str, mode: MatchingMode) -> str:
@@ -283,40 +287,17 @@ class ScoreReport:
     per_record_fitness: dict[str, float] = field(default_factory=dict, hash=False)
 
 
-def _classification_golds_preds(
-    records: list[TaskRecord],
-    by_id: dict[str, Prediction],
-    mode: MatchingMode,
-) -> tuple[list[str], list[str | None]]:
-    """Gold and predicted classes; None marks a missing or unparseable answer.
-
-    A missing prediction is read as empty text.
-    """
-    golds: list[str] = []
-    preds: list[str | None] = []
-    for record in records:
-        prediction = by_id.get(record.record_id)
-        text = prediction.raw_text if prediction is not None else ""
-        if record.task is Task.SNAP:
-            golds.append(fold_label(record.next_activity, mode))
-            preds.append(fold_label(text, mode) or None)
-        else:
-            golds.append(record.label or "")
-            preds.append(parse_binary_label(text))
-    return golds, preds
-
-
 def score_dataset(
     records: list[TaskRecord],
-    predictions: list[Prediction],
+    predictions: Mapping[str, str],
     mode: MatchingMode = MatchingMode.CASE_INSENSITIVE,
     include_diagonal: bool = True,
 ) -> ScoreReport:
-    """Score one task's records against a prediction list.
+    """Score one task's records against each record id's prediction text.
 
     Records without a prediction count as parse failures (macro F1 treats
     them as unclassified; fitness tasks score them 0). Predictions for
-    unknown record ids are rejected.
+    unknown record ids are rejected, naming the first in map order.
     """
     if not records:
         raise ValueError("no records to score")
@@ -324,16 +305,28 @@ def score_dataset(
     if len(tasks) != 1:
         raise ValueError(f"records span multiple tasks: {sorted(t.value for t in tasks)}")
     task = tasks.pop()
-    known = {r.record_id for r in records}
-    by_id: dict[str, Prediction] = {}
-    for p in predictions:
-        if p.record_id not in known:
-            raise UnknownRecordError(f"prediction for unknown record {p.record_id!r}")
-        by_id[p.record_id] = p
-    n_missing = sum(1 for r in records if r.record_id not in by_id)
+    answered = sum(r.record_id in predictions for r in records)
+    # With as many records answered as there are predictions and no record
+    # id repeated, as in records in id order, each prediction has a record.
+    if answered != len(predictions) or any(
+        a.record_id >= b.record_id for a, b in pairwise(records)
+    ):
+        known = {r.record_id for r in records}
+        unknown = next((i for i in predictions if i not in known), None)
+        if unknown is not None:
+            raise UnknownRecordError(unknown)
+    n_missing = len(records) - answered
 
     if task in CLASSIFICATION_TASKS or task is Task.SNAP:
-        golds, preds = _classification_golds_preds(records, by_id, mode)
+        # A missing prediction is read as empty text; a None class marks a
+        # missing or unparseable answer.
+        texts = (predictions.get(r.record_id, "") for r in records)
+        if task is Task.SNAP:
+            golds = [fold_label(r.next_activity, mode) for r in records]
+            preds = [fold_label(text, mode) or None for text in texts]
+        else:
+            golds = [r.label or "" for r in records]
+            preds = list(map(parse_binary_label, texts))
         universe = list(BINARY_CLASSES) if task in CLASSIFICATION_TASKS else None
         class_scores = per_class_f1(golds, preds, universe)
         return ScoreReport(
@@ -349,8 +342,8 @@ def score_dataset(
 
     scorer = score_sdfd if task is Task.SDFD else score_sptd
     record_scores = [
-        scorer(r, by_id[r.record_id].raw_text, mode, include_diagonal)
-        if r.record_id in by_id
+        scorer(r, predictions[r.record_id], mode, include_diagonal)
+        if r.record_id in predictions
         else RecordScore(record_id=r.record_id, fitness=0.0, parse_failure=True)
         for r in records
     ]
@@ -373,10 +366,10 @@ def score_dataset(
 
 def random_classification_baseline(
     records: list[TaskRecord], seed: int
-) -> list[Prediction]:
+) -> dict[str, str]:
     """Uniform class draw per record; next-activity draws from the record's
     own activity set."""
-    predictions: list[Prediction] = []
+    predictions: dict[str, str] = {}
     for record in records:
         rng = model_rng(seed, "baseline", record.task.value, record.record_id)
         if record.task in CLASSIFICATION_TASKS:
@@ -385,7 +378,7 @@ def random_classification_baseline(
             text = rng.choice(sorted(record.activity_set))
         else:
             raise ValueError(f"random_class does not apply to task {record.task.value}")
-        predictions.append(Prediction(record_id=record.record_id, raw_text=text))
+        predictions[record.record_id] = text
     return predictions
 
 
@@ -403,14 +396,14 @@ def random_footprint(activity_set: frozenset[Activity] | tuple[Activity, ...], r
 
 def random_footprint_predictions(
     records: list[TaskRecord], seed: int
-) -> list[Prediction]:
+) -> dict[str, str]:
     """Edge-line predictions realizing one random footprint per record.
 
     Only DFG-generation records can be answered this way; for tree records
     score the equivalent DFG dataset of the same corpus (gold footprints
     coincide model for model).
     """
-    predictions: list[Prediction] = []
+    predictions: dict[str, str] = {}
     for record in records:
         if record.task is not Task.SDFD:
             raise ValueError(
@@ -420,11 +413,7 @@ def random_footprint_predictions(
             )
         rng = model_rng(seed, "baseline", record.task.value, record.record_id)
         edges = random_footprint(record.activity_set, rng).edges
-        predictions.append(
-            Prediction(
-                record_id=record.record_id, raw_text=render_dfg_edges(tuple(edges))
-            )
-        )
+        predictions[record.record_id] = render_dfg_edges(tuple(edges))
     return predictions
 
 

@@ -2,7 +2,7 @@
 
 One JSON object per line throughout; writers emit keys in a fixed order and
 rows in a canonical sort so identical inputs produce identical bytes. Dataset
-and sequence rows are written in the order given, which must be id order.
+and sequence rows are written, and datasets read, only in id order.
 Every value written is a string, a list of strings or a list of string lists,
 so each row is spelled straight from its fields, with the string quoting of
 the stdlib `json` encoder, into the bytes it gives with `ensure_ascii=False`.
@@ -19,14 +19,13 @@ from contextlib import suppress
 from json.encoder import encode_basestring as _quote
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping
 
 from .core import ProcessModel, tree_labels
 from .promptgen import FtExample, PromptBundle
 from .taskgen import (
     LABEL_ANOMALOUS,
     LABEL_VALID,
-    Prediction,
     Rejection,
     RejectionReason,
     Split,
@@ -37,10 +36,11 @@ from .tree_dsl import TreeSyntaxError, parse_tree, render_tree
 
 
 class FileFormatError(ValueError):
-    """Raised for unreadable lines; carries the path and line number."""
+    """Raised for unreadable lines; carries the path and line number, if known."""
 
-    def __init__(self, path: str | Path, line_number: int, reason: str) -> None:
-        super().__init__(f"{path}:{line_number}: {reason}")
+    def __init__(self, path: str | Path, line_number: int | None, reason: str) -> None:
+        where = path if line_number is None else f"{path}:{line_number}"
+        super().__init__(f"{where}: {reason}")
         self.path = str(path)
         self.line_number = line_number
         self.reason = reason
@@ -145,14 +145,37 @@ def _require_str(obj: dict[str, Any], key: str, path: str | Path, line_number: i
     return value
 
 
-def _check_new_id(
-    seen: dict[str, int], key: str, value: str, path: str | Path, line_number: int
-) -> None:
-    """Note where the id `value` of field `key` first appears; a repeat is an error."""
-    first = seen.setdefault(value, line_number)
-    if first != line_number:
-        reason = f"duplicate {key} {value!r} (first on line {first})"
-        raise FileFormatError(path, line_number, reason)
+def first_line(path: str | Path, key: str, value: str) -> int | None:
+    """The line of the first row whose field `key` is `value`, from reading
+    the file again on an error path; None if it cannot be, as for a pipe."""
+    if not os.path.isfile(path):
+        return None
+    return next((n for n, obj in _read_objects(path) if obj.get(key) == value), None)
+
+
+def _read_id_map(
+    path: str | Path, key: str, field: str, convert: Callable[[str], Any]
+) -> dict[str, Any]:
+    """Each row's string `field`, through `convert`, under the row's string
+    id `key`, in file order; no two rows share an id, and a value `convert`
+    refuses with a ValueError is unknown."""
+    values: dict[str, Any] = {}
+    for line_number, obj in _read_objects(path):
+        row_id = _require_str(obj, key, path, line_number)
+        if row_id in values:
+            first = first_line(path, key, row_id)
+            where = "" if first is None else f" (first on line {first})"
+            raise FileFormatError(path, line_number, f"duplicate {key} {row_id!r}{where}")
+        value = _require_str(obj, field, path, line_number)
+        try:
+            values[row_id] = convert(value)
+        except ValueError:
+            raise FileFormatError(path, line_number, f"unknown {field} {value!r}") from None
+    return values
+
+
+# The rule of every file whose rows are in id order, as (kind, id, previous id).
+_OUT_OF_ORDER = "{} {!r} follows {!r}; ids must increase"
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +319,21 @@ def obj_to_record(
 
 
 def read_dataset(path: str | Path) -> list[TaskRecord]:
-    """The records of a dataset file; all of its rows belong to one task,
-    and no two share a `record_id`. Equal field values and model ids of
-    different rows are one shared object."""
+    """The records of a dataset file; all of its rows belong to one task, and
+    each `record_id` is greater than the one before it, as `write_dataset`
+    writes them. Equal field values and model ids of rows are one object."""
     records: list[TaskRecord] = []
-    ids: dict[str, int] = {}
     shared: defaultdict[str, dict[Any, Any]] = defaultdict(dict)
     for n, obj in _read_objects(path):
         record = obj_to_record(obj, path, n, shared)
-        if records and record.task is not records[0].task:
-            reason = f"{record.task.value} row in a {records[0].task.value} dataset"
-            raise FileFormatError(path, n, reason)
-        _check_new_id(ids, "record_id", record.record_id, path, n)
+        if records:
+            last = records[-1]
+            if record.task is not last.task:
+                reason = f"{record.task.value} row in a {last.task.value} dataset"
+                raise FileFormatError(path, n, reason)
+            if record.record_id <= last.record_id:
+                reason = _OUT_OF_ORDER.format("record", record.record_id, last.record_id)
+                raise FileFormatError(path, n, reason)
         records.append(record)
     return records
 
@@ -326,7 +352,7 @@ def _in_id_order(items: Iterable[Any], kind: str, id_of: Callable[[Any], str]) -
     for item in items:
         current = id_of(item)
         if previous is not None and current <= previous:
-            raise ValueError(f"{kind} {current!r} follows {previous!r}; ids must increase")
+            raise ValueError(_OUT_OF_ORDER.format(kind, current, previous))
         previous = current
         yield item
 
@@ -413,17 +439,7 @@ def write_sequences(path: str | Path, models: Iterable[ProcessModel]) -> None:
 
 def read_split(path: str | Path) -> dict[str, Split]:
     """The split of each model; no two rows name the same model."""
-    assignment: dict[str, Split] = {}
-    seen: dict[str, int] = {}
-    for line_number, obj in _read_objects(path):
-        model_id = _require_str(obj, "model_id", path, line_number)
-        _check_new_id(seen, "model_id", model_id, path, line_number)
-        raw = _require_str(obj, "split", path, line_number)
-        try:
-            assignment[model_id] = Split(raw)
-        except ValueError:
-            raise FileFormatError(path, line_number, f"unknown split {raw!r}") from None
-    return assignment
+    return _read_id_map(path, "model_id", "split", Split)
 
 
 def write_split(path: str | Path, mapping: dict[str, Split]) -> None:
@@ -457,22 +473,15 @@ def write_ft_examples(path: str | Path, examples: Iterable[FtExample]) -> None:
 # Prediction files: {"record_id", "prediction"}
 
 
-def read_predictions(path: str | Path) -> list[Prediction]:
-    """The predictions of a file; no two share a `record_id`. Equal
-    prediction texts of different rows are one shared string."""
-    predictions: list[Prediction] = []
-    ids: dict[str, int] = {}
+def read_predictions(path: str | Path) -> dict[str, str]:
+    """Each record id's prediction text, in file order, which may be any; no
+    two rows share a `record_id`. Equal texts are one shared string."""
     texts: dict[str, str] = {}
-    for line_number, obj in _read_objects(path):
-        record_id = _require_str(obj, "record_id", path, line_number)
-        _check_new_id(ids, "record_id", record_id, path, line_number)
-        text = _require_str(obj, "prediction", path, line_number)
-        predictions.append(Prediction(record_id=record_id, raw_text=texts.setdefault(text, text)))
-    return predictions
+    return _read_id_map(path, "record_id", "prediction", lambda t: texts.setdefault(t, t))
 
 
-def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> None:
+def write_predictions(path: str | Path, predictions: Mapping[str, str]) -> None:
     _write_text(path, (
-        _row(record_id=_quote(p.record_id), prediction=_quote(p.raw_text))
-        for p in sorted(predictions, key=_BY_RECORD_ID)
+        _row(record_id=_quote(record_id), prediction=_quote(predictions[record_id]))
+        for record_id in sorted(predictions)
     ))

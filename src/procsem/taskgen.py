@@ -78,14 +78,6 @@ class TaskRecord:
     tree_text: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Prediction:
-    """A model's raw answer to the record with the same id."""
-
-    record_id: str
-    raw_text: str
-
-
 def model_rng(seed: int, *parts: str) -> random.Random:
     """Deterministic per-model random stream, independent of batch order."""
     key = ":".join([str(seed), *parts])
@@ -134,8 +126,8 @@ def validate_corpus(
     A row rejected upstream is passed through in its place, and its id
     counts as seen. Rejections keep row order, and each carries its row's
     `line`; a duplicate id's detail names the first line of that id when
-    it is known. An admitted model is its row itself, not a copy, and a
-    corpus row holds no language.
+    it is known. An admitted model is its row itself, not a copy, keeping
+    the activity set read here; a corpus row holds no language.
     """
     admitted: list[ProcessModel] = []
     rejected: list[Rejection] = []
@@ -183,6 +175,8 @@ def validate_corpus(
             reject(entry, RejectionReason.DUPLICATE_ACTIVITY_SET)
             continue
         seen_activity_sets.add(activity_set)
+        # Keep the set walked here as the model's cached `activity_set`.
+        vars(entry)["activity_set"] = activity_set
         admitted.append(entry)
     return ValidationReport(admitted=tuple(admitted), rejected=tuple(rejected))
 

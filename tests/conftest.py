@@ -566,8 +566,8 @@ def oracle_ft_line(example) -> str:
     return json.dumps(obj, ensure_ascii=False) + "\n"
 
 
-def oracle_prediction_line(prediction) -> str:
-    obj = {"record_id": prediction.record_id, "prediction": prediction.raw_text}
+def oracle_prediction_line(record_id: str, text: str) -> str:
+    obj = {"record_id": record_id, "prediction": text}
     return json.dumps(obj, ensure_ascii=False) + "\n"
 
 

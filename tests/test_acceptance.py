@@ -18,7 +18,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from procsem import (
     LABEL_ANOMALOUS,
     LABEL_VALID,
-    Prediction,
     ProcessModel,
     Relation,
     Split,

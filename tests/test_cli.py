@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from hypothesis import given, settings
 import procsem
 from procsem import (
     MatchingMode,
-    Prediction,
     ProcessModel,
     Task,
     answer_text,
@@ -171,10 +171,7 @@ class TestPipeline:
             dataset = f"{ws['data']}/{name}.jsonl"
             records = read_dataset(dataset)
             preds = str(tmp_path / f"self_{name}.jsonl")
-            write_predictions(
-                preds,
-                [Prediction(r.record_id, answer_text(r)) for r in records],
-            )
+            write_predictions(preds, {r.record_id: answer_text(r) for r in records})
             code, summary, _ = run(
                 ["score", "--dataset", dataset, "--predictions", preds]
             )
@@ -323,8 +320,7 @@ def test_wide_outputs_match_golden_digests(tmp_path, monkeypatch):
     step("score_sdfd.stdout", ["score", "--dataset", "data/sdfd.jsonl",
                                "--predictions", "pred_sdfd.jsonl"])
     write_predictions(
-        "pred_sptd.jsonl",
-        [Prediction(r.record_id, r.tree_text) for r in read_dataset("data/sptd.jsonl")],
+        "pred_sptd.jsonl", {r.record_id: r.tree_text for r in read_dataset("data/sptd.jsonl")}
     )
     step("score_sptd.stdout", ["score", "--dataset", "data/sptd.jsonl",
                                "--predictions", "pred_sptd.jsonl"])
@@ -850,13 +846,27 @@ class TestFailureModes:
 
     def test_unknown_prediction_id_is_fatal(self, ws, tmp_path):
         preds = str(tmp_path / "bogus.jsonl")
-        write_predictions(preds, [Prediction("no-such-record", "Valid")])
-        code, _, err = run(
+        known = read_dataset(f"{ws['data']}/tsad.jsonl")[0].record_id
+        write_predictions(preds, {known: "Valid", "zzz": "Valid"})
+        code, summary, err = run(
             ["score", "--dataset", f"{ws['data']}/tsad.jsonl",
              "--predictions", preds]
         )
         assert code == EXIT_FATAL
-        assert "unknown record" in err
+        assert summary is None
+        assert err == f"procsem: error: {preds}:2: prediction for unknown record 'zzz'\n"
+
+    def test_unknown_prediction_id_in_a_pipe_names_the_file(self, ws, tmp_path):
+        # A pipe cannot be read again to find the row, so its line goes unnamed.
+        preds = tmp_path / "bogus.fifo"
+        os.mkfifo(preds)
+        row = json.dumps({"record_id": "zzz", "prediction": "Valid"}) + "\n"
+        threading.Thread(target=lambda: preds.write_text(row, "utf-8"), daemon=True).start()
+        code, _, err = run(
+            ["score", "--dataset", f"{ws['data']}/tsad.jsonl", "--predictions", str(preds)]
+        )
+        assert code == EXIT_FATAL
+        assert err == f"procsem: error: {preds}: prediction for unknown record 'zzz'\n"
 
     def test_footprint_baseline_rejects_tree_dataset(self, ws, tmp_path):
         code, _, err = run(
@@ -984,7 +994,7 @@ class TestFailureModes:
         dataset = tmp_path / "sptd.jsonl"
         dataset.write_text(json.dumps(row) + "\n", encoding="utf-8")
         preds = tmp_path / "preds.jsonl"
-        write_predictions(preds, [Prediction("m:sptd:00000", "->('b', 'a')")])
+        write_predictions(preds, {"m:sptd:00000": "->('b', 'a')"})
         code, summary, err = run(
             ["score", "--dataset", str(dataset), "--predictions", str(preds), "--per-record"]
         )
@@ -1042,8 +1052,8 @@ class TestFailureModes:
         record_id = json.loads(lines[1])["record_id"]
         assert code == EXIT_FATAL
         assert err == (
-            f"procsem: error: {dataset}:4: duplicate record_id "
-            f"{record_id!r} (first on line 2)\n"
+            f"procsem: error: {dataset}:4: record {record_id!r} follows "
+            f"{json.loads(lines[2])['record_id']!r}; ids must increase\n"
         )
 
     @pytest.mark.parametrize(
@@ -1201,7 +1211,7 @@ def test_a_tree_at_the_depth_limit_passes_every_stage(tmp_path):
     for answer, fitness, failures in ((deep, 1.0, 0), (deeper, 0.0, 1)):
         write_predictions(
             preds,
-            [Prediction("deep:sptd:00000", answer), Prediction("shallow:sptd:00000", deep)],
+            {"deep:sptd:00000": answer, "shallow:sptd:00000": deep},
         )
         code, summary, err = run(
             ["score", "--dataset", sptd, "--predictions", str(preds), "--per-record"]

@@ -12,7 +12,6 @@ from procsem import (
     LABEL_VALID,
     LanguageTooLargeError,
     MatchingMode,
-    Prediction,
     Relation,
     Task,
     TaskRecord,
@@ -354,7 +353,7 @@ class TestScoreSptd:
         huge = "+(" + ", ".join(f"'x{i}'" for i in range(12)) + ")"
         report = score_dataset(
             records,
-            [Prediction("m:sptd:00000", huge), Prediction("n:sptd:00000", "->('a',")],
+            {"m:sptd:00000": huge, "n:sptd:00000": "->('a',"},
         )
         assert report.n_parse_failures == 1
         assert report.per_record_fitness == {"m:sptd:00000": 0.5, "n:sptd:00000": 0.0}
@@ -469,30 +468,56 @@ def snap_records():
 
 class TestScoreDataset:
     def test_self_predictions_score_one_snap(self, snap_records):
-        predictions = [
-            Prediction(r.record_id, r.next_activity) for r in snap_records
-        ]
+        predictions = {r.record_id: r.next_activity for r in snap_records}
         report = score_dataset(snap_records, predictions)
         assert report.value == 1.0
         assert report.metric_name == "macro_f1"
         assert report.n_parse_failures == 0
 
     def test_missing_predictions_counted(self, snap_records):
-        predictions = [
-            Prediction(r.record_id, r.next_activity) for r in snap_records[:-3]
-        ]
+        predictions = {r.record_id: r.next_activity for r in snap_records[:-3]}
         report = score_dataset(snap_records, predictions)
         assert report.n_missing_predictions == 3
         assert report.n_parse_failures == 3
 
     def test_unknown_record_rejected(self, snap_records):
-        with pytest.raises(UnknownRecordError):
-            score_dataset(snap_records, [Prediction("nope", "x")])
+        with pytest.raises(UnknownRecordError) as exc_info:
+            score_dataset(snap_records, {"nope": "x"})
+        assert str(exc_info.value) == "prediction for unknown record 'nope'"
+        assert exc_info.value.record_id == "nope"
+
+    @pytest.mark.parametrize("order", ["in_order", "reversed"])
+    def test_first_unknown_record_is_named(self, snap_records, order):
+        # The first unknown id in map order is named, whatever the order of
+        # the records.
+        records = snap_records if order == "in_order" else snap_records[::-1]
+        predictions = {
+            snap_records[0].record_id: "x", "zz": "x", snap_records[1].record_id: "x", "aa": "x"
+        }
+        with pytest.raises(UnknownRecordError, match="'zz'"):
+            score_dataset(records, predictions)
+
+    def test_repeated_record_ids_are_each_scored(self, snap_records):
+        # A records list that repeats an id scores each occurrence, and a
+        # repeat does not hide a prediction for an unknown record: the
+        # records answered (2) then number as many as the predictions.
+        first, second = snap_records[:2]
+        records = [first, first, second]
+        right, wrong = first.next_activity, "no such activity"
+        report = score_dataset(records, {first.record_id: right})
+        assert (report.n_records, report.n_missing_predictions) == (3, 1)
+        assert (report.value, report.n_parse_failures) == (0.5, 1)
+        with pytest.raises(UnknownRecordError, match="'zz'"):
+            score_dataset(records, {first.record_id: right, "zz": wrong})
+        sdfd = [sdfd_record({("a", "b")}, "ab", "m:sdfd:00000")] * 2
+        report = score_dataset(sdfd, {"m:sdfd:00000": "'a' -> 'b'"})
+        assert (report.n_records, report.value, report.n_missing_predictions) == (2, 1.0, 0)
+        assert report.per_record_fitness == {"m:sdfd:00000": 1.0}
 
     def test_mixed_tasks_rejected(self, snap_records):
         other = sdfd_record({("a", "b")}, "ab")
         with pytest.raises(ValueError):
-            score_dataset([*snap_records, other], [])
+            score_dataset([*snap_records, other], {})
 
     def test_binary_universe_is_fixed(self):
         records = [
@@ -506,7 +531,7 @@ class TestScoreDataset:
             )
             for i in range(4)
         ]
-        predictions = [Prediction(r.record_id, "Valid") for r in records]
+        predictions = {r.record_id: "Valid" for r in records}
         report = score_dataset(records, predictions)
         assert set(report.per_class_f1) == {V, A}
         assert report.value == 0.5  # perfect V, empty A class contributes 0
@@ -516,10 +541,7 @@ class TestScoreDataset:
             sdfd_record({("a", "b"), ("b", "c")}, "abc", "m:sdfd:00000"),
             sdfd_record({("a", "b")}, "ab", "m2:sdfd:00000"),
         ]
-        predictions = [
-            Prediction("m:sdfd:00000", "'a' -> 'b'"),
-            Prediction("m2:sdfd:00000", "garbage"),
-        ]
+        predictions = {"m:sdfd:00000": "'a' -> 'b'", "m2:sdfd:00000": "garbage"}
         report = score_dataset(records, predictions)
         assert report.metric_name == "mean_footprint_fitness"
         assert report.value == pytest.approx((7 / 9 + 0.0) / 2)
@@ -533,7 +555,7 @@ def test_scoring_builds_no_footprint(monkeypatch):
     sdfd = [gen_sdfd(m) for m in admitted]
     sptd = [gen_sptd(m) for m in admitted]
     sdfd_preds = random_footprint_predictions(sdfd, seed=4)
-    sptd_preds = [Prediction(r.record_id, answer_text(r)) for r in sptd]
+    sptd_preds = {r.record_id: answer_text(r) for r in sptd}
 
     def refuse(dfg):
         raise AssertionError("scoring built a footprint")
@@ -572,7 +594,7 @@ class TestRandomBaselines:
             )
             for i in range(200)
         ]
-        texts = {p.raw_text for p in random_classification_baseline(records, seed=3)}
+        texts = set(random_classification_baseline(records, seed=3).values())
         assert texts == {V, A}
 
     def test_snap_draws_from_record_activity_set(self):
@@ -588,7 +610,8 @@ class TestRandomBaselines:
             for i in range(100)
         ]
         predictions = random_classification_baseline(records, seed=3)
-        assert {p.raw_text for p in predictions} <= {"x", "y", "z"}
+        assert list(predictions) == [r.record_id for r in records]
+        assert set(predictions.values()) <= {"x", "y", "z"}
 
     def test_baseline_rejects_generation_tasks(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,6 @@ from procsem import (
     FileFormatError,
     FtExample,
     Leaf,
-    Prediction,
     ProcessModel,
     PromptBundle,
     Split,
@@ -34,6 +33,7 @@ from procsem import (
     played_out,
     playout,
     read_dataset,
+    read_predictions,
     render_tree,
     write_corpus,
     write_dataset,
@@ -228,10 +228,51 @@ def test_ft_rows_match_json_dumps(examples):
 
 
 @settings(deadline=None)
-@given(st.lists(st.builds(Prediction, text, text), max_size=5))
+@given(st.dictionaries(text, text, max_size=5))
 def test_prediction_rows_match_json_dumps(predictions):
-    expected = _expected(oracle_prediction_line, predictions, attrgetter("record_id"))
-    assert _written(write_predictions, predictions) == expected
+    expected = "".join(oracle_prediction_line(i, predictions[i]) for i in sorted(predictions))
+    assert _written(write_predictions, predictions) == expected.encode("utf-8")
+
+
+@settings(deadline=None)
+@given(st.dictionaries(text, st.sampled_from(["Valid", "x\u2028", ""]) | text, max_size=6))
+def test_prediction_maps_round_trip(predictions):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "predictions.jsonl"
+        write_predictions(path, predictions)
+        read = read_predictions(path)
+    assert read == predictions
+    assert list(read) == sorted(predictions)
+    held: dict[str, str] = {}
+    assert all(held.setdefault(t, t) is t for t in read.values())
+
+
+def test_prediction_rows_may_come_in_any_order(tmp_path):
+    path = tmp_path / "predictions.jsonl"
+    path.write_text(
+        oracle_prediction_line("b", "Valid") + oracle_prediction_line("a", "Valid"),
+        encoding="utf-8",
+    )
+    read = read_predictions(path)
+    assert list(read.items()) == [("b", "Valid"), ("a", "Valid")]
+    assert read["a"] is read["b"]
+
+
+@pytest.mark.parametrize("pipe, first", [(False, " (first on line 1)"), (True, "")],
+                         ids=["file", "pipe"])
+def test_repeated_prediction_names_its_first_line(tmp_path, pipe, first):
+    # A pipe cannot be read again to find the first row, so that goes unnamed.
+    path = tmp_path / "predictions.jsonl"
+    rows = [("a", "Valid"), ("b", "Valid"), ("a", "Anomalous")]
+    text = "".join(oracle_prediction_line(*row) for row in rows)
+    if pipe:
+        os.mkfifo(path)
+        threading.Thread(target=lambda: path.write_text(text, "utf-8"), daemon=True).start()
+    else:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(FileFormatError) as exc_info:
+        read_predictions(path)
+    assert str(exc_info.value) == f"{path}:3: duplicate record_id 'a'{first}"
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +466,67 @@ def test_record_ids_out_of_order_are_not_written(tmp_path, ids):
     assert [p.name for p in tmp_path.iterdir()] == ["tsad.jsonl"]
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    tasks.flatmap(lambda task: st.lists(consistent_records(task), max_size=5)),
+    st.lists(st.sampled_from(["r1", "r2", "r3", "r4"]), min_size=5, max_size=5),
+)
+def test_dataset_order_is_read_as_it_is_written(records, ids):
+    # Few ids, so that rows often come out of order or repeat an id. What
+    # `write_dataset` accepts comes back equal and in order; what it refuses,
+    # spelled row by row as given, `read_dataset` refuses for the same reason
+    # at the first row out of order.
+    records = [replace(r, record_id=i) for r, i in zip(records, ids)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        try:
+            write_dataset(path, records)
+        except ValueError as exc:
+            path.write_text("".join(map(oracle_record_line, records)), encoding="utf-8")
+            line = next(
+                n for n in range(2, len(records) + 1)
+                if records[n - 1].record_id <= records[n - 2].record_id
+            )
+            with pytest.raises(FileFormatError) as exc_info:
+                read_dataset(path)
+            assert str(exc_info.value) == f"{path}:{line}: {exc}"
+        else:
+            assert read_dataset(path) == records
+
+
+@pytest.mark.parametrize(
+    "shuffle, line, ids",
+    [
+        # The fourth row moved up to the second: the old second row follows it.
+        (lambda rows: rows.insert(1, rows.pop(3)), 3, ("m1:tsad:00001", "m1:tsad:00003")),
+        # The second row written again after the third.
+        (lambda rows: rows.insert(3, rows[1]), 4, ("m1:tsad:00001", "m1:tsad:00002")),
+    ],
+    ids=["moved", "repeated"],
+)
+def test_a_moved_or_repeated_row_names_both_ids(tmp_path, shuffle, line, ids):
+    records = gen_tsad(playout(parse_tree("->('a', X('b', 'c'), 'd')"), model_id="m1"), seed=3)
+    path = tmp_path / "tsad.jsonl"
+    write_dataset(path, records)
+    rows = path.read_text("utf-8").splitlines(keepends=True)
+    shuffle(rows)
+    path.write_text("".join(rows), encoding="utf-8")
+    with pytest.raises(FileFormatError) as exc_info:
+        read_dataset(path)
+    assert str(exc_info.value) == (
+        f"{path}:{line}: record {ids[0]!r} follows {ids[1]!r}; ids must increase"
+    )
+
+
 def test_write_through_a_symlink_updates_its_target(tmp_path):
     target = tmp_path / "predictions.jsonl"
     target.write_bytes(b"old\n")
     target.chmod(0o640)
     link = tmp_path / "link.jsonl"
     link.symlink_to(target)
-    prediction = Prediction("r1", "a -> b")
-    write_predictions(link, [prediction])
+    write_predictions(link, {"r1": "a -> b"})
     assert link.is_symlink()
-    assert target.read_bytes() == oracle_prediction_line(prediction).encode("utf-8")
+    assert target.read_bytes() == oracle_prediction_line("r1", "a -> b").encode("utf-8")
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "predictions.jsonl"]
 
@@ -447,9 +539,8 @@ def test_write_to_a_fifo_goes_through_it_in_place(tmp_path):
     # instead of hanging the run.
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
     reader.start()
-    prediction = Prediction("r1", "Valid")
-    write_predictions(fifo, [prediction])
+    write_predictions(fifo, {"r1": "Valid"})
     reader.join(timeout=10)
-    assert received == [oracle_prediction_line(prediction).encode("utf-8")]
+    assert received == [oracle_prediction_line("r1", "Valid").encode("utf-8")]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert [p.name for p in tmp_path.iterdir()] == ["predictions.fifo"]

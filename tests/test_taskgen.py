@@ -546,13 +546,19 @@ class TestTreeWalks:
         assert fold_calls() == before + 1
         assert len(played.sequences) == 2
 
-    def test_split_folds_each_tree_at_most_twice(self, fold_calls):
+    def test_split_folds_each_admitted_tree_once(self, fold_calls):
         corpus = synth_corpus(n_models=60, seed=5, max_sequences=512)
         admitted = validate_corpus(corpus, max_sequences=512).admitted
         before = fold_calls()
         split_corpus(admitted)
-        # Once for its activity set, once for its play-out.
-        assert fold_calls() - before <= 2 * len(admitted)
+        # For its play-out alone: admission kept the activity set it read.
+        assert fold_calls() - before == len(admitted)
+
+    def test_admission_keeps_the_activity_set_it_read(self, fold_calls):
+        model = admit_one(parse_tree(M1_TREE_TEXT), "m1")
+        before = fold_calls()
+        assert model.activity_set == frozenset(tree_labels(model.tree))
+        assert fold_calls() == before + 1  # the oracle's walk alone
 
 
 def _played_corpus(trees) -> list:
