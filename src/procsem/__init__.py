@@ -46,6 +46,7 @@ from .evaluation import (
 )
 from .fileio import (
     FileFormatError,
+    iter_dataset,
     read_corpus,
     read_dataset,
     read_predictions,

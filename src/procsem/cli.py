@@ -16,9 +16,9 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import chain
+from math import fsum
 from pathlib import Path
-from statistics import fmean, median
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .core import ProcessModel, Trace
 from .evaluation import (
@@ -32,6 +32,7 @@ from .evaluation import (
 from .fileio import (
     FileFormatError,
     first_line,
+    iter_dataset,
     join_files,
     read_corpus,
     read_dataset,
@@ -216,12 +217,30 @@ def _validated(corpus_path: str, max_sequences: int) -> ValidationReport:
     return validate_corpus(read_corpus(corpus_path), max_sequences)
 
 
-def _read_task_dataset(path: str) -> tuple[Task, list[TaskRecord]]:
-    """The records of a non-empty dataset file, and the task they all share."""
-    records = read_dataset(path)
-    if not records:
+def _task_records(path: str, records: Iterable[TaskRecord]) -> tuple[Task, Iterator[TaskRecord]]:
+    """The task that the records of a dataset file all share, read off the
+    first, and the records; a file with none is an error."""
+    records = iter(records)
+    first = next(records, None)
+    if first is None:
         raise ValueError(f"{path}: dataset is empty")
-    return records[0].task, records
+    return first.task, chain([first], records)
+
+
+def _with_splits(
+    records: Iterable[TaskRecord], assignment: dict[str, Split], split_path: str
+) -> Iterator[tuple[TaskRecord, Split]]:
+    """Each record with its model's split. The models the split file leaves
+    out are an error after the last record, naming the first five."""
+    missing: set[str] = set()
+    for record in records:
+        split = assignment.get(record.model_id)
+        if split is None:
+            missing.add(record.model_id)
+        else:
+            yield record, split
+    if missing:
+        raise ValueError(f"{split_path}: models missing from split file: {sorted(missing)[:5]}")
 
 
 def _rejection_counts(report: ValidationReport) -> dict[str, int]:
@@ -304,11 +323,13 @@ def cmd_playout(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
 def _spread(counts: list[int]) -> dict[str, float]:
     if not counts:
         return {"avg": 0, "median": 0, "min": 0, "max": 0}
+    ordered = sorted(counts)
+    half = len(ordered) // 2
     return {
-        "avg": round(fmean(counts), 2),
-        "median": median(counts),
-        "min": min(counts),
-        "max": max(counts),
+        "avg": round(fsum(ordered) / len(ordered), 2),
+        "median": ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2,
+        "min": ordered[0],
+        "max": ordered[-1],
     }
 
 
@@ -392,40 +413,47 @@ def cmd_split(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
 
 
 def cmd_prompts(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
-    task, records = _read_task_dataset(args.dataset)
+    # ICL keeps nearly every record, in its shot pool and its queries, so it
+    # takes the dataset as one list; fine-tuning pairs are rendered as the
+    # records are read.
+    dataset = read_dataset if args.mode == "icl" else iter_dataset
+    task, records = _task_records(args.dataset, dataset(args.dataset))
     assignment = read_split(args.split)
-    missing = sorted({r.model_id for r in records} - set(assignment))
-    if missing:
-        raise ValueError(f"{args.split}: models missing from split file: {missing[:5]}")
-    templates = load_templates(task, args.templates_dir)
-    shots = config.shots if config.shots is not None else default_shots(task)
+    with_splits = _with_splits(records, assignment, args.split)
     query_split = Split(args.query_split)
     if args.mode == "ft":
-        examples = [
-            render_ft(task, r, templates)
-            for r in records
-            if assignment[r.model_id] is query_split
-        ]
-        write_ft_examples(args.out, examples)
+        templates = load_templates(task, args.templates_dir)
+        examples = write_ft_examples(args.out, (
+            render_ft(task, record, templates)
+            for record, split in with_splits
+            if split is query_split
+        ))
         return {
             "command": "prompts",
             "mode": "ft",
             "task": task.value,
-            "examples": len(examples),
+            "examples": examples,
             "query_split": query_split.value,
             "out": args.out,
         }
-    pool = ShotPool(r for r in records if assignment[r.model_id] is Split.TRAIN)
-    queries = [r for r in records if assignment[r.model_id] is query_split]
-    bundles = [
-        render_icl(task, q, pool, shots, config.seed, templates) for q in queries
-    ]
-    write_icl_prompts(args.out, bundles)
+    train: list[TaskRecord] = []
+    queries: list[TaskRecord] = []
+    for record, split in with_splits:
+        if split is Split.TRAIN:
+            train.append(record)
+        if split is query_split:
+            queries.append(record)
+    pool = ShotPool(train)
+    templates = load_templates(task, args.templates_dir)
+    shots = config.shots if config.shots is not None else default_shots(task)
+    prompts = write_icl_prompts(args.out, (
+        render_icl(task, query, pool, shots, config.seed, templates) for query in queries
+    ))
     return {
         "command": "prompts",
         "mode": "icl",
         "task": task.value,
-        "prompts": len(bundles),
+        "prompts": prompts,
         "shots": shots,
         "query_split": query_split.value,
         "out": args.out,
@@ -433,24 +461,26 @@ def cmd_prompts(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
 
 
 def cmd_baseline(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
-    task, records = _read_task_dataset(args.dataset)
+    task, records = _task_records(args.dataset, iter_dataset(args.dataset))
     if args.kind == "random_class":
         predictions = random_classification_baseline(records, config.seed)
     else:
         predictions = random_footprint_predictions(records, config.seed)
-    write_predictions(args.out, predictions)
     return {
         "command": "baseline",
         "kind": args.kind,
         "task": task.value,
-        "predictions": len(predictions),
+        "predictions": write_predictions(args.out, predictions),
         "out": args.out,
     }
 
 
 def cmd_score(args: argparse.Namespace, config: RunConfig) -> dict[str, Any]:
-    _, records = _read_task_dataset(args.dataset)
+    # Both files are opened before either is read, so one that cannot be
+    # opened fails at once.
+    records = iter_dataset(args.dataset)
     predictions = read_predictions(args.predictions)
+    _, records = _task_records(args.dataset, records)
     try:
         report = score_dataset(
             records,

@@ -15,12 +15,12 @@ case-sensitive mode available.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable, Mapping
-from itertools import pairwise
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from statistics import fmean
+from math import fsum
 
 from .core import (
     Activity,
@@ -90,6 +90,41 @@ def parse_binary_label(text: str) -> str | None:
 # Macro F1
 
 
+class _Tally:
+    """tp/fp/fn counts per class, taken one (gold, prediction) pair at a time;
+    a None prediction counts against its gold's recall only."""
+
+    def __init__(self) -> None:
+        self.tp: Counter[str] = Counter()
+        self.fp: Counter[str] = Counter()
+        self.fn: Counter[str] = Counter()
+
+    def add(self, gold: str, pred: str | None) -> None:
+        if gold == pred:
+            self.tp[gold] += 1
+            return
+        self.fn[gold] += 1
+        if pred is not None:
+            self.fp[pred] += 1
+
+    def f1(self, class_universe: list[str] | None = None) -> dict[str, float]:
+        """F1 of each class in the universe; by default the sorted union of
+        the golds and the non-None predictions."""
+        tp, fp, fn = self.tp, self.fp, self.fn
+        if class_universe is None:
+            # tp and fn hold every gold, tp and fp every non-None prediction.
+            class_universe = sorted({*tp, *fp, *fn})
+        scores: dict[str, float] = {}
+        for cls in class_universe:
+            precision = tp[cls] / (tp[cls] + fp[cls]) if tp[cls] + fp[cls] else 0.0
+            recall = tp[cls] / (tp[cls] + fn[cls]) if tp[cls] + fn[cls] else 0.0
+            if precision + recall == 0:
+                scores[cls] = 0.0
+            else:
+                scores[cls] = 2 * precision * recall / (precision + recall)
+        return scores
+
+
 def per_class_f1(
     golds: list[str],
     preds: list[str | None],
@@ -103,32 +138,19 @@ def per_class_f1(
     """
     if len(golds) != len(preds):
         raise LengthMismatchError(f"{len(golds)} golds vs {len(preds)} predictions")
-    tp: Counter[str] = Counter()
-    fp: Counter[str] = Counter()
-    fn: Counter[str] = Counter()
+    tally = _Tally()
     for g, p in zip(golds, preds):
-        if g == p:
-            tp[g] += 1
-            continue
-        fn[g] += 1
-        if p is not None:
-            fp[p] += 1
-    if class_universe is None:
-        # tp and fn hold every gold, tp and fp every non-None prediction.
-        class_universe = sorted({*tp, *fp, *fn})
-    scores: dict[str, float] = {}
-    for cls in class_universe:
-        precision = tp[cls] / (tp[cls] + fp[cls]) if tp[cls] + fp[cls] else 0.0
-        recall = tp[cls] / (tp[cls] + fn[cls]) if tp[cls] + fn[cls] else 0.0
-        if precision + recall == 0:
-            scores[cls] = 0.0
-        else:
-            scores[cls] = 2 * precision * recall / (precision + recall)
-    return scores
+        tally.add(g, p)
+    return tally.f1(class_universe)
+
+
+def _mean(values: Collection[float]) -> float:
+    """The mean of `values`, a correctly rounded sum over their count."""
+    return fsum(values) / len(values)
 
 
 def _mean_f1(scores: dict[str, float]) -> float:
-    return fmean(scores.values()) if scores else 0.0
+    return _mean(scores.values()) if scores else 0.0
 
 
 def macro_f1(
@@ -288,75 +310,98 @@ class ScoreReport:
 
 
 def score_dataset(
-    records: list[TaskRecord],
+    records: Iterable[TaskRecord],
     predictions: Mapping[str, str],
     mode: MatchingMode = MatchingMode.CASE_INSENSITIVE,
     include_diagonal: bool = True,
 ) -> ScoreReport:
-    """Score one task's records against each record id's prediction text.
+    """Score one task's records against each record id's prediction text,
+    taking each record once, as it comes, in any order.
 
     Records without a prediction count as parse failures (macro F1 treats
     them as unclassified; fitness tasks score them 0). Predictions for
     unknown record ids are rejected, naming the first in map order.
     """
-    if not records:
+    # The prediction ids, sorted, and a byte for each that a record asked
+    # for: all that the check for unknown ids keeps, so no record is held.
+    # Records in id order find their id next to the last one found.
+    ids = sorted(predictions)
+    asked = bytearray(len(ids))
+    at = 0
+
+    def text_of(record_id: str) -> str | None:
+        nonlocal at
+        if at == len(ids) or ids[at] != record_id:
+            at = bisect_left(ids, record_id)
+            if at == len(ids) or ids[at] != record_id:
+                return None
+        asked[at] = 1
+        at += 1
+        return predictions[record_id]
+
+    task: Task | None = None
+    tally = _Tally()
+    per_record: dict[str, float] = {}
+    fitnesses: list[float] = []
+    n_records = n_missing = n_failures = n_hallucinated = 0
+    for record in records:
+        if task is None:
+            task = record.task
+        elif record.task is not task:
+            tasks = sorted({task.value, record.task.value})
+            raise ValueError(f"records span multiple tasks: {tasks}")
+        n_records += 1
+        text = text_of(record.record_id)
+        n_missing += text is None
+        if task in CLASSIFICATION_TASKS or task is Task.SNAP:
+            # A missing prediction is read as empty text; a None class
+            # marks a missing or unparseable answer.
+            if task is Task.SNAP:
+                gold = fold_label(record.next_activity, mode)
+                pred = fold_label(text or "", mode) or None
+            else:
+                gold, pred = record.label or "", parse_binary_label(text or "")
+            tally.add(gold, pred)
+            n_failures += pred is None
+            continue
+        if text is None:
+            score = RecordScore(record_id=record.record_id, fitness=0.0, parse_failure=True)
+        else:
+            scorer = score_sdfd if task is Task.SDFD else score_sptd
+            score = scorer(record, text, mode, include_diagonal)
+        per_record[score.record_id] = score.fitness
+        fitnesses.append(score.fitness)
+        n_failures += score.parse_failure
+        n_hallucinated += len(score.hallucinated)
+    if task is None:
         raise ValueError("no records to score")
-    tasks = {r.task for r in records}
-    if len(tasks) != 1:
-        raise ValueError(f"records span multiple tasks: {sorted(t.value for t in tasks)}")
-    task = tasks.pop()
-    answered = sum(r.record_id in predictions for r in records)
-    # With as many records answered as there are predictions and no record
-    # id repeated, as in records in id order, each prediction has a record.
-    if answered != len(predictions) or any(
-        a.record_id >= b.record_id for a, b in pairwise(records)
-    ):
-        known = {r.record_id for r in records}
-        unknown = next((i for i in predictions if i not in known), None)
-        if unknown is not None:
-            raise UnknownRecordError(unknown)
-    n_missing = len(records) - answered
+    if 0 in asked:
+        unasked = {i for i, was_asked in zip(ids, asked) if not was_asked}
+        raise UnknownRecordError(next(i for i in predictions if i in unasked))
 
     if task in CLASSIFICATION_TASKS or task is Task.SNAP:
-        # A missing prediction is read as empty text; a None class marks a
-        # missing or unparseable answer.
-        texts = (predictions.get(r.record_id, "") for r in records)
-        if task is Task.SNAP:
-            golds = [fold_label(r.next_activity, mode) for r in records]
-            preds = [fold_label(text, mode) or None for text in texts]
-        else:
-            golds = [r.label or "" for r in records]
-            preds = list(map(parse_binary_label, texts))
         universe = list(BINARY_CLASSES) if task in CLASSIFICATION_TASKS else None
-        class_scores = per_class_f1(golds, preds, universe)
+        class_scores = tally.f1(universe)
         return ScoreReport(
             task=task,
-            n_records=len(records),
+            n_records=n_records,
             metric_name="macro_f1",
             value=_mean_f1(class_scores),
             matching_mode=mode,
-            n_parse_failures=preds.count(None),
+            n_parse_failures=n_failures,
             n_missing_predictions=n_missing,
             per_class_f1=class_scores,
         )
-
-    scorer = score_sdfd if task is Task.SDFD else score_sptd
-    record_scores = [
-        scorer(r, predictions[r.record_id], mode, include_diagonal)
-        if r.record_id in predictions
-        else RecordScore(record_id=r.record_id, fitness=0.0, parse_failure=True)
-        for r in records
-    ]
     return ScoreReport(
         task=task,
-        n_records=len(records),
+        n_records=n_records,
         metric_name="mean_footprint_fitness",
-        value=fmean(s.fitness for s in record_scores),
+        value=_mean(fitnesses),
         matching_mode=mode,
-        n_parse_failures=sum(1 for s in record_scores if s.parse_failure),
+        n_parse_failures=n_failures,
         n_missing_predictions=n_missing,
-        n_hallucinated_activities=sum(len(s.hallucinated) for s in record_scores),
-        per_record_fitness={s.record_id: s.fitness for s in record_scores},
+        n_hallucinated_activities=n_hallucinated,
+        per_record_fitness=per_record,
     )
 
 
@@ -365,11 +410,10 @@ def score_dataset(
 
 
 def random_classification_baseline(
-    records: list[TaskRecord], seed: int
-) -> dict[str, str]:
-    """Uniform class draw per record; next-activity draws from the record's
-    own activity set."""
-    predictions: dict[str, str] = {}
+    records: Iterable[TaskRecord], seed: int
+) -> Iterator[tuple[str, str]]:
+    """Each record's id and a uniform class draw, in the records' order;
+    next-activity draws from the record's own activity set."""
     for record in records:
         rng = model_rng(seed, "baseline", record.task.value, record.record_id)
         if record.task in CLASSIFICATION_TASKS:
@@ -378,8 +422,7 @@ def random_classification_baseline(
             text = rng.choice(sorted(record.activity_set))
         else:
             raise ValueError(f"random_class does not apply to task {record.task.value}")
-        predictions[record.record_id] = text
-    return predictions
+        yield record.record_id, text
 
 
 def random_footprint(activity_set: frozenset[Activity] | tuple[Activity, ...], rng: random.Random) -> Footprint:
@@ -395,15 +438,15 @@ def random_footprint(activity_set: frozenset[Activity] | tuple[Activity, ...], r
 
 
 def random_footprint_predictions(
-    records: list[TaskRecord], seed: int
-) -> dict[str, str]:
-    """Edge-line predictions realizing one random footprint per record.
+    records: Iterable[TaskRecord], seed: int
+) -> Iterator[tuple[str, str]]:
+    """Each record's id and the edge lines of one random footprint, in the
+    records' order.
 
     Only DFG-generation records can be answered this way; for tree records
     score the equivalent DFG dataset of the same corpus (gold footprints
     coincide model for model).
     """
-    predictions: dict[str, str] = {}
     for record in records:
         if record.task is not Task.SDFD:
             raise ValueError(
@@ -413,8 +456,7 @@ def random_footprint_predictions(
             )
         rng = model_rng(seed, "baseline", record.task.value, record.record_id)
         edges = random_footprint(record.activity_set, rng).edges
-        predictions[record.record_id] = render_dfg_edges(tuple(edges))
-    return predictions
+        yield record.record_id, render_dfg_edges(tuple(edges))
 
 
 def expected_random_footprint_fitness(n: int, include_diagonal: bool = True) -> float:

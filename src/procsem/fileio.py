@@ -1,8 +1,10 @@
 """JSON-Lines readers and writers for every pipeline file format.
 
 One JSON object per line throughout; writers emit keys in a fixed order and
-rows in a canonical sort so identical inputs produce identical bytes. Dataset
-and sequence rows are written, and datasets read, only in id order.
+rows in a canonical sort so identical inputs produce identical bytes. Corpus
+and split rows are sorted by model id; every other writer takes its rows in
+id order and refuses a row out of it, so none holds its input whole, and
+datasets are read only in id order.
 Every value written is a string, a list of strings or a list of string lists,
 so each row is spelled straight from its fields, with the string quoting of
 the stdlib `json` encoder, into the bytes it gives with `ensure_ascii=False`.
@@ -17,9 +19,9 @@ import shutil
 from collections import defaultdict
 from contextlib import suppress
 from json.encoder import encode_basestring as _quote
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping
+from typing import IO, Any, Callable, Iterable, Iterator
 
 from .core import ProcessModel, tree_labels
 from .promptgen import FtExample, PromptBundle
@@ -47,9 +49,19 @@ class FileFormatError(ValueError):
 
 
 def _read_objects(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Each JSON object of the file with its line number. The file is opened
+    at the call, so a file that cannot be opened fails there, not at the
+    first line read."""
+    objects = _objects(path)
+    next(objects)
+    return objects
+
+
+def _objects(path: str | Path) -> Iterator[Any]:
     # `surrogateescape` reads each byte that does not decode as a lone
     # surrogate, absent from UTF-8, so the lines are judged in file order.
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        yield None  # the file is open
         for line_number, line in enumerate(handle, start=1):
             if not line.isascii() and re.search(r"[\udc80-\udcff]", line):
                 raise FileFormatError(path, line_number, "not UTF-8")
@@ -318,24 +330,40 @@ def obj_to_record(
     )
 
 
-def read_dataset(path: str | Path) -> list[TaskRecord]:
-    """The records of a dataset file; all of its rows belong to one task, and
-    each `record_id` is greater than the one before it, as `write_dataset`
-    writes them. Equal field values and model ids of rows are one object."""
-    records: list[TaskRecord] = []
+def iter_dataset(path: str | Path) -> Iterator[TaskRecord]:
+    """The records of a dataset file, one at a time; all of its rows belong
+    to one task, and each `record_id` is greater than the one before it, as
+    `write_dataset` writes them. The file is opened at the call, and a row
+    that breaks a rule raises when it is reached. The rows of one model
+    share their equal field values and `model_id`; the values of a model
+    are let go when the next model's rows begin."""
+    return _records(path, _read_objects(path))
+
+
+def _records(
+    path: str | Path, objects: Iterator[tuple[int, dict[str, Any]]]
+) -> Iterator[TaskRecord]:
+    last: TaskRecord | None = None
+    model_id: Any = None
     shared: defaultdict[str, dict[Any, Any]] = defaultdict(dict)
-    for n, obj in _read_objects(path):
+    for n, obj in objects:
+        if obj.get("model_id") != model_id:
+            model_id, shared = obj.get("model_id"), defaultdict(dict)
         record = obj_to_record(obj, path, n, shared)
-        if records:
-            last = records[-1]
+        if last is not None:
             if record.task is not last.task:
                 reason = f"{record.task.value} row in a {last.task.value} dataset"
                 raise FileFormatError(path, n, reason)
             if record.record_id <= last.record_id:
                 reason = _OUT_OF_ORDER.format("record", record.record_id, last.record_id)
                 raise FileFormatError(path, n, reason)
-        records.append(record)
-    return records
+        last = record
+        yield record
+
+
+def read_dataset(path: str | Path) -> list[TaskRecord]:
+    """The records of a dataset file by the rules of `iter_dataset`, as one list."""
+    return list(iter_dataset(path))
 
 
 # Each task's fields as (the row text before the value, key, spelling).
@@ -357,6 +385,25 @@ def _in_id_order(items: Iterable[Any], kind: str, id_of: Callable[[Any], str]) -
         yield item
 
 
+def _write_rows(
+    path: str | Path, items: Iterable[Any], row: Callable[[Any], str],
+    id_of: Callable[[Any], str] = _BY_RECORD_ID,
+) -> int:
+    """Write the `row` of each item in the order given, by `_write_file`'s
+    rules, and return how many were written; each item's `id_of` must be
+    greater than the one before it, as `_in_id_order` checks."""
+    written = 0
+
+    def lines() -> Iterator[str]:
+        nonlocal written
+        for item in _in_id_order(items, "record", id_of):
+            written += 1
+            yield row(item)
+
+    _write_text(path, lines())
+    return written
+
+
 def write_dataset(path: str | Path, records: Iterable[TaskRecord]) -> int:
     """Write `records` as dataset rows in the order given and return how many
     were written. Each row is the bytes the `json` encoder gives for the
@@ -367,34 +414,31 @@ def write_dataset(path: str | Path, records: Iterable[TaskRecord]) -> int:
     holds no id twice and `read_dataset` gives the records back in the same
     order. A record out of that order, or missing one of its task's fields,
     is a ValueError naming the record, and the old file stays."""
-    written = 0
+    last_key: tuple[Task, str, tuple[str, ...]] | None = None
+    head = ""
 
-    def lines() -> Iterator[str]:
-        nonlocal written
-        last_key: tuple[Task, str, tuple[str, ...]] | None = None
-        for record in _in_id_order(records, "record", _BY_RECORD_ID):
-            record_id = record.record_id
-            # A model's rows come together, so its task, model and
-            # activity-set part is spelled once per run of them.
-            key = (record.task, record.model_id, record.activity_set)
-            if key != last_key:
-                last_key, head = key, (
-                    f', "task": {_quote(record.task.value)}'
-                    f', "model_id": {_quote(record.model_id)}'
-                    f', "activity_set": {_strings(record.activity_set)}'
-                )
-            parts = ['{"record_id": ', _quote(record_id), head]
-            for before, field, spell in _SPELLINGS[record.task]:
-                value = getattr(record, field)
-                if value is None:
-                    raise ValueError(f"record {record_id!r} has no {field!r}")
-                parts += (before, spell(value))
-            parts.append("}\n")
-            written += 1
-            yield "".join(parts)
+    def row(record: TaskRecord) -> str:
+        nonlocal last_key, head
+        record_id = record.record_id
+        # A model's rows come together, so its task, model and activity-set
+        # part is spelled once per run of them.
+        key = (record.task, record.model_id, record.activity_set)
+        if key != last_key:
+            last_key, head = key, (
+                f', "task": {_quote(record.task.value)}'
+                f', "model_id": {_quote(record.model_id)}'
+                f', "activity_set": {_strings(record.activity_set)}'
+            )
+        parts = ['{"record_id": ', _quote(record_id), head]
+        for before, field, spell in _SPELLINGS[record.task]:
+            value = getattr(record, field)
+            if value is None:
+                raise ValueError(f"record {record_id!r} has no {field!r}")
+            parts += (before, spell(value))
+        parts.append("}\n")
+        return "".join(parts)
 
-    _write_text(path, lines())
-    return written
+    return _write_rows(path, records, row)
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +497,21 @@ def write_split(path: str | Path, mapping: dict[str, Split]) -> None:
 # Prompt files
 
 
-def write_icl_prompts(path: str | Path, bundles: Iterable[PromptBundle]) -> None:
-    _write_text(path, (
-        _row(record_id=_quote(b.record_id), task=_quote(b.task.value),
-             prompt=_quote(b.prompt_text), shot_record_ids=_strings(b.shot_record_ids))
-        for b in sorted(bundles, key=_BY_RECORD_ID)
+def write_icl_prompts(path: str | Path, bundles: Iterable[PromptBundle]) -> int:
+    """Write `bundles` in the order given, each `record_id` greater than the
+    one before it, and return how many were written; a bundle out of that
+    order is a ValueError naming it, and the old file stays."""
+    return _write_rows(path, bundles, lambda b: _row(
+        record_id=_quote(b.record_id), task=_quote(b.task.value),
+        prompt=_quote(b.prompt_text), shot_record_ids=_strings(b.shot_record_ids),
     ))
 
 
-def write_ft_examples(path: str | Path, examples: Iterable[FtExample]) -> None:
-    _write_text(path, (
-        _row(record_id=_quote(e.record_id), task=_quote(e.task.value),
-             input=_quote(e.input_text), target=_quote(e.target_text))
-        for e in sorted(examples, key=_BY_RECORD_ID)
+def write_ft_examples(path: str | Path, examples: Iterable[FtExample]) -> int:
+    """Write `examples` by the rules of `write_icl_prompts`."""
+    return _write_rows(path, examples, lambda e: _row(
+        record_id=_quote(e.record_id), task=_quote(e.task.value),
+        input=_quote(e.input_text), target=_quote(e.target_text),
     ))
 
 
@@ -480,8 +526,10 @@ def read_predictions(path: str | Path) -> dict[str, str]:
     return _read_id_map(path, "record_id", "prediction", lambda t: texts.setdefault(t, t))
 
 
-def write_predictions(path: str | Path, predictions: Mapping[str, str]) -> None:
-    _write_text(path, (
-        _row(record_id=_quote(record_id), prediction=_quote(predictions[record_id]))
-        for record_id in sorted(predictions)
-    ))
+def write_predictions(path: str | Path, predictions: Iterable[tuple[str, str]]) -> int:
+    """Write `(record_id, text)` pairs by the rules of `write_icl_prompts`."""
+    return _write_rows(
+        path, predictions,
+        lambda pair: _row(record_id=_quote(pair[0]), prediction=_quote(pair[1])),
+        itemgetter(0),
+    )

@@ -13,6 +13,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -34,6 +35,8 @@ ANSWER_KEYS = {
     Task.SDFD: "Directly-follows pairs:",
     Task.SPTD: "Process Tree:",
 }
+
+_BY_ID = attrgetter("record_id")
 
 DEFAULT_SHOTS_CLASSIFICATION = 6
 DEFAULT_SHOTS_GENERATION = 5
@@ -161,57 +164,61 @@ class _Without(Sequence):
         return self._items[index + (index >= self._skip)]
 
 
+def _position(records: Sequence[TaskRecord], record_id: str) -> int | None:
+    """The index of the record with id `record_id` in id-sorted `records`."""
+    i = bisect_left(records, record_id, key=_BY_ID)
+    return i if i < len(records) and records[i].record_id == record_id else None
+
+
 class ShotPool:
     """The training records that ICL shots are drawn from, indexed once.
 
     Records are sorted by `record_id` and grouped by label (for the binary
     tasks) and by model (for the others). Every accessor leaves out the
-    record whose id is the query's, so a query from the training split is
-    never its own shot.
+    record whose id is the query's, found by bisecting the id-sorted lists,
+    so a query from the training split is never its own shot.
     """
 
     def __init__(self, records: Iterable[TaskRecord]) -> None:
         self._valid: list[TaskRecord] = []
         self._anomalous: list[TaskRecord] = []
         self._by_model: dict[str, list[TaskRecord]] = {}
-        # record_id -> (record, index in its label list, index in its model list)
-        self._slots: dict[str, tuple[TaskRecord, int, int]] = {}
-        for r in sorted(records, key=lambda r: r.record_id):
-            if r.record_id in self._slots:
+        previous: str | None = None
+        for r in sorted(records, key=_BY_ID):
+            if r.record_id == previous:
                 raise ValueError(f"duplicate record_id {r.record_id!r} in the shot pool")
-            side = self._anomalous if r.label == LABEL_ANOMALOUS else self._valid
-            group = self._by_model.setdefault(r.model_id, [])
-            self._slots[r.record_id] = (r, len(side), len(group))
-            side.append(r)
-            group.append(r)
+            previous = r.record_id
+            (self._anomalous if r.label == LABEL_ANOMALOUS else self._valid).append(r)
+            self._by_model.setdefault(r.model_id, []).append(r)
         self._models = sorted(self._by_model)
 
     def by_label(self, query_id: str) -> tuple[Sequence[TaskRecord], Sequence[TaskRecord]]:
         """The valid and the anomalous records, without the query."""
         valid, anomalous = self._valid, self._anomalous
-        slot = self._slots.get(query_id)
-        if slot is not None:
-            record, index, _ = slot
-            if record.label == LABEL_ANOMALOUS:
-                anomalous = _Without(anomalous, index)
-            else:
-                valid = _Without(valid, index)
+        index = _position(valid, query_id)
+        if index is not None:
+            return _Without(valid, index), anomalous
+        index = _position(anomalous, query_id)
+        if index is not None:
+            return valid, _Without(anomalous, index)
         return valid, anomalous
 
     def models(self, query_id: str) -> Sequence[str]:
         """Sorted ids of the models that have a record besides the query."""
-        slot = self._slots.get(query_id)
-        if slot is not None and len(self._by_model[slot[0].model_id]) == 1:
-            return _Without(self._models, bisect_left(self._models, slot[0].model_id))
+        for side in (self._valid, self._anomalous):
+            index = _position(side, query_id)
+            if index is None:
+                continue
+            model_id = side[index].model_id
+            if len(self._by_model[model_id]) == 1:
+                return _Without(self._models, bisect_left(self._models, model_id))
         return self._models
 
     def records(self, model_id: str, query_id: str) -> Sequence[TaskRecord]:
         """The records of one model, without the query."""
         group = self._by_model[model_id]
-        slot = self._slots.get(query_id)
-        if slot is not None and slot[0].model_id == model_id:
-            return _Without(group, slot[2])
-        return group
+        index = _position(group, query_id)
+        return group if index is None else _Without(group, index)
 
 
 def _sample_binary_shots(

@@ -120,7 +120,7 @@ def test_c02_random_classification_baseline_near_half():
                 )
             )
         assert len(records) >= 10_000
-        predictions = random_classification_baseline(records, seed=2)
+        predictions = dict(random_classification_baseline(records, seed=2))
         report = score_dataset(records, predictions)
         assert abs(report.value - 0.50) <= 0.02, (task, report.value)
     assert time.monotonic() - started < 10.0
@@ -152,7 +152,7 @@ def test_c03_random_footprint_baseline_matches_expectation():
     )
     assert 0.28 <= analytic_mean <= 0.36
     records = [gen_sdfd(m) for m in models]
-    report = score_dataset(records, random_footprint_predictions(records, seed=5))
+    report = score_dataset(records, dict(random_footprint_predictions(records, seed=5)))
     assert 0.28 <= report.value <= 0.36, report.value
     assert time.monotonic() - started < 30.0
 

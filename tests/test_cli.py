@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -32,6 +33,7 @@ from procsem.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     RunConfig,
+    _spread,
     build_config,
     build_parser,
     main,
@@ -171,7 +173,7 @@ class TestPipeline:
             dataset = f"{ws['data']}/{name}.jsonl"
             records = read_dataset(dataset)
             preds = str(tmp_path / f"self_{name}.jsonl")
-            write_predictions(preds, {r.record_id: answer_text(r) for r in records})
+            write_predictions(preds, ((r.record_id, answer_text(r)) for r in records))
             code, summary, _ = run(
                 ["score", "--dataset", dataset, "--predictions", preds]
             )
@@ -320,7 +322,8 @@ def test_wide_outputs_match_golden_digests(tmp_path, monkeypatch):
     step("score_sdfd.stdout", ["score", "--dataset", "data/sdfd.jsonl",
                                "--predictions", "pred_sdfd.jsonl"])
     write_predictions(
-        "pred_sptd.jsonl", {r.record_id: r.tree_text for r in read_dataset("data/sptd.jsonl")}
+        "pred_sptd.jsonl",
+        ((r.record_id, r.tree_text) for r in read_dataset("data/sptd.jsonl")),
     )
     step("score_sptd.stdout", ["score", "--dataset", "data/sptd.jsonl",
                                "--predictions", "pred_sptd.jsonl"])
@@ -847,7 +850,7 @@ class TestFailureModes:
     def test_unknown_prediction_id_is_fatal(self, ws, tmp_path):
         preds = str(tmp_path / "bogus.jsonl")
         known = read_dataset(f"{ws['data']}/tsad.jsonl")[0].record_id
-        write_predictions(preds, {known: "Valid", "zzz": "Valid"})
+        write_predictions(preds, [(known, "Valid"), ("zzz", "Valid")])
         code, summary, err = run(
             ["score", "--dataset", f"{ws['data']}/tsad.jsonl",
              "--predictions", preds]
@@ -912,6 +915,67 @@ class TestFailureModes:
         assert err.startswith(
             f"procsem: error: {partial_split}: models missing from split file: "
         )
+
+    @pytest.mark.parametrize("mode", ["icl", "ft"])
+    def test_missing_split_models_are_the_first_five_sorted(self, ws, tmp_path, mode):
+        # Fine-tuning pairs are rendered as the records are read; the models
+        # missing from the split are named after the last record, and the
+        # old file stays.
+        dataset = f"{ws['data']}/tsad.jsonl"
+        rows = Path(ws["split"]).read_text("utf-8").splitlines(keepends=True)
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text("".join(rows[1::2]), encoding="utf-8")
+        kept = {json.loads(row)["model_id"] for row in rows[1::2]}
+        missing = sorted({r.model_id for r in read_dataset(dataset)} - kept)
+        assert len(missing) > 5
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b"old\n")
+        code, summary, err = run(
+            ["prompts", "--dataset", dataset, "--split", str(partial), "--mode", mode,
+             "--query-split", "train", "--out", str(out)]
+        )
+        assert (code, summary) == (EXIT_FATAL, None)
+        assert err == (
+            f"procsem: error: {partial}: models missing from split file: {missing[:5]}\n"
+        )
+        assert out.read_bytes() == b"old\n"
+
+    @pytest.mark.parametrize("mode", ["icl", "ft"])
+    def test_prompts_name_an_empty_dataset(self, ws, tmp_path, mode):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        code, _, err = run(
+            ["prompts", "--dataset", str(empty), "--split", ws["split"], "--mode", mode,
+             "--out", str(tmp_path / "out.jsonl")]
+        )
+        assert code == EXIT_FATAL
+        assert err == f"procsem: error: {empty}: dataset is empty\n"
+
+    def test_score_opens_both_files_before_reading_either(self, ws, tmp_path, monkeypatch):
+        # A missing prediction file fails at once: no dataset row is read.
+        def refuse(*args):
+            raise AssertionError("a dataset row was read")
+
+        monkeypatch.setattr("procsem.fileio.obj_to_record", refuse)
+        missing = tmp_path / "missing.jsonl"
+        code, summary, err = run(
+            ["score", "--dataset", f"{ws['data']}/tsad.jsonl", "--predictions", str(missing)]
+        )
+        assert (code, summary) == (EXIT_FATAL, None)
+        assert err == f"procsem: error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+    def test_prompts_open_the_dataset_before_reading_the_split(self, tmp_path):
+        dataset, split = tmp_path / "missing.jsonl", tmp_path / "split.jsonl"
+        split.write_text("{bad json\n", encoding="utf-8")
+        for mode in ("icl", "ft"):
+            code, _, err = run(
+                ["prompts", "--dataset", str(dataset), "--split", str(split), "--mode", mode,
+                 "--out", str(tmp_path / "out.jsonl")]
+            )
+            assert code == EXIT_FATAL
+            assert err == (
+                f"procsem: error: [Errno 2] No such file or directory: {str(dataset)!r}\n"
+            )
 
     @pytest.mark.parametrize(
         "task,key,value",
@@ -994,7 +1058,7 @@ class TestFailureModes:
         dataset = tmp_path / "sptd.jsonl"
         dataset.write_text(json.dumps(row) + "\n", encoding="utf-8")
         preds = tmp_path / "preds.jsonl"
-        write_predictions(preds, {"m:sptd:00000": "->('b', 'a')"})
+        write_predictions(preds, [("m:sptd:00000", "->('b', 'a')")])
         code, summary, err = run(
             ["score", "--dataset", str(dataset), "--predictions", str(preds), "--per-record"]
         )
@@ -1211,7 +1275,7 @@ def test_a_tree_at_the_depth_limit_passes_every_stage(tmp_path):
     for answer, fitness, failures in ((deep, 1.0, 0), (deeper, 0.0, 1)):
         write_predictions(
             preds,
-            {"deep:sptd:00000": answer, "shallow:sptd:00000": deep},
+            [("deep:sptd:00000", answer), ("shallow:sptd:00000", deep)],
         )
         code, summary, err = run(
             ["score", "--dataset", sptd, "--predictions", str(preds), "--per-record"]
@@ -1256,3 +1320,23 @@ def test_playout_counts_each_distinct_sequence_once(trees):
 def test_playout_counts_each_distinct_sequence_once_on_edge_cases(texts):
     counted, expected = _unique_sequences(map(parse_tree, texts))
     assert counted == expected
+
+
+@pytest.mark.parametrize(
+    "counts, spelled",
+    [
+        ([], '{"avg": 0, "median": 0, "min": 0, "max": 0}'),
+        ([3, 1, 2], '{"avg": 2.0, "median": 2, "min": 1, "max": 3}'),
+        ([4, 1, 3, 2], '{"avg": 2.5, "median": 2.5, "min": 1, "max": 4}'),
+        ([5, 2, 5, 5], '{"avg": 4.25, "median": 5.0, "min": 2, "max": 5}'),
+        ([1, 2, 2], '{"avg": 1.67, "median": 2, "min": 1, "max": 2}'),
+    ],
+    ids=["none", "odd", "even", "even-equal-middle", "odd-rounded"],
+)
+def test_spread_spells_what_statistics_gave(counts, spelled):
+    # An even count's median is the mean of the middle two, a float even
+    # when they are equal, as `statistics.median` gives it.
+    assert json.dumps(_spread(counts)) == spelled
+    if counts:
+        oracle = {"avg": round(statistics.fmean(counts), 2), "median": statistics.median(counts)}
+        assert json.dumps({k: _spread(counts)[k] for k in oracle}) == json.dumps(oracle)

@@ -514,6 +514,25 @@ class TestScoreDataset:
         assert (report.n_records, report.value, report.n_missing_predictions) == (2, 1.0, 0)
         assert report.per_record_fitness == {"m:sdfd:00000": 1.0}
 
+    @pytest.mark.parametrize("order", ["in_order", "reversed", "repeated"])
+    def test_records_are_taken_once_from_an_iterator(self, snap_records, order):
+        # Every second record answered, from a generator that can be read
+        # once, against the three-count oracle over the whole list.
+        records = {
+            "in_order": snap_records,
+            "reversed": snap_records[::-1],
+            "repeated": [r for r in snap_records for _ in range(2)],
+        }[order]
+        predictions = {r.record_id: r.next_activity for r in snap_records[::2]}
+        report = score_dataset((r for r in records), predictions)
+        golds = [fold_label(r.next_activity, MatchingMode.CASE_INSENSITIVE) for r in records]
+        preds = [predictions.get(r.record_id) for r in records]
+        preds = [None if p is None else fold_label(p, MatchingMode.CASE_INSENSITIVE)
+                 for p in preds]
+        assert report.per_class_f1 == oracle_per_class_f1(golds, preds)
+        assert report.n_records == len(records)
+        assert report.n_missing_predictions == report.n_parse_failures == preds.count(None)
+
     def test_mixed_tasks_rejected(self, snap_records):
         other = sdfd_record({("a", "b")}, "ab")
         with pytest.raises(ValueError):
@@ -554,7 +573,7 @@ def test_scoring_builds_no_footprint(monkeypatch):
     admitted = validate_corpus(entries).admitted
     sdfd = [gen_sdfd(m) for m in admitted]
     sptd = [gen_sptd(m) for m in admitted]
-    sdfd_preds = random_footprint_predictions(sdfd, seed=4)
+    sdfd_preds = dict(random_footprint_predictions(sdfd, seed=4))
     sptd_preds = {r.record_id: answer_text(r) for r in sptd}
 
     def refuse(dfg):
@@ -578,9 +597,9 @@ class TestRandomBaselines:
             )
             for i in range(50)
         ]
-        assert random_classification_baseline(
-            records, seed=3
-        ) == random_classification_baseline(records, seed=3)
+        assert list(random_classification_baseline(records, seed=3)) == list(
+            random_classification_baseline(records, seed=3)
+        )
 
     def test_classification_emits_both_labels(self):
         records = [
@@ -594,7 +613,7 @@ class TestRandomBaselines:
             )
             for i in range(200)
         ]
-        texts = set(random_classification_baseline(records, seed=3).values())
+        texts = {text for _, text in random_classification_baseline(records, seed=3)}
         assert texts == {V, A}
 
     def test_snap_draws_from_record_activity_set(self):
@@ -609,13 +628,13 @@ class TestRandomBaselines:
             )
             for i in range(100)
         ]
-        predictions = random_classification_baseline(records, seed=3)
+        predictions = dict(random_classification_baseline(records, seed=3))
         assert list(predictions) == [r.record_id for r in records]
         assert set(predictions.values()) <= {"x", "y", "z"}
 
     def test_baseline_rejects_generation_tasks(self):
         with pytest.raises(ValueError):
-            random_classification_baseline([sdfd_record({("a", "b")}, "ab")], seed=0)
+            list(random_classification_baseline([sdfd_record({("a", "b")}, "ab")], seed=0))
 
     def test_random_footprint_structure(self):
         fp = random_footprint(frozenset("abcd"), random.Random(1))
@@ -656,7 +675,7 @@ class TestRandomBaselines:
 
     def test_footprint_predictions_round_trip(self):
         record = sdfd_record({("a", "b"), ("b", "a")}, "abc")
-        predictions = random_footprint_predictions([record], seed=11)
+        predictions = dict(random_footprint_predictions([record], seed=11))
         assert len(predictions) == 1
         report = score_dataset([record], predictions)
         assert 0.0 <= report.value <= 1.0
@@ -665,4 +684,4 @@ class TestRandomBaselines:
 
     def test_footprint_predictions_reject_tree_records(self):
         with pytest.raises(ValueError):
-            random_footprint_predictions([sptd_record("->('a','b')", "ab")], seed=0)
+            list(random_footprint_predictions([sptd_record("->('a','b')", "ab")], seed=0))

@@ -29,6 +29,7 @@ from procsem import (
     Task,
     TaskRecord,
     gen_tsad,
+    iter_dataset,
     parse_tree,
     played_out,
     playout,
@@ -214,15 +215,19 @@ tasks = st.sampled_from(list(Task))
 
 
 @settings(deadline=None)
-@given(st.lists(st.builds(PromptBundle, text, tasks, text, strings), max_size=5))
+@given(st.lists(st.builds(PromptBundle, text, tasks, text, strings), max_size=5,
+                unique_by=attrgetter("record_id")))
 def test_icl_rows_match_json_dumps(bundles):
+    bundles.sort(key=attrgetter("record_id"))
     expected = _expected(oracle_icl_line, bundles, attrgetter("record_id"))
     assert _written(write_icl_prompts, bundles) == expected
 
 
 @settings(deadline=None)
-@given(st.lists(st.builds(FtExample, text, tasks, text, text), max_size=5))
+@given(st.lists(st.builds(FtExample, text, tasks, text, text), max_size=5,
+                unique_by=attrgetter("record_id")))
 def test_ft_rows_match_json_dumps(examples):
+    examples.sort(key=attrgetter("record_id"))
     expected = _expected(oracle_ft_line, examples, attrgetter("record_id"))
     assert _written(write_ft_examples, examples) == expected
 
@@ -231,7 +236,7 @@ def test_ft_rows_match_json_dumps(examples):
 @given(st.dictionaries(text, text, max_size=5))
 def test_prediction_rows_match_json_dumps(predictions):
     expected = "".join(oracle_prediction_line(i, predictions[i]) for i in sorted(predictions))
-    assert _written(write_predictions, predictions) == expected.encode("utf-8")
+    assert _written(write_predictions, sorted(predictions.items())) == expected.encode("utf-8")
 
 
 @settings(deadline=None)
@@ -239,7 +244,7 @@ def test_prediction_rows_match_json_dumps(predictions):
 def test_prediction_maps_round_trip(predictions):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "predictions.jsonl"
-        write_predictions(path, predictions)
+        write_predictions(path, sorted(predictions.items()))
         read = read_predictions(path)
     assert read == predictions
     assert list(read) == sorted(predictions)
@@ -277,6 +282,21 @@ def test_repeated_prediction_names_its_first_line(tmp_path, pipe, first):
 
 # ---------------------------------------------------------------------------
 # Reading back what the writer wrote
+
+
+def _read_both(path) -> list[TaskRecord]:
+    """The records of a dataset file as `read_dataset` lists them, which
+    `iter_dataset` gives one at a time; or the error that both raise alike."""
+    try:
+        streamed = list(iter_dataset(path))
+    except FileFormatError as exc:
+        with pytest.raises(FileFormatError) as exc_info:
+            read_dataset(path)
+        assert str(exc_info.value) == str(exc)
+        raise
+    listed = read_dataset(path)
+    assert listed == streamed
+    return listed
 
 
 def _distinct_leaves(tree) -> bool:
@@ -330,7 +350,7 @@ def test_dataset_round_trip(records):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.jsonl"
         assert write_dataset(path, sorted(records, key=attrgetter("record_id"))) == len(records)
-        assert read_dataset(path) == sorted(records, key=attrgetter("record_id"))
+        assert _read_both(path) == sorted(records, key=attrgetter("record_id"))
 
 
 _FIELD_NAMES = {
@@ -354,14 +374,18 @@ _FIELD_NAMES = {
 )
 def test_round_trip_shares_equal_values(records):
     # Few distinct values, so that rows repeat each other's values and the
-    # reader shares most of them with rows it has already read.
+    # reader shares most of them with the rows of the same model before
+    # them; a row of another model starts the sharing afresh.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.jsonl"
         write_dataset(path, sorted(records, key=attrgetter("record_id")))
-        read = read_dataset(path)
+        read = _read_both(path)
     assert read == sorted(records, key=attrgetter("record_id"))
     held: dict = {}
+    model_id = None
     for record in read:
+        if record.model_id != model_id:
+            model_id, held = record.model_id, {}
         for key in ("model_id", "activity_set", *_FIELD_NAMES[record.task]):
             value = getattr(record, key)
             assert held.setdefault((key, value), value) is value
@@ -372,7 +396,7 @@ def test_rows_of_one_model_share_their_values(tmp_path):
     records = gen_tsad(playout(tree, model_id="m1"), seed=3)
     path = tmp_path / "tsad.jsonl"
     write_dataset(path, records)
-    read = read_dataset(path)
+    read = _read_both(path)
     assert read == sorted(records, key=attrgetter("record_id"))
     first = read[0]
     assert all(r.activity_set is first.activity_set for r in read)
@@ -390,7 +414,7 @@ def test_foreign_payload_key_is_fatal(tmp_path):
     row["edges"] = [["a", "b"]]
     path.write_text("\n" + json.dumps(row) + "\n", encoding="utf-8")
     with pytest.raises(FileFormatError) as exc_info:
-        read_dataset(path)
+        _read_both(path)
     assert str(exc_info.value) == f"{path}:2: 'edges' is not a tsad field"
 
 
@@ -408,7 +432,7 @@ def test_value_near_an_accepted_one_is_still_checked(tmp_path, activity_set):
     bad = {**row, "record_id": "r2", "activity_set": activity_set}
     path.write_text(json.dumps(row) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
     with pytest.raises(FileFormatError) as exc_info:
-        read_dataset(path)
+        _read_both(path)
     assert str(exc_info.value) == f"{path}:2: 'activity_set' must be a list of distinct strings"
 
 
@@ -432,7 +456,7 @@ def test_foreign_fields_are_not_written(pair):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.jsonl"
         write_dataset(path, [carrier])
-        assert read_dataset(path) == [record]
+        assert _read_both(path) == [record]
 
 
 def test_record_missing_a_task_field_is_not_written(tmp_path):
@@ -466,6 +490,47 @@ def test_record_ids_out_of_order_are_not_written(tmp_path, ids):
     assert [p.name for p in tmp_path.iterdir()] == ["tsad.jsonl"]
 
 
+@pytest.mark.parametrize(
+    "write, row",
+    [
+        (write_icl_prompts, lambda i: PromptBundle(i, Task.TSAD, "prompt", ("s",))),
+        (write_ft_examples, lambda i: FtExample(i, Task.TSAD, "input", "target")),
+        (write_predictions, lambda i: (i, "Valid")),
+    ],
+    ids=["icl", "ft", "predictions"],
+)
+@pytest.mark.parametrize("ids", [("r1", "r1"), ("r2", "r1")])
+def test_prompt_and_prediction_rows_out_of_order_are_not_written(tmp_path, write, row, ids):
+    # The writers take their rows in id order and sort nothing.
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b"old\n")
+    with pytest.raises(ValueError) as exc_info:
+        write(path, [row(ids[0]), row(ids[1])])
+    assert str(exc_info.value) == f"record {ids[1]!r} follows {ids[0]!r}; ids must increase"
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+    assert write(path, iter([row("r1"), row("r2")])) == 2
+
+
+def test_dataset_is_opened_at_the_call(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        iter_dataset(tmp_path / "missing.jsonl")
+
+
+def test_values_are_shared_within_a_model(tmp_path):
+    # A model's values are let go when the next model's rows begin, so an
+    # equal value of another model is a copy of its own.
+    first = TaskRecord("a:1", Task.TSAD, "m1", ("a", "b"), trace=("a", "b"), label=LABEL_VALID)
+    records = [first, replace(first, record_id="a:2"), replace(first, record_id="b:1",
+                                                                model_id="m2")]
+    path = tmp_path / "tsad.jsonl"
+    write_dataset(path, records)
+    read = _read_both(path)
+    assert read == records
+    assert read[1].trace is read[0].trace
+    assert read[2].trace == read[0].trace and read[2].trace is not read[0].trace
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     tasks.flatmap(lambda task: st.lists(consistent_records(task), max_size=5)),
@@ -488,10 +553,10 @@ def test_dataset_order_is_read_as_it_is_written(records, ids):
                 if records[n - 1].record_id <= records[n - 2].record_id
             )
             with pytest.raises(FileFormatError) as exc_info:
-                read_dataset(path)
+                _read_both(path)
             assert str(exc_info.value) == f"{path}:{line}: {exc}"
         else:
-            assert read_dataset(path) == records
+            assert _read_both(path) == records
 
 
 @pytest.mark.parametrize(
@@ -512,7 +577,7 @@ def test_a_moved_or_repeated_row_names_both_ids(tmp_path, shuffle, line, ids):
     shuffle(rows)
     path.write_text("".join(rows), encoding="utf-8")
     with pytest.raises(FileFormatError) as exc_info:
-        read_dataset(path)
+        _read_both(path)
     assert str(exc_info.value) == (
         f"{path}:{line}: record {ids[0]!r} follows {ids[1]!r}; ids must increase"
     )
@@ -524,7 +589,7 @@ def test_write_through_a_symlink_updates_its_target(tmp_path):
     target.chmod(0o640)
     link = tmp_path / "link.jsonl"
     link.symlink_to(target)
-    write_predictions(link, {"r1": "a -> b"})
+    write_predictions(link, [("r1", "a -> b")])
     assert link.is_symlink()
     assert target.read_bytes() == oracle_prediction_line("r1", "a -> b").encode("utf-8")
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
@@ -539,7 +604,7 @@ def test_write_to_a_fifo_goes_through_it_in_place(tmp_path):
     # instead of hanging the run.
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
     reader.start()
-    write_predictions(fifo, {"r1": "Valid"})
+    write_predictions(fifo, [("r1", "Valid")])
     reader.join(timeout=10)
     assert received == [oracle_prediction_line("r1", "Valid").encode("utf-8")]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -216,7 +217,8 @@ class TestRenderIcl:
 
     def test_shot_pool_rejects_repeated_ids(self, corpus_records):
         record = corpus_records[Task.SNAP][0]
-        with pytest.raises(ValueError, match="duplicate record_id"):
+        message = f"duplicate record_id {record.record_id!r} in the shot pool"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ShotPool([record, record])
 
     def test_shots_must_be_positive(self, corpus_records):
