@@ -41,7 +41,7 @@ from .taskgen import (
     LABEL_VALID,
     Task,
     TaskRecord,
-    model_rng,
+    model_seed,
 )
 from .tree_dsl import TreeSyntaxError, parse_dfg_edges, parse_tree, render_dfg_edges
 
@@ -414,8 +414,9 @@ def random_classification_baseline(
 ) -> Iterator[tuple[str, str]]:
     """Each record's id and a uniform class draw, in the records' order;
     next-activity draws from the record's own activity set."""
+    rng = random.Random()
     for record in records:
-        rng = model_rng(seed, "baseline", record.task.value, record.record_id)
+        rng.seed(model_seed(seed, "baseline", record.task.value, record.record_id))
         if record.task in CLASSIFICATION_TASKS:
             text = rng.choice(BINARY_CLASSES)
         elif record.task is Task.SNAP:
@@ -447,6 +448,7 @@ def random_footprint_predictions(
     score the equivalent DFG dataset of the same corpus (gold footprints
     coincide model for model).
     """
+    rng = random.Random()
     for record in records:
         if record.task is not Task.SDFD:
             raise ValueError(
@@ -454,7 +456,7 @@ def random_footprint_predictions(
                 "them for the sdfd dataset of the same corpus (per-model gold "
                 "footprints coincide with sptd)"
             )
-        rng = model_rng(seed, "baseline", record.task.value, record.record_id)
+        rng.seed(model_seed(seed, "baseline", record.task.value, record.record_id))
         edges = random_footprint(record.activity_set, rng).edges
         yield record.record_id, render_dfg_edges(tuple(edges))
 

@@ -57,6 +57,11 @@ def _read_objects(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
     return objects
 
 
+# The `json` module's C scanner: one call decodes one value and gives where
+# it ends, with none of `json.loads`'s checks around it.
+_scan = json.JSONDecoder().scan_once
+
+
 def _objects(path: str | Path) -> Iterator[Any]:
     # `surrogateescape` reads each byte that does not decode as a lone
     # surrogate, absent from UTF-8, so the lines are judged in file order.
@@ -68,11 +73,22 @@ def _objects(path: str | Path) -> Iterator[Any]:
             stripped = line.strip()
             if not stripped:
                 continue
+            # A line is taken from the scanner only if its one value spans
+            # all of it; `json.loads` decodes every other line alike or
+            # raises the error that names what is wrong with it.
             try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(path, line_number, f"bad JSON: {exc}") from None
-            if not isinstance(obj, dict):
+                obj, end = _scan(stripped, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(stripped):
+                try:
+                    obj = json.loads(stripped)
+                except json.JSONDecodeError as exc:
+                    raise FileFormatError(path, line_number, f"bad JSON: {exc}") from None
+                except RecursionError:
+                    reason = "bad JSON: nested too deeply"
+                    raise FileFormatError(path, line_number, reason) from None
+            if type(obj) is not dict:
                 raise FileFormatError(path, line_number, "expected a JSON object")
             yield line_number, obj
 
@@ -173,12 +189,17 @@ def _read_id_map(
     refuses with a ValueError is unknown."""
     values: dict[str, Any] = {}
     for line_number, obj in _read_objects(path):
-        row_id = _require_str(obj, key, path, line_number)
+        # A string is taken as it is; anything else raises in `_require_str`.
+        row_id = obj.get(key)
+        if type(row_id) is not str:
+            row_id = _require_str(obj, key, path, line_number)
         if row_id in values:
             first = first_line(path, key, row_id)
             where = "" if first is None else f" (first on line {first})"
             raise FileFormatError(path, line_number, f"duplicate {key} {row_id!r}{where}")
-        value = _require_str(obj, field, path, line_number)
+        value = obj.get(field)
+        if type(value) is not str:
+            value = _require_str(obj, field, path, line_number)
         try:
             values[row_id] = convert(value)
         except ValueError:
@@ -266,25 +287,34 @@ _FOREIGN = {
 }
 
 
+# `obj_to_record` fills a record's slots through their descriptors, as the
+# frozen dataclass's `__init__` does through `object.__setattr__`, at about
+# half the cost per record; `TaskRecord` has no `__post_init__` to skip.
+_PUT = {name: getattr(TaskRecord, name).__set__ for name in TaskRecord.__slots__}
+# Each task's fields as `obj_to_record` checks them, in order, with their
+# setters; and the setters of the slots its rows leave None.
+_CHECKED = {
+    task: tuple((key, spec, _PUT[key]) for key, spec in (("activity_set", _SET), *fields.items()))
+    for task, fields in _FIELDS.items()
+}
+_ABSENT = {
+    task: tuple(put for name, put in _PUT.items()
+                if name not in ("record_id", "task", "model_id", "activity_set", *fields))
+    for task, fields in _FIELDS.items()
+}
+_PUT_RECORD_ID, _PUT_TASK, _PUT_MODEL_ID = _PUT["record_id"], _PUT["task"], _PUT["model_id"]
+# Each task by its value, so a row's task is found with one lookup.
+_TASK_OF = {task.value: task for task in Task}
+
+
 def _field(
     obj: dict[str, Any], key: str, spec: tuple, seen: dict[Any, Any],
     path: str | Path, line_number: int,
 ) -> Any:
     """The value of field `key`, checked and converted by `spec`, as the one
-    copy of an equal value that `seen` holds.
-
-    Only checked values enter `seen`, so a value equal to one of them is
-    that copy with no second check. A list is looked up as the tuple it
-    converts to, no string equals a tuple, and a value that cannot be
-    hashed is looked up nowhere.
-    """
+    copy of an equal value that `seen` holds; `obj_to_record` calls it for
+    a value it does not find there."""
     value = _require(obj, key, path, line_number)
-    try:
-        known = seen.get(tuple(value) if isinstance(value, list) else value)
-    except TypeError:
-        known = None
-    if known is not None:
-        return known
     is_valid, shape, convert, _ = spec
     if not is_valid(value):
         raise FileFormatError(path, line_number, f"{key!r} must be {shape}")
@@ -301,33 +331,52 @@ def obj_to_record(
     """The record of one row as `json` decodes it. Rows read with the same
     `shared` dict share every equal field value and `model_id`."""
     try:
-        task = Task(str(_require(obj, "task", path, line_number)))
-    except ValueError:
+        task = _TASK_OF[obj["task"]]
+    except (KeyError, TypeError):
+        # A row with no `task` names task None.
         raise FileFormatError(path, line_number, f"unknown task {obj.get('task')!r}") from None
     if not _FOREIGN[task].isdisjoint(obj):
         key = next(k for k in obj if k in _FOREIGN[task])
         raise FileFormatError(path, line_number, f"{key!r} is not a {task.value} field")
-    values = {
-        key: _field(obj, key, spec, shared[key], path, line_number)
-        for key, spec in (("activity_set", _SET), *_FIELDS[task].items())
-    }
-    activities = values["activity_set"]
-    if task is Task.SDFD and not {a for e in values["edges"] for a in e} <= set(activities):
+    # Only checked values enter `seen`, so a value equal to one of them is
+    # that copy, found with one lookup and no second check. A list is looked
+    # up as the tuple it converts to and any other value as it is: no JSON
+    # value but a list equals a tuple, and none but a string a string. A
+    # missing key, a value that cannot be hashed and a new value go to
+    # `_field`, which checks them in full.
+    record = object.__new__(TaskRecord)
+    for key, spec, put in _CHECKED[task]:
+        seen = shared[key]
+        value = obj.get(key)
+        try:
+            put(record, seen[tuple(value) if type(value) is list else value])
+        except (KeyError, TypeError):
+            put(record, _field(obj, key, spec, seen, path, line_number))
+    for put in _ABSENT[task]:
+        put(record, None)
+    activities = record.activity_set
+    if task is Task.SDFD and not {a for e in record.edges for a in e} <= set(activities):
         raise FileFormatError(path, line_number, "'edges' must join members of 'activity_set'")
     if task is Task.SPTD:
         try:
-            leaves = tree_labels(parse_tree(values["tree_text"]))
+            leaves = tree_labels(parse_tree(record.tree_text))
         except TreeSyntaxError as exc:
             raise FileFormatError(path, line_number, f"'tree_text' does not parse: {exc}") from None
         if sorted(leaves) != sorted(activities):
             reason = "'activity_set' must list the leaves of 'tree_text'"
             raise FileFormatError(path, line_number, reason)
-    return TaskRecord(
-        record_id=_require_str(obj, "record_id", path, line_number),
-        task=task,
-        model_id=_field(obj, "model_id", _STRING, shared["model_id"], path, line_number),
-        **values,
-    )
+    record_id = obj.get("record_id")
+    if type(record_id) is not str:
+        record_id = _require_str(obj, "record_id", path, line_number)
+    seen = shared["model_id"]
+    try:
+        model_id = seen[obj.get("model_id")]
+    except (KeyError, TypeError):
+        model_id = _field(obj, "model_id", _STRING, seen, path, line_number)
+    _PUT_RECORD_ID(record, record_id)
+    _PUT_TASK(record, task)
+    _PUT_MODEL_ID(record, model_id)
+    return record
 
 
 def iter_dataset(path: str | Path) -> Iterator[TaskRecord]:

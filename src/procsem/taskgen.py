@@ -78,11 +78,17 @@ class TaskRecord:
     tree_text: str | None = None
 
 
-def model_rng(seed: int, *parts: str) -> random.Random:
-    """Deterministic per-model random stream, independent of batch order."""
+def model_seed(seed: int, *parts: str) -> int:
+    """The seed of `model_rng(seed, *parts)`, for a caller that reseeds one
+    generator instead of making one per draw."""
     key = ":".join([str(seed), *parts])
     digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return int.from_bytes(digest[:8], "big")
+
+
+def model_rng(seed: int, *parts: str) -> random.Random:
+    """Deterministic per-model random stream, independent of batch order."""
+    return random.Random(model_seed(seed, *parts))
 
 
 # ---------------------------------------------------------------------------

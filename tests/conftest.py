@@ -8,8 +8,10 @@ rule are step-by-step references for the package's faster kernels, the
 play-out-and-footprint record score is the reference for scoring from
 edge sets and tree relations, the relation-drawing random footprint is
 the reference for drawing edges, the `json.dumps` rows are the
-references for every file writer, and the split over every sequence's
-first owner is the reference for the split over shareable sequences.
+references for every file writer, the `json.loads` decoder with a
+checked lookup per field is the reference for every file reader, and the
+split over every sequence's first owner is the reference for the split
+over shareable sequences.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import defaultdict
 
 import pytest
 from hypothesis import strategies as st
@@ -25,6 +28,7 @@ from procsem import (
     DEFAULT_MAX_SEQUENCES,
     LABEL_ANOMALOUS,
     EmptyLabelError,
+    FileFormatError,
     Footprint,
     LanguageTooLargeError,
     Leaf,
@@ -53,6 +57,7 @@ from procsem import (
     render_tree,
     validate_corpus,
 )
+from procsem import fileio
 from procsem.core import tree_labels
 from procsem.evaluation import fold_label
 from procsem.promptgen import _fill
@@ -569,6 +574,101 @@ def oracle_ft_line(example) -> str:
 def oracle_prediction_line(record_id: str, text: str) -> str:
     obj = {"record_id": record_id, "prediction": text}
     return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+def oracle_objects(path):
+    """Reference decoder: each non-blank line of the file through
+    `json.loads`, with its line number."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            if not line.isascii() and re.search(r"[\udc80-\udcff]", line):
+                raise FileFormatError(path, line_number, "not UTF-8")
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                obj = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                raise FileFormatError(path, line_number, f"bad JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise FileFormatError(path, line_number, "expected a JSON object")
+            yield line_number, obj
+
+
+def _oracle_require(obj, key, path, line_number):
+    if key not in obj:
+        raise FileFormatError(path, line_number, f"missing key {key!r}")
+    return obj[key]
+
+
+def _oracle_field(obj, key, spec, seen, path, line_number):
+    """Field `key` looked up in `seen` by a guarded `get`, else checked and
+    converted by `spec` and stored there."""
+    value = _oracle_require(obj, key, path, line_number)
+    try:
+        known = seen.get(tuple(value) if isinstance(value, list) else value)
+    except TypeError:
+        known = None
+    if known is not None:
+        return known
+    is_valid, shape, convert, _ = spec
+    if not is_valid(value):
+        raise FileFormatError(path, line_number, f"{key!r} must be {shape}")
+    converted = convert(value)
+    return seen.setdefault(converted, converted)
+
+
+def oracle_obj_to_record(obj, path, line_number, shared) -> TaskRecord:
+    """Reference row conversion: the task through the `Task` enum and every
+    field through `_oracle_field`, by the field tables of `fileio`."""
+    try:
+        task = Task(str(_oracle_require(obj, "task", path, line_number)))
+    except ValueError:
+        raise FileFormatError(path, line_number, f"unknown task {obj.get('task')!r}") from None
+    if not fileio._FOREIGN[task].isdisjoint(obj):
+        key = next(k for k in obj if k in fileio._FOREIGN[task])
+        raise FileFormatError(path, line_number, f"{key!r} is not a {task.value} field")
+    values = {
+        key: _oracle_field(obj, key, spec, shared[key], path, line_number)
+        for key, spec in (("activity_set", fileio._SET), *fileio._FIELDS[task].items())
+    }
+    activities = values["activity_set"]
+    if task is Task.SDFD and not {a for e in values["edges"] for a in e} <= set(activities):
+        raise FileFormatError(path, line_number, "'edges' must join members of 'activity_set'")
+    if task is Task.SPTD:
+        try:
+            leaves = tree_labels(parse_tree(values["tree_text"]))
+        except TreeSyntaxError as exc:
+            raise FileFormatError(path, line_number, f"'tree_text' does not parse: {exc}") from None
+        if sorted(leaves) != sorted(activities):
+            reason = "'activity_set' must list the leaves of 'tree_text'"
+            raise FileFormatError(path, line_number, reason)
+    record_id = _oracle_require(obj, "record_id", path, line_number)
+    if not isinstance(record_id, str):
+        raise FileFormatError(path, line_number, "'record_id' must be a string")
+    model_id = _oracle_field(obj, "model_id", fileio._STRING, shared["model_id"], path,
+                             line_number)
+    return TaskRecord(record_id=record_id, task=task, model_id=model_id, **values)
+
+
+def oracle_records(path) -> list[TaskRecord]:
+    """Reference dataset reader over `oracle_objects` and
+    `oracle_obj_to_record`, by the rules of `iter_dataset`."""
+    records: list[TaskRecord] = []
+    model_id, shared = None, defaultdict(dict)
+    for n, obj in oracle_objects(path):
+        if obj.get("model_id") != model_id:
+            model_id, shared = obj.get("model_id"), defaultdict(dict)
+        record = oracle_obj_to_record(obj, path, n, shared)
+        if records and record.task is not records[-1].task:
+            reason = f"{record.task.value} row in a {records[-1].task.value} dataset"
+            raise FileFormatError(path, n, reason)
+        if records and record.record_id <= records[-1].record_id:
+            reason = (f"record {record.record_id!r} follows {records[-1].record_id!r}; "
+                      "ids must increase")
+            raise FileFormatError(path, n, reason)
+        records.append(record)
+    return records
 
 
 def oracle_split_corpus(models, ratios=DEFAULT_SPLIT_RATIOS, seed: int = 0) -> SplitAssignment:

@@ -1176,23 +1176,25 @@ class TestFailureModes:
             f"{row['model_id']!r} (first on line 1)\n"
         )
 
-    @pytest.mark.parametrize("kind", ["corpus", "dataset", "predictions", "split"])
-    def test_non_utf8_row_names_path_and_line(self, ws, tmp_path, kind):
-        # The dataset's bad line lies past the first block a text-mode read
-        # decodes, so its number is not that of the last row read.
-        sources = {
+    @staticmethod
+    def _sources(ws):
+        """The file of each kind that `ws` holds."""
+        return {
             "corpus": ws["corpus"],
             "dataset": f"{ws['data']}/tsad.jsonl",
             "predictions": ws["preds"],
             "split": ws["split"],
         }
-        lines = Path(sources[kind]).read_bytes().splitlines(keepends=True)
-        bad_line = 300 if kind == "dataset" else 2
-        assert len(lines) > bad_line
-        lines[bad_line - 1] = lines[bad_line - 1].replace(b'"', b'"\xff', 1)
+
+    def _lines(self, ws, kind):
+        return Path(self._sources(ws)[kind]).read_bytes().splitlines(keepends=True)
+
+    def _read_with(self, ws, tmp_path, kind, lines):
+        """Run the command that reads `lines` as its `kind` file, beside the
+        other files of `ws`; return its result and the file's path."""
         bad = tmp_path / f"{kind}.jsonl"
         bad.write_bytes(b"".join(lines))
-        paths = {**sources, kind: str(bad)}
+        paths = {**self._sources(ws), kind: str(bad)}
         argv = {
             "corpus": ["validate", paths["corpus"], "--out", str(tmp_path / "o.jsonl")],
             "dataset": ["score", "--dataset", paths["dataset"],
@@ -1202,10 +1204,32 @@ class TestFailureModes:
             "split": ["prompts", "--dataset", paths["dataset"], "--split", paths["split"],
                       "--mode", "ft", "--out", str(tmp_path / "ft.jsonl")],
         }[kind]
-        code, summary, err = run(argv)
+        return run(argv), bad
+
+    @pytest.mark.parametrize("kind", ["corpus", "dataset", "predictions", "split"])
+    def test_non_utf8_row_names_path_and_line(self, ws, tmp_path, kind):
+        # The dataset's bad line lies past the first block a text-mode read
+        # decodes, so its number is not that of the last row read.
+        lines = self._lines(ws, kind)
+        bad_line = 300 if kind == "dataset" else 2
+        assert len(lines) > bad_line
+        lines[bad_line - 1] = lines[bad_line - 1].replace(b'"', b'"\xff', 1)
+        (code, summary, err), bad = self._read_with(ws, tmp_path, kind, lines)
         assert code == EXIT_FATAL
         assert summary is None
         assert err == f"procsem: error: {bad}:{bad_line}: not UTF-8\n"
+
+    @pytest.mark.parametrize("kind", ["corpus", "dataset", "predictions", "split"])
+    def test_deeply_nested_row_names_path_and_line(self, ws, tmp_path, kind):
+        # The decoder recurses once per level; a line nested deeper than
+        # the interpreter's recursion limit is a bad row, not a traceback.
+        lines = self._lines(ws, kind)
+        depth = 100_000
+        lines[1] = b'{"record_id": ' + b"[" * depth + b"]" * depth + b"}\n"
+        (code, summary, err), bad = self._read_with(ws, tmp_path, kind, lines)
+        assert code == EXIT_FATAL
+        assert summary is None
+        assert err == f"procsem: error: {bad}:2: bad JSON: nested too deeply\n"
 
     @pytest.mark.parametrize(
         "first_row,reason",

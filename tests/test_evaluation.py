@@ -47,6 +47,7 @@ from procsem.evaluation import (
     fold_label,
     per_class_f1,
 )
+from procsem.taskgen import model_rng
 
 from conftest import (
     oracle_footprint,
@@ -672,6 +673,42 @@ class TestRandomBaselines:
             oracle_random_footprint(activities, oracle_rng)
         )
         assert rng.getstate() == oracle_rng.getstate()
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([Task.TSAD, Task.ASAD, Task.SNAP, Task.SDFD]),
+                st.text(max_size=4),
+                st.lists(st.text(min_size=1, max_size=2), min_size=1, max_size=5, unique=True),
+            ),
+            max_size=6,
+        ),
+        st.integers(min_value=0, max_value=2**64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_baselines_draw_as_a_fresh_model_rng_per_record(self, drawn, seed):
+        # The baselines reseed one generator per record; each record's
+        # answer is the one a generator of its own from `model_rng` gives.
+        records = [
+            TaskRecord(record_id=record_id, task=task, model_id="m",
+                       activity_set=tuple(activities))
+            for task, record_id, activities in drawn
+        ]
+
+        def expected(record):
+            rng = model_rng(seed, "baseline", record.task.value, record.record_id)
+            if record.task is Task.SDFD:
+                edges = random_footprint(record.activity_set, rng).edges
+                return record.record_id, render_dfg_edges(tuple(edges))
+            classes = sorted(record.activity_set) if record.task is Task.SNAP else (V, A)
+            return record.record_id, rng.choice(classes)
+
+        classified = [r for r in records if r.task is not Task.SDFD]
+        sdfd = [r for r in records if r.task is Task.SDFD]
+        assert list(random_classification_baseline(classified, seed)) == [
+            expected(r) for r in classified
+        ]
+        assert list(random_footprint_predictions(sdfd, seed)) == [expected(r) for r in sdfd]
 
     def test_footprint_predictions_round_trip(self):
         record = sdfd_record({("a", "b"), ("b", "a")}, "abc")

@@ -51,8 +51,10 @@ from conftest import (
     oracle_corpus_line,
     oracle_ft_line,
     oracle_icl_line,
+    oracle_objects,
     oracle_prediction_line,
     oracle_record_line,
+    oracle_records,
     oracle_sequences_line,
     oracle_split_line,
     tree_strategy,
@@ -420,11 +422,13 @@ def test_foreign_payload_key_is_fatal(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "activity_set", [["a", "b", "a"], ["a", "b", 1], ["a", ["b"]], ["a", {"b": 1}]]
+    "activity_set",
+    [["a", "b", "a"], ["a", "b", 1], ["a", ["b"]], ["a", {"b": 1}], "ab", {"a": 1, "b": 2}],
 )
 def test_value_near_an_accepted_one_is_still_checked(tmp_path, activity_set):
-    # The second row differs from the first, which passed, by a repeat or a
-    # value that is no string; it is checked, not taken for the first.
+    # The second row differs from the first, which passed, by a repeat, a
+    # value that is no string, or a string or object whose characters or
+    # keys are the first row's list; it is checked, not taken for the first.
     record = TaskRecord("r1", Task.TSAD, "m1", ("a", "b"), trace=("a", "b"), label=LABEL_VALID)
     path = tmp_path / "tsad.jsonl"
     write_dataset(path, [record])
@@ -557,6 +561,101 @@ def test_dataset_order_is_read_as_it_is_written(records, ids):
             assert str(exc_info.value) == f"{path}:{line}: {exc}"
         else:
             assert _read_both(path) == records
+
+
+# ---------------------------------------------------------------------------
+# The readers against the `json.loads` oracle
+
+_MISSING = object()
+# What a field may be broken to: dropped, another shape, a near miss of a
+# value the reader accepts, or a number JSON spells `NaN` or `Infinity`.
+_BROKEN = st.sampled_from([
+    _MISSING, None, 5, True, "a", "ab", {"a": 1}, {"a": 1, "b": 2}, "tsad", LABEL_VALID,
+    "->('a', ", [], ["a"], ["a", "a"], ["a", 1], [["a", "b"]], [["a", 1]],
+    float("nan"), float("inf"),
+])
+# Ways to dress a row's line: a BOM, trailing data, a byte that is not
+# UTF-8, a repeated key (the last one counts), and whitespace that
+# `str.strip` takes off and JSON does not allow.
+_DRESSINGS = {
+    "bom": lambda line: b"\xef\xbb\xbf" + line,
+    "trailing data": lambda line: line + b" x",
+    "not utf-8": lambda line: line.replace(b'"', b'"\xff', 1),
+    "repeated key": lambda line: line[:-1] + b', "record_id": "zz"}',
+    "file separator": lambda line: line + b"\x1c",
+    "line separator": lambda line: line + "\u2028".encode(),
+    "next line": lambda line: line + "\x85".encode(),
+    "no-break space": lambda line: "\xa0".encode() + line,
+    "tab and cr": lambda line: b"\t" + line + b"\r",
+}
+_ODD_LINES = st.sampled_from([
+    b"", b"  ", b"\t", b"[1]", b'"x"', b"3", b"null", b"NaN", b"-Infinity", b"{}", b"{} x",
+    b"{bad", b"\xef\xbb\xbf{}", b"\xff", b'{"task": "tsad"} {"task": "tsad"}',
+])
+
+
+@st.composite
+def reader_files(draw) -> bytes:
+    """A dataset file of one task's rows, each with zero, one or two broken
+    fields, some dressed, and odd lines among them."""
+    task = draw(tasks)
+    records = draw(st.lists(
+        consistent_records(task, values=st.sampled_from(["a", "b", "\u2028"])),
+        min_size=1, max_size=5, unique_by=attrgetter("record_id"),
+    ))
+    lines = []
+    for record in sorted(records, key=attrgetter("record_id")):
+        row = json.loads(oracle_record_line(record))
+        # Most rows are whole, and most broken fields are the row's own.
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            key = draw(st.sampled_from(sorted(row)) | st.sampled_from(TaskRecord.__slots__))
+            value = draw(_BROKEN)
+            if value is _MISSING:
+                row.pop(key, None)
+            else:
+                row[key] = value
+        line = json.dumps(row, ensure_ascii=False).encode("utf-8")
+        if draw(st.integers(0, 3)) == 0:
+            line = _DRESSINGS[draw(st.sampled_from(sorted(_DRESSINGS)))](line)
+        lines.append(line)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_LINES))
+    return b"".join(line + b"\n" for line in lines)
+
+
+def _outcome(read, path):
+    """What `read(path)` gives, or the text of the FileFormatError it raises."""
+    try:
+        return read(path)
+    except FileFormatError as exc:
+        return str(exc)
+
+
+def _sharing(records) -> list[list[int]]:
+    """For each record and field, the first record holding that very object."""
+    return [
+        [next(i for i, other in enumerate(records) if getattr(other, key) is getattr(r, key))
+         for key in TaskRecord.__slots__]
+        for r in records
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader_files())
+def test_readers_match_the_json_loads_oracle(content):
+    # Equal records sharing the same values, or the same error; and the
+    # same objects, or the same error, for the decoder every reader uses.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        path.write_bytes(content)
+        expected = _outcome(oracle_records, path)
+        read = _outcome(_read_both, path)
+        objects = _outcome(lambda p: [(n, repr(obj)) for n, obj in fileio._read_objects(p)], path)
+        oracle = _outcome(lambda p: [(n, repr(obj)) for n, obj in oracle_objects(p)], path)
+    assert read == expected
+    if isinstance(expected, list):
+        assert _sharing(read) == _sharing(expected)
+    assert objects == oracle
 
 
 @pytest.mark.parametrize(
