@@ -1,6 +1,6 @@
 """`python -m procsem`: the procsem command line."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -9,18 +9,18 @@ error, 2 corpus rejections occurred but outputs were written.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass, replace
 from itertools import chain
 from math import fsum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from .core import ProcessModel, Trace
+from .core import Frozen, ProcessModel, Trace
 from .evaluation import (
     MatchingMode,
     ScoreReport,
@@ -79,27 +79,34 @@ EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    min_log_size: int = DEFAULT_MIN_LOG_SIZE
-    noise_prob: float = DEFAULT_NOISE_PROB
-    max_retries: int = DEFAULT_MAX_RETRIES
-    split_ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS
-    shots: int | None = None
-    max_sequences: int = DEFAULT_MAX_SEQUENCES
-    matching_mode: MatchingMode = MatchingMode.CASE_INSENSITIVE
-    include_diagonal: bool = True
+def _check_setting(key: str, value: Any) -> None:
+    """Raise the ValueError of a RunConfig whose `key` holds `value`."""
+    if key == "noise_prob" and not 0.0 <= value <= 1.0:
+        raise ValueError("noise_prob must lie in [0, 1]")
+    low = {"min_log_size": 0, "max_retries": 0, "max_sequences": 1, "shots": 1}.get(key)
+    if low is not None and value is not None and value < low:
+        raise ValueError(f"{key} must be at least {low}")
+    if key == "split_ratios":
+        check_split_ratios(value)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.noise_prob <= 1.0:
-            raise ValueError("noise_prob must lie in [0, 1]")
-        for key, low in (("min_log_size", 0), ("max_retries", 0), ("max_sequences", 1),
-                         ("shots", 1)):
-            value = getattr(self, key)
-            if value is not None and value < low:
-                raise ValueError(f"{key} must be at least {low}")
-        check_split_ratios(self.split_ratios)
+
+class RunConfig(Frozen):
+    def __init__(
+        self, seed: int = 0, min_log_size: int = DEFAULT_MIN_LOG_SIZE,
+        noise_prob: float = DEFAULT_NOISE_PROB, max_retries: int = DEFAULT_MAX_RETRIES,
+        split_ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
+        shots: int | None = None, max_sequences: int = DEFAULT_MAX_SEQUENCES,
+        matching_mode: MatchingMode = MatchingMode.CASE_INSENSITIVE,
+        include_diagonal: bool = True,
+    ) -> None:
+        self.__dict__.update(
+            seed=seed, min_log_size=min_log_size, noise_prob=noise_prob, max_retries=max_retries,
+            split_ratios=split_ratios, shots=shots, max_sequences=max_sequences,
+            matching_mode=matching_mode, include_diagonal=include_diagonal,
+        )
+        for key in ("noise_prob", "min_log_size", "max_retries", "max_sequences", "shots",
+                    "split_ratios"):
+            _check_setting(key, getattr(self, key))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,8 +182,9 @@ _CONFIG_KEYS: dict[str, tuple[str, dict[str, Any], Callable, str, Callable]] = {
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, overlaid by --config file values, overlaid by flags."""
-    config = RunConfig()
+    """Defaults, overlaid by --config file values, overlaid by flags. Each
+    value is checked as it is read, so the first bad one is reported."""
+    values: dict[str, Any] = {}
     path = getattr(args, "config", None)
     if path:
         try:
@@ -194,14 +202,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             if not is_valid(value):
                 raise ValueError(f"{path}: {key!r} must be {wanted}")
             try:
-                config = replace(config, **{key: convert(value)})
+                values[key] = convert(value)
+                _check_setting(key, values[key])
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
     for key, (*_, convert) in _CONFIG_KEYS.items():
         value = getattr(args, key, None)
         if value is not None:
-            config = replace(config, **{key: convert(value)})
-    return config
+            values[key] = convert(value)
+            _check_setting(key, values[key])
+    return RunConfig(**values)
 
 
 def _emit(summary: dict[str, Any]) -> None:
@@ -613,5 +623,13 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_PARTIAL if summary.get("rejected") else EXIT_OK
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The `procsem` command: exit with `main`'s code. What is imported by
+    now lives as long as the process, so it is frozen out of the
+    collector's passes, which would otherwise walk it again at exit."""
+    gc.freeze()
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

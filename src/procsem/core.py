@@ -7,10 +7,10 @@ footprints) is an immutable value that is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterator, TypeVar, Union
+from operator import attrgetter
+from typing import Any, Callable, Iterator, TypeVar, Union
 
 Activity = str
 Trace = tuple[Activity, ...]
@@ -45,6 +45,52 @@ def normalize_label(raw: str) -> Activity:
     return label
 
 
+class Frozen:
+    """Base of procsem's value types, which never change once built. A
+    class's fields are the parameters of its `__init__`, which fills
+    `self.__dict__` or the slots. Equality, hash and repr read the fields in
+    order, but those in `_uncompared` (equality and hash) and `_unhashed`
+    (hash); instances of two classes are never equal."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _uncompared: tuple[str, ...] = ()
+    _unhashed: tuple[str, ...] = ()
+
+    def __init__(self) -> None:
+        pass
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        compared = [name for name in cls._fields if name not in cls._uncompared]
+        hashed = [name for name in compared if name not in cls._unhashed]
+        cls._compared = staticmethod(attrgetter(*compared) if compared else lambda obj: ())
+        cls._hashed = staticmethod(attrgetter(*hashed) if hashed else lambda obj: ())
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared(self) == self._compared(other)
+
+    def __hash__(self) -> int:
+        return hash(self._hashed(self))
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({values})"
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        # Copies and pickles are built anew, through `__init__`.
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
 # ---------------------------------------------------------------------------
 # Process trees
 
@@ -56,33 +102,56 @@ class OpKind(str, Enum):
     LOOP = "*"
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Frozen):
     """A visible activity; its label is normalized on construction."""
 
-    label: Activity
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "label", normalize_label(self.label))
+    def __init__(self, label: Activity) -> None:
+        self.__dict__["label"] = normalize_label(label)
 
 
-@dataclass(frozen=True)
-class Silent:
+class Silent(Frozen):
     """The silent activity: contributes the empty sequence, never an event."""
 
 
-@dataclass(frozen=True)
-class Operator:
-    kind: OpKind
-    children: tuple["ProcessTree", ...]
+class Operator(Frozen):
+    """An operator over its children. Equality, hash and repr walk the tree
+    on a stack of their own, so a tree of any depth has all three."""
 
-    def __post_init__(self) -> None:
-        minimum = 2 if self.kind is OpKind.LOOP else 1
-        if len(self.children) < minimum:
+    def __init__(self, kind: OpKind, children: tuple[ProcessTree, ...]) -> None:
+        minimum = 2 if kind is OpKind.LOOP else 1
+        if len(children) < minimum:
             raise ArityError(
-                f"{self.kind.name} requires at least {minimum} children, "
-                f"got {len(self.children)}"
+                f"{kind.name} requires at least {minimum} children, got {len(children)}"
             )
+        values = self.__dict__
+        values["kind"], values["children"] = kind, children
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Operator:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            mine, theirs = pairs.pop()
+            if mine is theirs:
+                continue
+            if mine.__class__ is Operator is theirs.__class__:
+                if mine.kind != theirs.kind or len(mine.children) != len(theirs.children):
+                    return False
+                pairs.extend(zip(mine.children, theirs.children))
+            elif mine != theirs:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        # A leaf's and a silent step's hash are those of their own classes.
+        return fold_tree(self, hash, hash(()), lambda kind, parts: hash((kind, *parts)))
+
+    def __repr__(self) -> str:
+        def operator(kind: OpKind, parts: list[str]) -> str:
+            children = ", ".join(parts) + ("," if len(parts) == 1 else "")
+            return f"Operator(kind={kind!r}, children=({children}))"
+
+        return fold_tree(self, lambda label: f"Leaf(label={label!r})", "Silent()", operator)
 
 
 ProcessTree = Union[Leaf, Silent, Operator]
@@ -153,21 +222,24 @@ def tree_labels(tree: ProcessTree) -> list[Activity]:
 # Models
 
 
-@dataclass(frozen=True)
-class ProcessModel:
+class ProcessModel(Frozen):
     """A process tree under a model id, and its language when it holds one.
 
     A corpus row is one, with the row's `line` in the file it was read
     from; validation admits the row itself. `sequences` is the tree's
     language on a model from `semantics.playout`, and None on a model that
-    holds none, such as a corpus row or an admitted one.
+    holds none, such as a corpus row or an admitted one. The line takes no
+    part in equality.
     """
 
-    model_id: str
-    tree: ProcessTree
-    sequences: frozenset[Trace] | None = None
-    name: str | None = None
-    line: int | None = field(default=None, compare=False)
+    _uncompared = ("line",)
+
+    def __init__(
+        self, model_id: str, tree: ProcessTree, sequences: frozenset[Trace] | None = None,
+        name: str | None = None, line: int | None = None,
+    ) -> None:
+        self.__dict__.update(model_id=model_id, tree=tree, sequences=sequences, name=name,
+                             line=line)
 
     @cached_property
     def activity_set(self) -> frozenset[Activity]:
@@ -187,17 +259,16 @@ class ProcessModel:
 # Directly-follows graphs and footprints
 
 
-@dataclass(frozen=True)
-class Dfg:
+class Dfg(Frozen):
     """Directly-follows graph: activities plus ordered follow edges."""
 
-    activities: frozenset[Activity]
-    edges: frozenset[tuple[Activity, Activity]]
-
-    def __post_init__(self) -> None:
-        for x, y in self.edges:
-            if x not in self.activities or y not in self.activities:
+    def __init__(
+        self, activities: frozenset[Activity], edges: frozenset[tuple[Activity, Activity]]
+    ) -> None:
+        for x, y in edges:
+            if x not in activities or y not in activities:
                 raise ValueError(f"edge ({x!r}, {y!r}) has endpoint outside activities")
+        self.__dict__.update(activities=activities, edges=edges)
 
 
 class Relation(str, Enum):
@@ -207,7 +278,6 @@ class Relation(str, Enum):
     NONE = "#"
 
 
-@dataclass(frozen=True)
 class Footprint(Dfg):
     """The footprint of a directly-follows graph, read pair by pair.
 

@@ -18,7 +18,6 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
 from enum import Enum
 from math import fsum
 
@@ -26,6 +25,7 @@ from .core import (
     Activity,
     Dfg,
     Footprint,
+    Frozen,
     Leaf,
     Operator,
     Pair,
@@ -198,13 +198,13 @@ def edge_fitness(
     return (total - wrong) / total
 
 
-@dataclass(frozen=True)
-class RecordScore:
-    record_id: str
-    fitness: float
-    parse_failure: bool = False
-    hallucinated: tuple[Activity, ...] = ()
-    skipped_lines: int = 0
+class RecordScore(Frozen):
+    def __init__(
+        self, record_id: str, fitness: float, parse_failure: bool = False,
+        hallucinated: tuple[Activity, ...] = (), skipped_lines: int = 0,
+    ) -> None:
+        self.__dict__.update(record_id=record_id, fitness=fitness, parse_failure=parse_failure,
+                             hallucinated=hallucinated, skipped_lines=skipped_lines)
 
 
 def _gold_map(
@@ -295,18 +295,25 @@ def score_sptd(
 # Dataset-level scoring
 
 
-@dataclass(frozen=True)
-class ScoreReport:
-    task: Task
-    n_records: int
-    metric_name: str
-    value: float
-    matching_mode: MatchingMode
-    n_parse_failures: int
-    n_missing_predictions: int
-    n_hallucinated_activities: int = 0
-    per_class_f1: dict[str, float] = field(default_factory=dict, hash=False)
-    per_record_fitness: dict[str, float] = field(default_factory=dict, hash=False)
+class ScoreReport(Frozen):
+    """A task's score; the two maps, empty when not given, stay out of the hash."""
+
+    _unhashed = ("per_class_f1", "per_record_fitness")
+
+    def __init__(
+        self, task: Task, n_records: int, metric_name: str, value: float,
+        matching_mode: MatchingMode, n_parse_failures: int, n_missing_predictions: int,
+        n_hallucinated_activities: int = 0, per_class_f1: dict[str, float] | None = None,
+        per_record_fitness: dict[str, float] | None = None,
+    ) -> None:
+        self.__dict__.update(
+            task=task, n_records=n_records, metric_name=metric_name, value=value,
+            matching_mode=matching_mode, n_parse_failures=n_parse_failures,
+            n_missing_predictions=n_missing_predictions,
+            n_hallucinated_activities=n_hallucinated_activities,
+            per_class_f1={} if per_class_f1 is None else per_class_f1,
+            per_record_fitness={} if per_record_fitness is None else per_record_fitness,
+        )
 
 
 def score_dataset(

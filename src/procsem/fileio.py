@@ -287,9 +287,8 @@ _FOREIGN = {
 }
 
 
-# `obj_to_record` fills a record's slots through their descriptors, as the
-# frozen dataclass's `__init__` does through `object.__setattr__`, at about
-# half the cost per record; `TaskRecord` has no `__post_init__` to skip.
+# `obj_to_record` fills a record's slots through their descriptors, as
+# `TaskRecord.__init__` does, one slot at a time as each field is checked.
 _PUT = {name: getattr(TaskRecord, name).__set__ for name in TaskRecord.__slots__}
 # Each task's fields as `obj_to_record` checks them, in order, with their
 # setters; and the setters of the slots its rows leave None.

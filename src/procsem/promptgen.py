@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from importlib import resources
 from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
-from .core import Activity, Trace
+from .core import Activity, Frozen, Trace
 from .taskgen import (
     CLASSIFICATION_TASKS,
     GENERATION_TASKS,
@@ -46,26 +45,23 @@ class PoolExhaustedError(ValueError):
     """Raised when the shot pool cannot satisfy the sampling constraints."""
 
 
-@dataclass(frozen=True)
-class PromptTemplates:
-    description: str
-    block: str
+class PromptTemplates(Frozen):
+    def __init__(self, description: str, block: str) -> None:
+        self.__dict__.update(description=description, block=block)
 
 
-@dataclass(frozen=True)
-class PromptBundle:
-    record_id: str
-    task: Task
-    prompt_text: str
-    shot_record_ids: tuple[str, ...]
+class PromptBundle(Frozen):
+    def __init__(
+        self, record_id: str, task: Task, prompt_text: str, shot_record_ids: tuple[str, ...]
+    ) -> None:
+        self.__dict__.update(record_id=record_id, task=task, prompt_text=prompt_text,
+                             shot_record_ids=shot_record_ids)
 
 
-@dataclass(frozen=True)
-class FtExample:
-    record_id: str
-    task: Task
-    input_text: str
-    target_text: str
+class FtExample(Frozen):
+    def __init__(self, record_id: str, task: Task, input_text: str, target_text: str) -> None:
+        self.__dict__.update(record_id=record_id, task=task, input_text=input_text,
+                             target_text=target_text)
 
 
 def load_templates(task: Task, directory: str | Path | None = None) -> PromptTemplates:

@@ -22,13 +22,12 @@ from __future__ import annotations
 import hashlib
 import random
 from collections.abc import Collection, Iterable, Iterator
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress
 from operator import attrgetter, itemgetter
 from typing import Any
 
-from .core import Activity, ProcessModel, Trace, tree_labels
+from .core import Activity, Frozen, ProcessModel, Trace, tree_labels
 from .semantics import (
     DEFAULT_MAX_SEQUENCES,
     NO_CAP,
@@ -61,21 +60,39 @@ CLASSIFICATION_TASKS = (Task.TSAD, Task.ASAD)
 GENERATION_TASKS = (Task.SDFD, Task.SPTD)
 
 
-@dataclass(frozen=True, slots=True)
-class TaskRecord:
+class TaskRecord(Frozen):
     """One benchmark instance; non-applicable payload fields stay None."""
 
-    record_id: str
-    task: Task
-    model_id: str
-    activity_set: tuple[Activity, ...]
-    trace: Trace | None = None
-    pair: tuple[Activity, Activity] | None = None
-    prefix: Trace | None = None
-    label: str | None = None
-    next_activity: Activity | None = None
-    edges: tuple[tuple[Activity, Activity], ...] | None = None
-    tree_text: str | None = None
+    __slots__ = (
+        "record_id", "task", "model_id", "activity_set", "trace", "pair", "prefix", "label",
+        "next_activity", "edges", "tree_text",
+    )
+
+    def __init__(
+        self, record_id: str, task: Task, model_id: str, activity_set: tuple[Activity, ...],
+        trace: Trace | None = None, pair: tuple[Activity, Activity] | None = None,
+        prefix: Trace | None = None, label: str | None = None,
+        next_activity: Activity | None = None,
+        edges: tuple[tuple[Activity, Activity], ...] | None = None, tree_text: str | None = None,
+    ) -> None:
+        # Each slot is set through its descriptor, one call per field.
+        _set_record_id(self, record_id)
+        _set_task(self, task)
+        _set_model_id(self, model_id)
+        _set_activity_set(self, activity_set)
+        _set_trace(self, trace)
+        _set_pair(self, pair)
+        _set_prefix(self, prefix)
+        _set_label(self, label)
+        _set_next_activity(self, next_activity)
+        _set_edges(self, edges)
+        _set_tree_text(self, tree_text)
+
+
+(
+    _set_record_id, _set_task, _set_model_id, _set_activity_set, _set_trace, _set_pair,
+    _set_prefix, _set_label, _set_next_activity, _set_edges, _set_tree_text,
+) = (getattr(TaskRecord, name).__set__ for name in TaskRecord.__slots__)
 
 
 def model_seed(seed: int, *parts: str) -> int:
@@ -105,18 +122,22 @@ class RejectionReason(str, Enum):
     DUPLICATE_ACTIVITY_SET = "duplicate_activity_set"
 
 
-@dataclass(frozen=True)
-class Rejection:
-    model_id: str
-    reason: RejectionReason
-    detail: str = ""
-    line: int | None = field(default=None, compare=False)
+class Rejection(Frozen):
+    """A corpus row left out, and why; its line takes no part in equality."""
+
+    _uncompared = ("line",)
+
+    def __init__(
+        self, model_id: str, reason: RejectionReason, detail: str = "", line: int | None = None
+    ) -> None:
+        self.__dict__.update(model_id=model_id, reason=reason, detail=detail, line=line)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    admitted: tuple[ProcessModel, ...]
-    rejected: tuple[Rejection, ...]
+class ValidationReport(Frozen):
+    def __init__(
+        self, admitted: tuple[ProcessModel, ...], rejected: tuple[Rejection, ...]
+    ) -> None:
+        self.__dict__.update(admitted=admitted, rejected=rejected)
 
 
 def validate_corpus(
@@ -430,11 +451,15 @@ ACTIVITY_BINS: tuple[tuple[int, int | None], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SplitAssignment:
-    assignment: dict[str, Split] = field(hash=False)
-    components: tuple[tuple[str, ...], ...]
-    component_bins: tuple[int, ...]
+class SplitAssignment(Frozen):
+    _unhashed = ("assignment",)
+
+    def __init__(
+        self, assignment: dict[str, Split], components: tuple[tuple[str, ...], ...],
+        component_bins: tuple[int, ...],
+    ) -> None:
+        self.__dict__.update(assignment=assignment, components=components,
+                             component_bins=component_bins)
 
     def model_ids(self, split: Split) -> list[str]:
         return sorted(mid for mid, s in self.assignment.items() if s is split)

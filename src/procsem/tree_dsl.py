@@ -17,11 +17,11 @@ Directly-follows edges use one arrow per line: ``'a' -> 'b'``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import (
     ArityError,
     EmptyLabelError,
+    Frozen,
     Leaf,
     OpKind,
     Operator,
@@ -218,12 +218,11 @@ _EDGE_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class EdgeParse:
+class EdgeParse(Frozen):
     """Edges recovered from text plus the non-blank lines that matched nothing."""
 
-    edges: tuple[tuple[str, str], ...]
-    skipped: tuple[str, ...]
+    def __init__(self, edges: tuple[tuple[str, str], ...], skipped: tuple[str, ...]) -> None:
+        self.__dict__.update(edges=edges, skipped=skipped)
 
 
 def parse_dfg_edges(text: str) -> EdgeParse:

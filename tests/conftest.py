@@ -70,6 +70,19 @@ M1_TREE_TEXT = (
 )
 
 
+# ---------------------------------------------------------------------------
+# procsem's value types by their fields, in place of the `dataclasses` helpers
+
+
+def asdict(value) -> dict:
+    return {name: getattr(value, name) for name in type(value)._fields}
+
+
+def replace(value, **changes):
+    """A copy of `value`, built anew, with some fields changed."""
+    return type(value)(**{**asdict(value), **changes})
+
+
 @pytest.fixture
 def m1_tree() -> ProcessTree:
     return parse_tree(M1_TREE_TEXT)

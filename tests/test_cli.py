@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 
 import procsem
+import procsem.cli as cli_module
 from procsem import (
     MatchingMode,
     ProcessModel,
@@ -573,6 +575,28 @@ class TestConfigHandling:
         )
         assert code == EXIT_FATAL
         assert err == f"procsem: error: {config}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "values,flags,error",
+        [
+            # The first bad value in file order, before any flag is read.
+            ({"shots": 0, "noise_prob": 2}, ["--noise-prob", "0.5"],
+             "{config}: shots must be at least 1"),
+            ({"noise_prob": 2, "shots": 0}, [], "{config}: noise_prob must lie in [0, 1]"),
+            # Flags in the order of the config keys, after a good file.
+            ({"seed": 1}, ["--noise-prob", "2", "--min-log-size", "-1"],
+             "min_log_size must be at least 0"),
+        ],
+    )
+    def test_the_first_bad_config_value_is_reported(self, ws, tmp_path, values, flags, error):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        code, _, err = run(
+            ["gen", ws["corpus"], "--out-dir", str(tmp_path / "data"), "--config", str(config),
+             *flags]
+        )
+        assert code == EXIT_FATAL
+        assert err == f"procsem: error: {error.format(config=config)}\n"
 
     @pytest.mark.parametrize(
         "key,value,wanted",
@@ -1318,6 +1342,69 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "prompts" in proc.stdout
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports procsem from this
+    checkout, with no site packages."""
+    src = str(Path(procsem.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    proc = _python("import sys, procsem.cli; print(*sys.modules, sep='\\n')")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines())
+    assert "procsem.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+# Runs the CLI through `procsem.cli.run` with its `validate` handler
+# replaced by one that reports how many objects the collector has frozen.
+_FREEZE_PROBE = """
+import gc, sys
+import procsem.cli as cli
+cli.cmd_validate = lambda args, config: {"command": "validate", "frozen": gc.get_freeze_count()}
+sys.argv = ["procsem", "validate", "corpus.jsonl", "--out", "admitted.jsonl"]
+cli.run()
+"""
+
+
+def test_the_entry_freezes_what_is_imported_before_the_handler_runs():
+    proc = _python(_FREEZE_PROBE)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["frozen"] > 1_000
+
+
+@pytest.mark.parametrize("entry", ["procsem", "procsem.cli"])
+def test_python_dash_m_goes_through_the_entry(entry):
+    # Frozen before the process exits: a `--help` run ends in argument parsing.
+    proc = _python(
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+        "sys.argv = ['procsem', '--help']\n"
+        f"runpy.run_module({entry!r}, run_name='__main__', alter_sys=True)\n"
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) > 1_000
+
+
+def test_the_console_script_is_the_entry():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'procsem = "procsem.cli:run"' in pyproject.read_text("utf-8").splitlines()
+
+
+def test_main_in_process_freezes_nothing(monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        cli_module, "cmd_validate",
+        lambda args, config: seen.append(gc.get_freeze_count()) or {"command": "validate"},
+    )
+    code, summary, _ = run(["validate", "corpus.jsonl", "--out", "admitted.jsonl"])
+    assert (code, summary, seen) == (EXIT_OK, {"command": "validate"}, [0])
+    assert gc.get_freeze_count() == 0
 
 
 def _unique_sequences(trees) -> tuple[int, int]:

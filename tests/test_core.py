@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import re
 import sys
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +16,19 @@ from procsem import (
     EmptyLabelError,
     Footprint,
     Leaf,
+    MatchingMode,
     OpKind,
     Operator,
     ProcessModel,
     Rejection,
+    RejectionReason,
     Relation,
+    ScoreReport,
     Silent,
+    Split,
+    SplitAssignment,
+    Task,
+    TaskRecord,
     dfg_of_model,
     eventually_follows,
     footprint_of_model,
@@ -125,6 +133,12 @@ class TestTreeNodes:
     def test_nodes_are_hashable(self):
         assert len({par(leaf("a"), leaf("b")), par(leaf("a"), leaf("b"))}) == 1
 
+    def test_repr_names_every_field(self):
+        assert repr(seq(leaf("a"), xor(tau()))) == (
+            "Operator(kind=<OpKind.SEQ: '->'>, children=(Leaf(label='a'), "
+            "Operator(kind=<OpKind.XOR: 'X'>, children=(Silent(),))))"
+        )
+
 
 def _deep_tree(operators: int) -> tuple[Operator, str]:
     """A tree whose leaves 'a' and 'b' sit under `operators` nested
@@ -146,8 +160,7 @@ class TestFoldTree:
         assert fold_tree(tau(), str.upper, "-", None) == "-"
 
     def test_a_deep_code_built_tree_passes_every_entry_point(self, tmp_path):
-        # Far deeper than the recursion limit allows a recursive walk. The
-        # tree's own ==, hash and repr still recurse, so none is used here.
+        # Far deeper than the recursion limit allows a recursive walk.
         tree, text = _deep_tree(3_000)
         assert tree_labels(tree) == ["a", "b"]
         assert render_tree(tree) == text
@@ -177,6 +190,77 @@ class TestFoldTree:
         assert f"nesting deeper than {MAX_DEPTH}" in row.detail
 
 
+    def test_a_deep_code_built_tree_is_hashed_compared_and_printed(self):
+        tree, _ = _deep_tree(3_000)
+        twin, _ = _deep_tree(3_000)
+        # The same tree but for its deepest leaf.
+        other = seq(leaf("a"), leaf("c"))
+        for i in range(3_000 - 1):
+            other = (seq, xor, par)[i % 3](other, tau())
+        assert tree is not twin and tree == twin and not tree != twin
+        assert hash(tree) == hash(twin)
+        assert tree != other and tree != _deep_tree(2_999)[0] and tree != leaf("a")
+        assert len({tree, twin, other}) == 2
+        text = repr(tree)
+        assert text.startswith("Operator(kind=<OpKind.XOR: 'X'>, children=(Operator(kind=")
+        assert text.endswith("(Leaf(label='a'), Leaf(label='b')))" + ", Silent()))" * 2_999)
+        assert text.count("Operator(") == 3_000
+        model = ProcessModel("deep", tree)
+        assert model == ProcessModel("deep", twin)
+        assert hash(model) == hash(ProcessModel("deep", twin))
+        assert repr(model).endswith("Silent())), sequences=None, name=None, line=None)")
+
+
+class TestFrozenValues:
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        for value, name in ((leaf("a"), "label"), (seq(leaf("a")), "kind"),
+                            (ProcessModel("m", leaf("a")), "model_id"),
+                            (Dfg(frozenset(), frozenset()), "edges")):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+
+    def test_line_takes_no_part_in_equality(self):
+        assert Rejection("m", RejectionReason.PARSE_ERROR, "x", line=1) == Rejection(
+            "m", RejectionReason.PARSE_ERROR, "x", line=2
+        )
+        first, second = ProcessModel("m", leaf("a"), line=1), ProcessModel("m", leaf("a"), line=2)
+        assert first == second and hash(first) == hash(second)
+        assert Rejection("m", RejectionReason.PARSE_ERROR, "x") != Rejection(
+            "m", RejectionReason.PARSE_ERROR, "y"
+        )
+
+    def test_maps_stay_out_of_the_hash(self):
+        def report(**maps):
+            return ScoreReport(Task.TSAD, 1, "macro_f1", 0.5, MatchingMode.CASE_INSENSITIVE,
+                               0, 0, **maps)
+
+        assert report().per_class_f1 == {} and report().per_record_fitness == {}
+        assert report().per_class_f1 is not report().per_class_f1
+        first, second = report(per_class_f1={"Valid": 1.0}), report(per_class_f1={"Valid": 0.0})
+        assert hash(first) == hash(second)
+        assert report(per_record_fitness={"r": 1.0}) != report(per_record_fitness={"r": 0.0})
+        split = SplitAssignment({"m": Split.TRAIN}, (("m",),), (0,))
+        assert hash(split) == hash(SplitAssignment({}, (("m",),), (0,)))
+
+    def test_a_footprint_is_never_a_dfg(self):
+        activities, edges = frozenset({"a", "b"}), frozenset({("a", "b")})
+        assert Footprint(activities, edges) != Dfg(activities, edges)
+        assert Dfg(activities, edges) != Footprint(activities, edges)
+        assert Footprint(activities, edges) == Footprint(activities=activities, edges=edges)
+
+    def test_copies_are_built_anew_and_equal(self):
+        tree = seq(leaf("a"), tau())
+        values = [tree, ProcessModel("m", tree, line=3), Footprint(frozenset("a"), frozenset()),
+                  TaskRecord("r", Task.SNAP, "m", ("a", "b"), prefix=("a",), next_activity="b")]
+        for value in values:
+            twins = (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
+            for twin in twins:
+                assert twin == value and type(twin) is type(value) and repr(twin) == repr(value)
+        assert copy.copy(values[1]).line == 3
+
+
 class TestProcessModel:
     def test_has_empty_sequence(self):
         model = ProcessModel("m", xor(tau(), leaf("a")), frozenset({(), ("a",)}))
@@ -193,7 +277,7 @@ class TestProcessModel:
         assert model.activity_set is model.activity_set
         assert calls == [tree]
         # Derived from the tree, it is no field: equality and the line leave it out.
-        assert "activity_set" not in {f.name for f in fields(ProcessModel)}
+        assert "activity_set" not in ProcessModel._fields
         assert model == ProcessModel("m", tree, line=9)
 
     def test_activity_set_must_match(self):

@@ -8,7 +8,6 @@ import os
 import stat
 import tempfile
 import threading
-from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -57,6 +56,7 @@ from conftest import (
     oracle_records,
     oracle_sequences_line,
     oracle_split_line,
+    replace,
     tree_strategy,
 )
 

@@ -85,6 +85,26 @@ def test_runtime_imports_only_stdlib():
     assert outside == set()
 
 
+def test_no_module_imports_dataclasses():
+    # Importing `dataclasses` pulls in `inspect`, `ast` and `dis`, and each
+    # decorated class is generated by compiling code at import: a fixed
+    # cost of every CLI stage. procsem's value types are `core.Frozen`s.
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert modules
+    importers = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if "dataclasses" in names:
+                importers.add(path.name)
+    assert importers == set()
+
+
 def attributes_read(module: str) -> set[str]:
     """Names of the attributes that `module` reads or writes on any object."""
     tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text("utf-8"))

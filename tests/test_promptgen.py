@@ -1,13 +1,12 @@
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_render_icl
+from conftest import oracle_render_icl, replace
 from procsem import (
     LABEL_ANOMALOUS,
     LABEL_VALID,

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -46,10 +45,12 @@ from conftest import (
     EXTENDING_IDS,
     M1_TREE_TEXT,
     SHARING_CORPORA,
+    asdict,
     oracle_dataset,
     oracle_ef_pairs,
     oracle_language,
     oracle_split_corpus,
+    replace,
     shared_vocabulary_corpora,
 )
 
